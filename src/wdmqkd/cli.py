@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -29,16 +32,7 @@ from .netsim import (
     sweep_attenuation,
     sweep_rows_to_csv,
 )
-from .photonics import (
-    DEFAULT_CLIENT_DARK_RATES_HZ,
-    DEFAULT_E_OPT,
-    DEFAULT_EFFICIENCY,
-    DEFAULT_GATE_WIDTH_NS,
-    DEFAULT_MU,
-    DEFAULT_REP_RATE_HZ,
-    DetectorModel,
-    SourceModel,
-)
+from .photonics import DEFAULT_CLIENT_DARK_RATES_HZ, DetectorModel, SourceModel
 from .protocol import SessionAbortError, SessionConfig, SessionError
 from .router import (
     FOURPORT_CHANNEL_NM,
@@ -63,16 +57,7 @@ EXIT_USAGE = 2
 EXIT_ABORT = 3
 
 _TOP_KEYS = frozenset({"network", "session", "sweep", "output"})
-_NETWORK_KEYS = frozenset({
-    "router", "server", "source", "detectors", "eatt_db",
-    "offsets_ns", "frame_period_ns", "guard_ns", "classical_delay_ns",
-})
 _ROUTER_KEYS = frozenset({"ports", "uniform_loss_db", "loss_file", "crosstalk_db"})
-_SOURCE_KEYS = frozenset({"mean_photon_number", "rep_rate_hz", "e_opt"})
-_DETECTOR_KEYS = frozenset({"efficiency", "dark_rate_hz", "gate_width_ns", "rep_rate_hz"})
-_SESSION_KEYS = frozenset({
-    "mode", "clients", "n_frames", "sample_fraction", "qber_abort_threshold", "seed",
-})
 _SWEEP_KEYS = frozenset({"start_db", "stop_db", "step_db"})
 _OUTPUT_KEYS = frozenset({"key_dir", "csv"})
 
@@ -122,6 +107,67 @@ def _as_float(value: Any, where: str) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
+def _as_ports(value: Any, where: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of port indices")
+    return tuple(_as_int(c, f"{where} entry") for c in value)
+
+
+def _as_offsets(value: Any, where: str) -> dict[int, int]:
+    return {
+        _as_int(k, f"{where} channel key"): _as_int(v, f"{where}[{k}]")
+        for k, v in _require_mapping(value, where).items()
+    }
+
+
+# parsers of the dataclass fields a config sets directly, by annotation
+_PARSERS = {
+    int: _as_int,
+    float: _as_float,
+    str: lambda value, where: str(value),
+    tuple[int, ...]: _as_ports,  # session clients
+    Mapping[int, int]: _as_offsets,  # network channel offsets
+}
+
+
+@functools.cache
+def _field_parsers(cls) -> dict[str, Any]:
+    """Each field of dataclass ``cls`` mapped to the parser that
+    ``_PARSERS`` holds for its annotation (``X | None`` counts as ``X``),
+    or to None when the caller must parse the field."""
+    hints = typing.get_type_hints(cls)
+    parsers = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            hint = args[0] if len(args) == 1 else hint
+        parsers[f.name] = _PARSERS.get(hint)
+    return parsers
+
+
+def _build(cls, section: Mapping, where: str, fixed: Sequence[str] = (), **given):
+    """Instantiate dataclass ``cls`` from a config section keyed by its field names.
+
+    The section may set every field except those named in ``fixed``.  A
+    field with a parser that is present in the section is parsed and
+    overrides ``given``; any other field comes from ``given`` as the
+    caller parsed it.  Fields in neither keep the dataclass default.
+    """
+    parsers = {k: p for k, p in _field_parsers(cls).items() if k not in fixed}
+    _check_keys(section, frozenset(parsers), where)
+    kwargs = dict(given)
+    for name, parse in parsers.items():
+        if parse is not None and name in section:
+            kwargs[name] = parse(section[name], f"{where}.{name}")
+    return cls(**kwargs)
+
+
+def _section(node: Any, where: str) -> dict:
+    """An optional config section: absent or null means all defaults."""
+    return {} if node is None else _require_mapping(node, where)
+
+
 def _build_router(node: Any, base_dir: Path):
     if node is None or node == "fourport":
         return fourport_router_spec()
@@ -148,22 +194,6 @@ def _build_router(node: Any, base_dir: Path):
     return uniform_router_spec(assignment, crosstalk_db=crosstalk)
 
 
-def _build_source(node: Any) -> SourceModel:
-    if node is None:
-        return SourceModel()
-    data = _require_mapping(node, "network.source")
-    _check_keys(data, _SOURCE_KEYS, "network.source")
-    return SourceModel(
-        mean_photon_number=_as_float(
-            data.get("mean_photon_number", DEFAULT_MU), "network.source.mean_photon_number"
-        ),
-        rep_rate_hz=_as_float(
-            data.get("rep_rate_hz", DEFAULT_REP_RATE_HZ), "network.source.rep_rate_hz"
-        ),
-        e_opt=_as_float(data.get("e_opt", DEFAULT_E_OPT), "network.source.e_opt"),
-    )
-
-
 def _build_detectors(
     node: Any, clients: Sequence[int], source: SourceModel
 ) -> dict[int, DetectorModel]:
@@ -174,36 +204,17 @@ def _build_detectors(
                 f"{len(DEFAULT_CLIENT_DARK_RATES_HZ)} clients"
             )
         return {
-            c: DetectorModel(
-                efficiency=DEFAULT_EFFICIENCY,
-                dark_rate_hz=rate,
-                gate_width_ns=DEFAULT_GATE_WIDTH_NS,
-                rep_rate_hz=source.rep_rate_hz,
-            )
+            c: DetectorModel(dark_rate_hz=rate, rep_rate_hz=source.rep_rate_hz)
             for c, rate in zip(clients, DEFAULT_CLIENT_DARK_RATES_HZ)
         }
     data = _require_mapping(node, "network.detectors")
     out = {}
     for key, value in data.items():
         port = _as_int(key, "network.detectors port key")
-        det = _require_mapping(value, f"network.detectors.{port}")
-        _check_keys(det, _DETECTOR_KEYS, f"network.detectors.{port}")
-        out[port] = DetectorModel(
-            efficiency=_as_float(
-                det.get("efficiency", DEFAULT_EFFICIENCY),
-                f"network.detectors.{port}.efficiency",
-            ),
-            dark_rate_hz=_as_float(
-                det.get("dark_rate_hz", 0.0), f"network.detectors.{port}.dark_rate_hz"
-            ),
-            gate_width_ns=_as_float(
-                det.get("gate_width_ns", DEFAULT_GATE_WIDTH_NS),
-                f"network.detectors.{port}.gate_width_ns",
-            ),
-            rep_rate_hz=_as_float(
-                det.get("rep_rate_hz", source.rep_rate_hz),
-                f"network.detectors.{port}.rep_rate_hz",
-            ),
+        where = f"network.detectors.{port}"
+        out[port] = _build(
+            DetectorModel, _require_mapping(value, where), where,
+            rep_rate_hz=source.rep_rate_hz,
         )
     return out
 
@@ -222,51 +233,26 @@ def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
     if node is None:
         return default_fourport_network()
     data = _require_mapping(node, "network")
-    _check_keys(data, _NETWORK_KEYS, "network")
     router = _build_router(data.get("router"), base_dir)
     server = _as_int(data.get("server", 0), "network.server")
-    source = _build_source(data.get("source"))
+    source = _build(
+        SourceModel, _section(data.get("source"), "network.source"), "network.source"
+    )
     clients = tuple(p for p in range(router.assignment.n_ports) if p != server)
-    kwargs: dict[str, Any] = {}
-    if "offsets_ns" in data:
-        offs = _require_mapping(data["offsets_ns"], "network.offsets_ns")
-        kwargs["offsets_ns"] = {
-            _as_int(k, "network.offsets_ns channel key"): _as_int(
-                v, f"network.offsets_ns[{k}]"
-            )
-            for k, v in offs.items()
-        }
-    for field in ("frame_period_ns", "guard_ns", "classical_delay_ns"):
-        if field in data:
-            kwargs[field] = _as_int(data[field], f"network.{field}")
-    return NetworkSpec(
+    return _build(
+        NetworkSpec, data, "network",
         router=router,
         server=server,
         source=source,
         detectors=_build_detectors(data.get("detectors"), clients, source),
         eatt_db=_build_eatt(data.get("eatt_db", 0.0), clients),
-        **kwargs,
     )
 
 
 def _build_session(node: Any, spec: NetworkSpec) -> SessionConfig:
-    data = {} if node is None else _require_mapping(node, "session")
-    _check_keys(data, _SESSION_KEYS, "session")
-    clients = data.get("clients", spec.clients)
-    if not isinstance(clients, (list, tuple)):
-        raise ConfigError("session.clients must be a list of port indices")
-    return SessionConfig(
-        server=spec.server,
-        clients=tuple(_as_int(c, "session.clients entry") for c in clients),
-        mode=str(data.get("mode", "broadcast")),
-        n_frames=_as_int(data.get("n_frames", 100_000), "session.n_frames"),
-        sample_fraction=_as_float(
-            data.get("sample_fraction", 0.25), "session.sample_fraction"
-        ),
-        qber_abort_threshold=_as_float(
-            data.get("qber_abort_threshold", 0.11), "session.qber_abort_threshold"
-        ),
-        seed=_as_int(data.get("seed", 0), "session.seed"),
+    return _build(
+        SessionConfig, _section(node, "session"), "session", fixed=("server",),
+        server=spec.server, clients=spec.clients,
     )
 
 
@@ -372,9 +358,6 @@ def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
                 f"qber_measured {rep.qber_measured:.6f}",
                 file=sys.stderr,
             )
-        return EXIT_ABORT
-    except SessionError as err:
-        print(f"abort: {err}", file=sys.stderr)
         return EXIT_ABORT
 
     result = run.result

@@ -13,13 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "DetectorModel",
-    "GateOutcome",
     "LinkBudget",
     "SourceModel",
     "UndefinedRateError",
@@ -27,7 +25,6 @@ __all__ = [
     "expected_qber",
     "p_dark_per_gate",
     "p_signal_click",
-    "simulate_gate",
     "simulate_gate_array",
     "transmittance",
 ]
@@ -170,20 +167,6 @@ def expected_qber(p_sig: float, p_dark: float, e_opt: float) -> float:
     return (e_opt * p_sig + 0.5 * p_dark) / (p_sig + p_dark)
 
 
-@dataclass(frozen=True)
-class GateOutcome:
-    """One detection gate: no click, or a click carrying one bit."""
-
-    clicked: bool
-    bit: int | None
-
-    def __post_init__(self) -> None:
-        if self.clicked and self.bit not in (0, 1):
-            raise ValueError("a click must carry bit 0 or 1")
-        if not self.clicked and self.bit is not None:
-            raise ValueError("a no-click carries no bit")
-
-
 def simulate_gate_array(
     bits_sent: np.ndarray,
     basis_match: np.ndarray,
@@ -222,30 +205,6 @@ def simulate_gate_array(
     bits = np.where(faithful, bits_sent ^ flip.astype(np.uint8), noise)
     bits = np.where(clicked, bits, 0).astype(np.uint8)
     return clicked, bits
-
-
-def simulate_gate(
-    bit_sent: int,
-    basis_match: bool,
-    p_sig: float,
-    p_dark: float,
-    e_opt: float,
-    rng: np.random.Generator,
-) -> GateOutcome:
-    """One detection gate; see :func:`simulate_gate_array` for the model."""
-    if bit_sent not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit_sent}")
-    clicked, bits = simulate_gate_array(
-        np.array([bit_sent], dtype=np.uint8),
-        np.array([basis_match], dtype=bool),
-        p_sig,
-        p_dark,
-        e_opt,
-        rng,
-    )
-    if clicked[0]:
-        return GateOutcome(clicked=True, bit=int(bits[0]))
-    return GateOutcome(clicked=False, bit=None)
 
 
 def attenuation_to_length(

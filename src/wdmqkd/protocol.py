@@ -15,9 +15,8 @@ channel and the clock; see the function docstring for the contract.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .router import ChannelId
 __all__ = [
     "BlockAlignmentError",
     "ClassicalMessage",
-    "DetectionRecord",
     "DetectionTrain",
     "FlipMask",
     "InsufficientDetectionsError",
@@ -37,7 +35,6 @@ __all__ = [
     "LinkReport",
     "MESSAGE_KINDS",
     "ProtocolError",
-    "PulseRecord",
     "PulseTrain",
     "QberEstimate",
     "ReconciliationError",
@@ -74,16 +71,16 @@ class LengthMismatchError(ProtocolError, ValueError):
     """A flip mask or block pair has inconsistent lengths."""
 
 
-class ReconciliationError(ProtocolError):
-    """The final parity check failed: blocks still differ after all passes."""
-
-
 class SessionError(ProtocolError):
     """A session ended without producing a shared key."""
 
 
+class ReconciliationError(SessionError):
+    """The final parity check failed: blocks still differ after all passes."""
+
+
 class InsufficientDetectionsError(SessionError):
-    """A link sifted down to nothing; no key material to work with."""
+    """A link has no key material: nothing sifted, or nothing left after sampling."""
 
 
 class SessionAbortError(SessionError):
@@ -118,31 +115,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # Pulse and detection trains
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    """One prepared frame: basis and bit choice on a given channel."""
-
-    frame: int
-    basis: int
-    bit: int
-    channel: ChannelId
-    mu: float
-
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError("frame must be nonnegative")
-        if self.basis not in (0, 1) or self.bit not in (0, 1):
-            raise ValueError("basis and bit must be binary")
-        if self.mu <= 0:
-            raise ValueError("mean photon number must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class PulseTrain:
     """A contiguous run of prepared frames, stored as arrays.
 
-    Frame indices are implicit: record ``i`` is frame ``i``.  Iteration
-    yields :class:`PulseRecord` views for record-at-a-time consumers.
+    Frame indices are implicit: element ``i`` of each array is frame ``i``.
     """
 
     channel: ChannelId
@@ -164,35 +141,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return self.bases.size
-
-    @property
-    def frames(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.int64)
-
-    def __getitem__(self, i: int) -> PulseRecord:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return PulseRecord(i, int(self.bases[i]), int(self.bits[i]), self.channel, self.mu)
-
-    def __iter__(self) -> Iterator[PulseRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One measured frame: receiver basis plus click outcome."""
-
-    frame: int
-    basis: int
-    clicked: bool
-    bit: int | None
-
-    def __post_init__(self) -> None:
-        if self.clicked and self.bit not in (0, 1):
-            raise ValueError("a click must carry bit 0 or 1")
-        if not self.clicked and self.bit is not None:
-            raise ValueError("a no-click carries no bit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,17 +164,6 @@ class DetectionTrain:
 
     def __len__(self) -> int:
         return self.bases.size
-
-    def __getitem__(self, i: int) -> DetectionRecord:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        if self.clicked[i]:
-            return DetectionRecord(i, int(self.bases[i]), True, int(self.bits[i]))
-        return DetectionRecord(i, int(self.bases[i]), False, None)
-
-    def __iter__(self) -> Iterator[DetectionRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def generate_train(
@@ -307,9 +244,6 @@ class KeyBlock:
     def with_bits(self, bits: np.ndarray) -> "KeyBlock":
         return KeyBlock(bits, self.frames, self.link)
 
-    def bit_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
 
 def sift(
     sent: PulseTrain,
@@ -318,8 +252,8 @@ def sift(
 ) -> tuple[KeyBlock, KeyBlock]:
     """Keep frames that clicked with matching bases; returns aligned blocks.
 
-    An empty result is legal (flagged with a warning); the session layer
-    decides whether to treat it as fatal.
+    An empty result is legal; the session layer decides whether to treat
+    it as fatal.
     """
     if len(sent) != len(received):
         raise BlockAlignmentError(
@@ -327,8 +261,6 @@ def sift(
         )
     keep = received.clicked & (sent.bases == received.bases)
     frames = np.flatnonzero(keep).astype(np.int64)
-    if frames.size == 0:
-        warnings.warn("sifting produced an empty key", stacklevel=2)
     a = KeyBlock(sent.bits[keep], frames, link)
     b = KeyBlock(received.bits[keep], frames, link)
     return a, b
@@ -929,9 +861,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 "bases": np.packbits(detections.bases[clicked_idx]).tobytes(),
             },
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # empty sift handled right below
-            a, b = sift(train, detections, link=link)
+        a, b = sift(train, detections, link=link)
         st.n_sifted = len(a)
         transcript.append(
             "SiftIndexSet", cfg.server, c, link,
@@ -960,6 +890,14 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
             "SampleDisclosure", c, cfg.server, link,
             {"n_sampled": est.n_sampled, "mismatches": est.n_mismatched},
         )
+        if len(est.remaining_a) == 0:
+            transcript.append(
+                "Abort", cfg.server, c, link, {"reason": "no bits left after sampling"}
+            )
+            raise InsufficientDetectionsError(
+                f"link to port {network.port_label(c)} has no bits left after "
+                f"sampling {est.n_sampled} of {st.n_sifted} sifted bits"
+            )
 
     # abort gate: every link was estimated first, so diagnostics are complete
     bad = [c for c in cfg.clients if links[c].estimate.estimate >= cfg.qber_abort_threshold]
@@ -987,7 +925,6 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     for c in cfg.clients:
         st = links[c]
         est = st.estimate
-        before = transcript.parity_bit_count(link=(cfg.server, c))
         # size the passes with a small-sample-padded estimate: a lucky
         # sample must not starve the first pass of blocks
         sizing = (est.n_mismatched + 2) / (est.n_sampled + 4)
@@ -1003,7 +940,8 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
         else:
             raise failure
         st.corrected_a, st.corrected_b = a, b
-        st.leaked = transcript.parity_bit_count(link=(cfg.server, c)) - before
+        # no parity bit of this link is on the transcript before this stage
+        st.leaked = transcript.parity_bit_count(link=(cfg.server, c))
 
     # E: truncate to the shortest link and publish flip masks
     final_length = min(len(links[c].corrected_b) for c in cfg.clients)

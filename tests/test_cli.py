@@ -2,11 +2,15 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wdmqkd.cli import load_config, main
+from wdmqkd.cli import ConfigError, load_config, main
+from wdmqkd.protocol import ReconciliationError
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fourport.yaml"
 
 BASE_CONFIG = """\
 session:
@@ -20,6 +24,42 @@ output:
   key_dir: keys
   csv: sweep.csv
 """
+
+
+# section -> (config text with one unknown key, rest of the exact message)
+UNKNOWN_KEY_CASES = {
+    "config": (
+        "sessions: {}\n",
+        "sessions; allowed: network, output, session, sweep",
+    ),
+    "network": (
+        "network: {serverr: 1}\n",
+        "serverr; allowed: classical_delay_ns, detectors, eatt_db, "
+        "frame_period_ns, guard_ns, offsets_ns, router, server, source",
+    ),
+    "network.router": (
+        "network: {router: {portz: 4}}\n",
+        "portz; allowed: crosstalk_db, loss_file, ports, uniform_loss_db",
+    ),
+    "network.source": (
+        "network: {source: {mu: 0.1}}\n",
+        "mu; allowed: e_opt, mean_photon_number, rep_rate_hz",
+    ),
+    "network.detectors.1": (
+        "network: {detectors: {1: {dark_rate: 1.0}, 2: {}, 3: {}}}\n",
+        "dark_rate; allowed: dark_rate_hz, efficiency, gate_width_ns, rep_rate_hz",
+    ),
+    "session": (  # the server is the network's, not the session's
+        "session: {server: 1}\n",
+        "server; allowed: clients, mode, n_frames, qber_abort_threshold, "
+        "sample_fraction, seed",
+    ),
+    "sweep": (
+        "sweep: {start_db: 0, stop_db: 1, step_db: 1, stop: 2}\n",
+        "stop; allowed: start_db, step_db, stop_db",
+    ),
+    "output": ("output: {keydir: k}\n", "keydir; allowed: csv, key_dir"),
+}
 
 
 @pytest.fixture
@@ -97,6 +137,28 @@ class TestSimulate:
         assert captured.out == ""
         assert "abort" in captured.err
         assert not (tmp_path / "k").exists()
+
+    def test_reconcile_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ReconciliationError("final check failed")
+
+        monkeypatch.setattr("wdmqkd.protocol.reconcile", fail)
+        cfg = write_config(tmp_path, "session: {n_frames: 50000}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "abort: final check failed" in captured.err
+
+    def test_sampled_away_block_exits_three(self, tmp_path, capsys):
+        # seed 1 sifts one bit on link A-B, and the error sample takes it
+        text = SHIPPED_CONFIG.read_text(encoding="utf-8")
+        cfg = write_config(tmp_path, text.replace("n_frames: 1000000", "n_frames: 600"))
+        args = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]
+        assert main(args + ["--seed", "1"]) == 3
+        assert "no bits left after sampling" in capsys.readouterr().err
+        for seed in range(200):
+            assert main(args + ["--seed", str(seed)]) in (0, 3), seed
+        capsys.readouterr()
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -218,20 +280,35 @@ network:
   detectors:
     0: {dark_rate_hz: 10.0}
     2: {dark_rate_hz: 20.0, efficiency: 0.2}
-    3: {dark_rate_hz: 30.0}
+    3: {dark_rate_hz: 30.0, gate_width_ns: 3.0}
   eatt_db: {0: 1.0, 2: 2.0, 3: 3.0}
+  offsets_ns: {0: 0, 1: 700, 2: 1400}
+  frame_period_ns: 2000
   guard_ns: 50
-session: {clients: [0, 2], mode: multicast, n_frames: 5000}
+  classical_delay_ns: 5
+session:
+  clients: [0, 2]
+  mode: multicast
+  n_frames: 5000
+  sample_fraction: 0.3
+  qber_abort_threshold: 0.05
 """
         cfg = load_config(write_config(tmp_path, text))
         assert cfg.spec.server == 1
         assert cfg.spec.source.mean_photon_number == 0.2
+        assert cfg.spec.source.e_opt == 0.02
         assert cfg.spec.detectors[2].efficiency == 0.2
         assert cfg.spec.detectors[0].rep_rate_hz == 500000.0  # inherited
+        assert cfg.spec.detectors[3].gate_width_ns == 3.0
         assert cfg.spec.eatt_db == {0: 1.0, 2: 2.0, 3: 3.0}
+        assert cfg.spec.offsets_ns == {0: 0, 1: 700, 2: 1400}
+        assert cfg.spec.frame_period_ns == 2000
         assert cfg.spec.guard_ns == 50
+        assert cfg.spec.classical_delay_ns == 5
         assert cfg.session.mode == "multicast"
         assert cfg.session.server == 1
+        assert cfg.session.sample_fraction == 0.3
+        assert cfg.session.qber_abort_threshold == 0.05
 
     def test_loss_file_reference(self, tmp_path):
         (tmp_path / "loss.txt").write_text(
@@ -256,6 +333,13 @@ session: {clients: [0, 2], mode: multicast, n_frames: 5000}
         text = "network: {detectors: {1: {dark_rate: 1.0}, 2: {}, 3: {}}}\n"
         with pytest.raises(ValueError):
             load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("where", list(UNKNOWN_KEY_CASES))
+    def test_unknown_key_message(self, tmp_path, where):
+        text, rest = UNKNOWN_KEY_CASES[where]
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write_config(tmp_path, text))
+        assert str(excinfo.value) == f"unknown key(s) in {where}: {rest}"
 
 
 class TestEntryPoint:

@@ -1,7 +1,6 @@
 """Scheduling, the event log, the network harness, and attenuation sweeps."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -369,14 +368,20 @@ class TestSweep:
     def test_dead_links_marked_nan(self):
         spec = default_fourport_network(dark_rates_hz=(0.0, 0.0, 0.0))
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2_000, seed=14)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = sweep_attenuation(spec, cfg, [200.0])
+        rows = sweep_attenuation(spec, cfg, [200.0])
         assert len(rows) == 3
         for row in rows:
             assert row.status == "no-detections"
             assert math.isnan(row.qber)
             assert row.leaked_bits == 0 and row.sift_rate_hz == 0.0
+
+    def test_sampled_away_block_gives_no_detection_rows(self):
+        # at 2000 frames some points sift a single bit that the error
+        # sample then discloses; those points yield rows, not an exception
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
+        rows = sweep_attenuation(default_fourport_network(), cfg, range(9))
+        assert len(rows) == 27
+        assert {r.status for r in rows} == {"ok", "no-detections"}
 
     def test_sweep_deterministic(self):
         spec = default_fourport_network()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from wdmqkd.photonics import (
     DetectorModel,
-    GateOutcome,
     LinkBudget,
     SourceModel,
     UndefinedRateError,
@@ -15,7 +14,6 @@ from wdmqkd.photonics import (
     expected_qber,
     p_dark_per_gate,
     p_signal_click,
-    simulate_gate,
     simulate_gate_array,
     transmittance,
 )
@@ -117,17 +115,20 @@ class TestExpectedQber:
 
 class TestSimulateGate:
     def test_deterministic_noiseless_click(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            out = simulate_gate(1, True, 1.0, 0.0, 0.0, rng)
-            assert out == GateOutcome(clicked=True, bit=1)
+        bits = np.ones(200, dtype=np.uint8)
+        for n in (1, 200):  # a single gate and a block of them
+            clicked, seen = simulate_gate_array(
+                bits[:n], np.ones(n, dtype=bool), 1.0, 0.0, 0.0, np.random.default_rng(7)
+            )
+            assert clicked.all() and seen.tolist() == [1] * n
 
     def test_silent_link_never_clicks(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            assert simulate_gate(0, True, 0.0, 0.0, 0.0, rng) == GateOutcome(
-                clicked=False, bit=None
+        bits = np.ones(200, dtype=np.uint8)
+        for n in (1, 200):
+            clicked, seen = simulate_gate_array(
+                bits[:n], np.ones(n, dtype=bool), 0.0, 0.0, 0.0, np.random.default_rng(7)
             )
+            assert not clicked.any() and not seen.any()  # a no-click carries bit 0
 
     def test_monte_carlo_matches_closed_form(self):
         n = 1_000_000
@@ -158,21 +159,6 @@ class TestSimulateGate:
         frac_ones = float(seen[clicked].mean())
         assert abs(frac_ones - 0.5) < 4 * np.sqrt(0.25 / clicked.sum())
 
-    def test_scalar_agrees_with_array(self):
-        for seed in range(10):
-            a = simulate_gate(1, True, 0.3, 0.2, 0.1, np.random.default_rng(seed))
-            clicked, bits = simulate_gate_array(
-                np.array([1], dtype=np.uint8),
-                np.array([True]),
-                0.3,
-                0.2,
-                0.1,
-                np.random.default_rng(seed),
-            )
-            assert a.clicked == bool(clicked[0])
-            if a.clicked:
-                assert a.bit == int(bits[0])
-
     def test_identical_seed_identical_outcomes(self):
         bits = np.arange(1000, dtype=np.uint8) % 2
         match = (np.arange(1000) % 3).astype(bool)
@@ -199,10 +185,6 @@ class TestSimulateGate:
                 0.0,
                 np.random.default_rng(0),
             )
-
-    def test_bad_bit_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_gate(2, True, 0.1, 0.0, 0.0, np.random.default_rng(0))
 
 
 class TestAttenuationToLength:
@@ -258,9 +240,3 @@ class TestModels:
     def test_budget_rejects_negative(self):
         with pytest.raises(ValueError):
             LinkBudget.of(("gain?", -1.0))
-
-    def test_gate_outcome_validation(self):
-        with pytest.raises(ValueError):
-            GateOutcome(clicked=True, bit=None)
-        with pytest.raises(ValueError):
-            GateOutcome(clicked=False, bit=0)

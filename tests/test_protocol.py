@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from wdmqkd.photonics import DetectorModel, SourceModel, expected_qber
 from wdmqkd.protocol import (
     BlockAlignmentError,
-    DetectionRecord,
     DetectionTrain,
     FlipMask,
     InsufficientDetectionsError,
     KeyBlock,
     LengthMismatchError,
-    PulseRecord,
     PulseTrain,
     ReconciliationError,
     SampleSizeError,
@@ -70,12 +68,11 @@ class TestTrains:
             generate_train(0, CH, SRC, np.random.default_rng(0))
 
     def test_record_view(self):
+        # frame i is element i of every array; channel and mu are per train
         t = generate_train(5, CH, SRC, np.random.default_rng(9))
-        recs = list(t)
-        assert len(recs) == 5
-        assert all(isinstance(r, PulseRecord) for r in recs)
-        assert [r.frame for r in recs] == [0, 1, 2, 3, 4]
-        assert recs[2].channel == CH and recs[2].mu == SRC.mean_photon_number
+        assert len(t) == t.bases.size == t.bits.size == 5
+        assert t.channel == CH and t.mu == SRC.mean_photon_number
+        assert not t.bases.flags.writeable and not t.bits.flags.writeable
 
     def test_measure_noiseless(self):
         train = generate_train(4000, CH, SRC, np.random.default_rng(2))
@@ -112,18 +109,26 @@ class TestTrains:
         det = DetectionTrain(
             bases=np.array([0, 1], dtype=np.uint8),
             clicked=np.array([True, False]),
-            bits=np.array([1, 0], dtype=np.uint8),
+            bits=np.array([1, 1], dtype=np.uint8),
         )
-        assert det[0] == DetectionRecord(0, 0, True, 1)
-        assert det[1] == DetectionRecord(1, 1, False, None)
+        assert len(det) == 2
+        assert det.bases.tolist() == [0, 1]
+        assert det.clicked.tolist() == [True, False]
+        assert det.bits.tolist() == [1, 0]  # a no-click carries no bit
 
     def test_pulse_record_validation(self):
+        with pytest.raises(ValueError):  # bases must be binary
+            PulseTrain(channel=CH, mu=0.1, bases=np.array([2]), bits=np.array([0]))
+        with pytest.raises(ValueError):  # bits must be binary
+            PulseTrain(channel=CH, mu=0.1, bases=np.array([0]), bits=np.array([3]))
         with pytest.raises(ValueError):
-            PulseRecord(-1, 0, 0, CH, 0.1)
+            PulseTrain(channel=CH, mu=0.0, bases=np.array([0]), bits=np.array([0]))
         with pytest.raises(ValueError):
-            PulseRecord(0, 2, 0, CH, 0.1)
+            PulseTrain(channel=CH, mu=0.1, bases=np.array([0, 1]), bits=np.array([0]))
         with pytest.raises(ValueError):
-            DetectionRecord(0, 0, True, None)
+            DetectionTrain(
+                bases=np.array([0]), clicked=np.array([True, False]), bits=np.array([0])
+            )
 
 
 class TestSift:
@@ -144,9 +149,9 @@ class TestSift:
         det = measure_train(
             train, DetectorModel(dark_rate_hz=0.0), 0.0, 0.0, np.random.default_rng(5)
         )
-        with pytest.warns(UserWarning):
-            a, b = sift(train, det)
+        a, b = sift(train, det)
         assert len(a) == 0 and len(b) == 0
+        assert a.aligned_with(b)
 
     def test_noisy_mismatch_matches_prediction(self):
         n = 1_000_000
@@ -184,7 +189,7 @@ class TestSift:
         det = DetectionTrain(
             bases=np.array([0, 1, 1, 1], dtype=np.uint8),
             clicked=np.array([True, True, False, True]),
-            bits=np.array([1, 0, 0, 1], dtype=np.uint8),
+            bits=np.array([1, 0, 1, 1], dtype=np.uint8),
         )
         a, b = sift(train, det)
         # frame 0: clicked + matched; frame 1: basis mismatch; frame 2: no

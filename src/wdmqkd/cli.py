@@ -27,6 +27,7 @@ import yaml
 
 from .netsim import (
     NetworkSpec,
+    SweepRow,
     default_fourport_network,
     run_network,
     sweep_attenuation,
@@ -233,6 +234,7 @@ def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
     if node is None:
         return default_fourport_network()
     data = _require_mapping(node, "network")
+    _check_keys(data, frozenset(_field_parsers(NetworkSpec)), "network")
     router = _build_router(data.get("router"), base_dir)
     server = _as_int(data.get("server", 0), "network.server")
     source = _build(
@@ -415,16 +417,19 @@ def cmd_sweep(run_cfg: RunConfig, out: str | None) -> int:
         f"sweep {start:g}..{stop:g} dB step {step:g}: "
         f"{len(rows)} rows -> {path}"
     )
-    by_channel: dict[str, list[float]] = {}
+    by_channel: dict[str, list[SweepRow]] = {}
     for r in rows:
         key = f"{r.channel_nm}nm" if r.channel_nm is not None else f"client {r.client}"
-        by_channel.setdefault(key, []).append(r.qber)
+        by_channel.setdefault(key, []).append(r)
     for key in sorted(by_channel):
-        finite = [q for q in by_channel[key] if not math.isnan(q)]
+        finite = [r.qber for r in by_channel[key] if not math.isnan(r.qber)]
+        statuses = ", ".join(sorted({r.status for r in by_channel[key]}))
         if finite:
             print(f"channel {key}: qber min {min(finite):.6f} max {max(finite):.6f}")
-        else:
+        elif statuses == "no-detections":
             print(f"channel {key}: no detections")
+        else:
+            print(f"channel {key}: no QBER ({statuses})")
     return EXIT_OK
 
 

@@ -9,14 +9,18 @@ in an event log that is totally ordered and reproducible from the seed.
 
 Pulse trains put millions of identical-period events in the log, so the
 log stores them as arithmetic segments and expands to lines only when
-rendered.
+rendered.  Rendering walks the log in time windows of bounded size: in
+each, the index range of every segment comes from arithmetic, one numpy
+lexsort orders its lines with the single events, and one ``%`` over
+per-segment byte templates formats the whole window at once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,6 +46,7 @@ from .protocol import (
     InsufficientDetectionsError,
     LinkParameters,
     PulseTrain,
+    ReconciliationError,
     SessionAbortError,
     SessionConfig,
     SessionResult,
@@ -82,6 +87,16 @@ DEFAULT_GUARD_NS = 100
 
 EVENT_KINDS = ("pulse-arrival", "gate-open", "classical-message")
 _RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
+
+# Lines per rendering window: bounds the memory a render takes, whatever
+# the length of the log.  2**15 rendered a 1.5M-line log no faster and
+# raised the peak RSS of its digest plus guard check by 3 MB.
+_WINDOW_LINES = 1 << 13
+# Window ends found by one vectorized bisection; bounds its arrays too.
+_ENDS_PER_BISECTION = 64
+# Event times lie in [-2**61, 2**61), so sums and differences of two times
+# fit in int64.
+_TIME_LIMIT = 1 << 61
 
 
 def assign_time_offsets(
@@ -132,6 +147,19 @@ class Event:
         return f"{self.time_ns} {self.kind} {self.port} {self.channel} {self.detail}".rstrip()
 
 
+def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
+    """Reject events the log cannot order in int64 or render as one line."""
+    if not -_TIME_LIMIT <= first_ns <= last_ns < _TIME_LIMIT:
+        raise OverflowError(f"event times {first_ns}..{last_ns} ns outside ±2**61 ns")
+    if any("\n" in f for f in fields):
+        raise ValueError(f"event fields must not hold a newline: {fields!r}")
+
+
+def _escape(line: str) -> bytes:
+    """One rendered line as a literal ``%``-template, newline included."""
+    return line.encode().replace(b"%", b"%%") + b"\n"
+
+
 @dataclass(frozen=True)
 class _Segment:
     """``count`` identical events at times time0 + i·period_ns."""
@@ -151,6 +179,8 @@ class EventLog:
 
     Order is (time, kind rank, sequence number); sequence numbers follow
     append order, so ties between same-kind events keep causal order.
+    Times are integer nanoseconds in [-2**61, 2**61), and no field may
+    hold a newline, so every event renders as exactly one line.
     """
 
     def __init__(self) -> None:
@@ -159,7 +189,9 @@ class EventLog:
         self._next_seq = 0
 
     def append(self, event: Event) -> None:
-        self._singles.append((event.time_ns, _RANK[event.kind], self._next_seq, event))
+        time_ns = operator.index(event.time_ns)
+        _check_event(time_ns, time_ns, event.port, event.channel, event.detail)
+        self._singles.append((time_ns, _RANK[event.kind], self._next_seq, event))
         self._next_seq += 1
 
     def append_train(
@@ -174,8 +206,10 @@ class EventLog:
     ) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
+        time0, period_ns, count = (operator.index(v) for v in (time0, period_ns, count))
         if count <= 0 or period_ns <= 0:
             raise ValueError("a train needs positive count and period")
+        _check_event(time0, time0 + period_ns * (count - 1), port, channel, detail)
         self._segments.append(
             _Segment(time0, period_ns, count, kind, port, channel, detail, self._next_seq)
         )
@@ -184,43 +218,114 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._singles) + sum(s.count for s in self._segments)
 
-    def _streams(self) -> list[Iterator[tuple[int, int, int, Event | _Segment, int]]]:
-        def expand(seg: _Segment):
-            for i in range(seg.count):
-                yield (seg.time0 + i * seg.period_ns, _RANK[seg.kind], seg.seq0 + i, seg, i)
+    def _merged(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The log in order, one window of at most about ``_WINDOW_LINES``
+        lines at a time, as (times, owners) arrays.
 
-        streams = [expand(s) for s in self._segments]
-        streams.append((t, r, q, ev, -1) for t, r, q, ev in sorted(self._singles, key=lambda x: x[:3]))
-        return streams
+        An owner below the segment count indexes ``_segments``; any other
+        owner, less the segment count, indexes ``_singles``.  A window is a
+        time interval: each segment's lines in it form an index range found
+        by arithmetic, the singles in it a slice of their sorted times, and
+        one lexsort orders the lot.  A window exceeds the cap only when more
+        events than that share one instant.
+        """
+        segs, singles = self._segments, self._singles
+        n_seg = len(segs)
+        t0, period, count, rank, seq0 = np.array(
+            [(s.time0, s.period_ns, s.count, _RANK[s.kind], s.seq0) for s in segs],
+            dtype=np.int64,
+        ).reshape(-1, 5).T
+        keys = np.array([x[:3] for x in singles], dtype=np.int64).reshape(-1, 3)
+        by_key = np.lexsort(keys.T[::-1])
+        st, sr, sq = keys[by_key].T
+        total = int(count.sum()) + len(singles)
+        if not total:
+            return
+        t_start = min([*t0, *st[:1]])
+        t_end = max([*(t0 + period * (count - 1)), *st[-1:]]) + 1
+
+        def below(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Lines before each time in ``t``: per segment (a row each) and of the singles."""
+            return np.clip(-((t0 - t[:, None]) // period), 0, count), np.searchsorted(st, t)
+
+        def window_ends() -> Iterator[int]:
+            """For each multiple of the cap, the latest time with at most that
+            many lines before it: one bisection for a batch of windows."""
+            step = _WINDOW_LINES * _ENDS_PER_BISECTION
+            for first in range(_WINDOW_LINES, total + step, step):
+                limit = np.arange(first, first + step, _WINDOW_LINES)
+                lo, hi = np.full(limit.size, t_start), np.full(limit.size, t_end)
+                while (lo < hi).any():
+                    mid = (lo + hi + 1) // 2
+                    seg, s = below(mid)
+                    fits = seg.sum(axis=1) + s <= limit
+                    lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid - 1)
+                yield from lo.tolist()
+
+        seg_lo, s_lo, done = np.zeros(n_seg, dtype=np.int64), 0, 0
+        for end in window_ends():
+            seg_hi, s_hi = below(np.array([end]))
+            seg_hi, s_hi = seg_hi[0], int(s_hi[0])
+            n = seg_hi - seg_lo
+            owner = np.repeat(np.arange(n_seg), n)
+            k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n - seg_lo, n)
+            times = np.concatenate([t0[owner] + period[owner] * k, st[s_lo:s_hi]])
+            order = np.lexsort((
+                np.concatenate([seq0[owner] + k, sq[s_lo:s_hi]]),
+                np.concatenate([rank[owner], sr[s_lo:s_hi]]),
+                times,
+            ))
+            owners = np.concatenate([owner, n_seg + by_key[s_lo:s_hi]])
+            yield times[order], owners[order]
+            seg_lo, s_lo, done = seg_hi, s_hi, done + order.size
+            if done == total:
+                return
+
+    def _chunks(self) -> Iterator[bytes]:
+        """Each window of the log rendered as UTF-8 lines, each ending in a newline.
+
+        A segment renders through a ``%d`` template, a single as a literal
+        (``%`` doubled in both), so one ``%`` per window fills in the times.
+        """
+        n_seg = len(self._segments)
+        templates = np.array(
+            [
+                b"%d" + _escape(f" {s.kind} {s.port} {s.channel} {s.detail}".rstrip())
+                for s in self._segments
+            ]
+            + [_escape(ev.line()) for _, _, _, ev in self._singles],
+            dtype=object,
+        )
+        for times, owners in self._merged():
+            body = b"".join(templates[owners].tolist())
+            yield body % tuple(times[owners < n_seg].tolist())
 
     def events(self) -> Iterator[Event]:
-        for time_ns, _, _, obj, i in heapq.merge(*self._streams(), key=lambda x: x[:3]):
-            if i < 0:
-                yield obj  # already an Event
-            else:
-                yield Event(time_ns, obj.kind, obj.port, obj.channel, obj.detail)
+        segs, n_seg = self._segments, len(self._segments)
+        for times, owners in self._merged():
+            for time_ns, owner in zip(times.tolist(), owners.tolist()):
+                if owner < n_seg:
+                    s = segs[owner]
+                    yield Event(time_ns, s.kind, s.port, s.channel, s.detail)
+                else:
+                    yield self._singles[owner - n_seg][3]
 
     def render_lines(self) -> Iterator[str]:
-        for time_ns, _, _, obj, i in heapq.merge(*self._streams(), key=lambda x: x[:3]):
-            if i < 0:
-                yield obj.line()
-            else:
-                yield f"{time_ns} {obj.kind} {obj.port} {obj.channel} {obj.detail}".rstrip()
+        for chunk in self._chunks():
+            yield from chunk.decode().split("\n")[:-1]
 
     def render_text(self, max_lines: int | None = None) -> str:
-        lines = []
-        for n, line in enumerate(self.render_lines()):
-            if max_lines is not None and n >= max_lines:
-                break
-            lines.append(line)
-        return "\n".join(lines) + ("\n" if lines else "")
+        if max_lines is None:
+            return b"".join(self._chunks()).decode()
+        return "".join(
+            line + "\n" for line in itertools.islice(self.render_lines(), max(max_lines, 0))
+        )
 
     def digest(self) -> str:
         """SHA-256 over the rendered lines; cheap way to compare huge logs."""
         h = hashlib.sha256()
-        for line in self.render_lines():
-            h.update(line.encode())
-            h.update(b"\n")
+        for chunk in self._chunks():
+            h.update(chunk)
         return h.hexdigest()
 
     def pulse_arrivals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -567,8 +672,10 @@ class SweepRow:
     """One (attenuation, channel) point of a sweep.
 
     ``status`` is "ok" for completed sessions, "abort" when the error rate
-    tripped the threshold (key discarded, QBER still measured), and
-    "no-detections" when a link sifted down to nothing (QBER undefined).
+    tripped the threshold (key discarded, QBER still measured),
+    "no-detections" when a link sifted down to nothing, and
+    "reconcile-failed" when reconciliation did not converge; the last two
+    carry a NaN QBER, zero sift rate and zero leaked bits on every link.
     """
 
     atten_db: float
@@ -592,8 +699,9 @@ def sweep_attenuation(
 
     Every point gets a fresh seed derived from the master seed (``seed``
     or ``cfg.seed``).  Aborted points contribute rows with their measured
-    QBER and zero leaked bits; points with no detections contribute NaN
-    QBER markers.  Rows are ordered by dB, then client port.
+    QBER and zero leaked bits; points with no detections or a failed
+    reconciliation contribute NaN QBER markers.  Rows are ordered by dB,
+    then client port.
     """
     if not db_list:
         raise ValueError("db_list must be nonempty")
@@ -615,20 +723,22 @@ def sweep_attenuation(
             reports = err.diagnostics
             status = "abort"
         except InsufficientDetectionsError:
+            reports, status = None, "no-detections"
+        except ReconciliationError:
+            reports, status = None, "reconcile-failed"
+        if reports is None:
+            net = Network(point_spec, seed=point_seed)
             for client in cfg.clients:
-                params = Network(point_spec, seed=point_seed).link_parameters(
-                    cfg.server, client
-                )
                 rows.append(
                     SweepRow(
                         atten_db=float(db),
-                        channel_nm=params.channel.nm,
+                        channel_nm=net.link_parameters(cfg.server, client).channel.nm,
                         qber=float("nan"),
                         sift_rate_hz=0.0,
                         leaked_bits=0,
                         length_km=length_km,
                         client=client,
-                        status="no-detections",
+                        status=status,
                     )
                 )
             continue

@@ -15,6 +15,7 @@ channel and the clock; see the function docstring for the contract.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -384,6 +385,7 @@ class Transcript:
     ):
         self.session_id = int(session_id)
         self.messages: list[ClassicalMessage] = []
+        self._parity_bits: Counter[tuple[int, int] | None] = Counter()  # per link
         self._clock = clock
         self._listener = listener
 
@@ -414,17 +416,15 @@ class Transcript:
             payload=dict(payload),
         )
         self.messages.append(msg)
+        if kind in PARITY_KINDS:
+            self._parity_bits[link] += int(msg.payload.get("n_bits", 0))  # type: ignore[arg-type]
         if self._listener is not None:
             self._listener(msg)
         return msg
 
     def parity_bit_count(self, link: tuple[int, int] | None = None) -> int:
         """Total parity bits disclosed, optionally restricted to one link."""
-        total = 0
-        for m in self.messages:
-            if m.kind in PARITY_KINDS and (link is None or m.link == link):
-                total += int(m.payload.get("n_bits", 0))  # type: ignore[arg-type]
-        return total
+        return self._parity_bits.total() if link is None else self._parity_bits[link]
 
     def render_text(self) -> str:
         """Deterministic one-line-per-message rendering."""

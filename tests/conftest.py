@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from wdmqkd import netsim, protocol
 from wdmqkd.photonics import DetectorModel, SourceModel, p_dark_per_gate
-from wdmqkd.protocol import LinkParameters, generate_train, measure_train
+from wdmqkd.protocol import (
+    LinkParameters,
+    ReconciliationError,
+    generate_train,
+    measure_train,
+)
 from wdmqkd.router import build_assignment
 
 
@@ -73,3 +79,19 @@ class FakeNetwork:
 @pytest.fixture
 def fake_network():
     return FakeNetwork
+
+
+@pytest.fixture
+def reconcile_fails_at_5db(monkeypatch):
+    """Every network run at 5 dB eATT fails reconciliation; others run as usual."""
+    run_network, reconcile = netsim.run_network, protocol.reconcile
+
+    def fail(*args, **kwargs):
+        raise ReconciliationError("final check failed")
+
+    def run(spec, cfg, seed=None):
+        at_5db = 5.0 in spec.eatt_db.values()
+        monkeypatch.setattr(protocol, "reconcile", fail if at_5db else reconcile)
+        return run_network(spec, cfg, seed=seed)
+
+    monkeypatch.setattr(netsim, "run_network", run)

@@ -254,6 +254,29 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "step_db" in capsys.readouterr().err
 
+    def test_reconcile_failure_keeps_every_row(self, tmp_path, capsys, reconcile_fails_at_5db):
+        cfg = write_config(
+            tmp_path,
+            "session: {n_frames: 50000, seed: 11}\n"
+            "sweep: {start_db: 0.0, stop_db: 10.0, step_db: 5.0}\n",
+        )
+        csv_path = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
+        assert len(lines) == 1 + 3 * 3
+        cells = [line.split(",") for line in lines[1:]]
+        assert [(float(c[0]), c[2] == "nan") for c in cells] == [
+            (db, db == 5.0) for db in (0.0, 5.0, 10.0) for _ in range(3)
+        ]
+        cfg.write_text(
+            cfg.read_text(encoding="utf-8").replace("stop_db: 10.0", "stop_db: 5.0")
+            .replace("start_db: 0.0", "start_db: 5.0"),
+            encoding="utf-8",
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
+        assert capsys.readouterr().out.count("no QBER (reconcile-failed)") == 3
+
     def test_rerun_byte_identical(self, config_path, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", "--config", str(config_path), "--out", str(p1)]) == 0
@@ -333,6 +356,15 @@ session:
         text = "network: {detectors: {1: {dark_rate: 1.0}, 2: {}, 3: {}}}\n"
         with pytest.raises(ValueError):
             load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "bad", ["router: {ports: 1}", "server: x", "source: 3", "detectors: 5", "eatt_db: hot"]
+    )
+    def test_unknown_network_key_reported_before_bad_value(self, tmp_path, bad):
+        text = f"network: {{serverr: 1, {bad}}}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write_config(tmp_path, text))
+        assert str(excinfo.value) == f"unknown key(s) in network: {UNKNOWN_KEY_CASES['network'][1]}"
 
     @pytest.mark.parametrize("where", list(UNKNOWN_KEY_CASES))
     def test_unknown_key_message(self, tmp_path, where):

@@ -1,11 +1,18 @@
 """Scheduling, the event log, the network harness, and attenuation sweeps."""
 
+import hashlib
+import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wdmqkd import netsim
 from wdmqkd.netsim import (
+    EVENT_KINDS,
     Event,
     EventLog,
     Network,
@@ -68,6 +75,55 @@ class TestAssignTimeOffsets:
             assign_time_offsets([0], 1000, 0)
 
 
+def reference_lines(log):
+    """The log rendered by a per-line ``heapq.merge`` of one generator per
+    train, the renderer ``EventLog`` used before its windowed one."""
+
+    def expand(seg):
+        for i in range(seg.count):
+            yield (seg.time0 + i * seg.period_ns, netsim._RANK[seg.kind], seg.seq0 + i, seg, i)
+
+    streams = [expand(s) for s in log._segments]
+    streams.append((t, r, q, ev, -1) for t, r, q, ev in sorted(log._singles, key=lambda x: x[:3]))
+    for time_ns, _, _, obj, i in heapq.merge(*streams, key=lambda x: x[:3]):
+        if i < 0:
+            yield obj.line()
+        else:
+            yield f"{time_ns} {obj.kind} {obj.port} {obj.channel} {obj.detail}".rstrip()
+
+
+# fields with spaces, trailing whitespace, format characters and non-ASCII
+FIELD = st.text(alphabet="aλ%=d -\t\r\u2028", max_size=5)
+TIME = st.one_of(st.integers(-50, 200), st.integers(-(2**61), 2**61 - 10**4))
+
+
+@st.composite
+def random_logs(draw):
+    """A log of 1-6 trains and singles, appended in a random interleave;
+    some singles sit on a train's time with its kind."""
+    trains = draw(st.lists(
+        st.tuples(TIME, st.integers(1, 40), st.integers(1, 30),
+                  st.sampled_from(EVENT_KINDS), FIELD, FIELD, FIELD),
+        min_size=1, max_size=6,
+    ))
+    singles = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            t0, period, count, kind, *_ = draw(st.sampled_from(trains))
+            time_ns = t0 + period * draw(st.integers(0, count - 1))
+        else:
+            time_ns, kind = draw(TIME), draw(st.sampled_from(EVENT_KINDS))
+        singles.append(Event(time_ns, kind, draw(FIELD), draw(FIELD), draw(FIELD)))
+    ops = draw(st.permutations([("train", t) for t in trains] + [("single", e) for e in singles]))
+    log = EventLog()
+    for what, item in ops:
+        if what == "train":
+            log.append_train(*item)
+        else:
+            log.append(item)
+    return log
+
+
 class TestEventLog:
     def test_orders_by_time_then_kind_then_seq(self):
         log = EventLog()
@@ -114,6 +170,74 @@ class TestEventLog:
             manual.update(b"\n")
         assert log.digest() == manual.hexdigest()
         assert log.digest() == log.digest()  # rendering is repeatable
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=random_logs(), window=st.integers(1, 9))
+    def test_windowed_render_matches_reference(self, log, window):
+        expected = list(reference_lines(log))
+        manual = hashlib.sha256("".join(line + "\n" for line in expected).encode())
+        with mock.patch.object(netsim, "_WINDOW_LINES", window):
+            assert list(log.render_lines()) == expected
+            assert log.render_text() == "".join(line + "\n" for line in expected)
+            assert [e.line() for e in log.events()] == expected
+            assert log.digest() == manual.hexdigest()
+        assert list(log.render_lines()) == expected  # one window of default size
+
+    def test_session_digest_pinned(self):
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=20000, seed=3)
+        run = run_network(default_fourport_network(), cfg)
+        assert len(run.events) == 120_069
+        assert run.events.digest() == (
+            "c8a50c430ebeb35e80dc9ef47fbeceddf4c864866ce359a045284462dfd49660"
+        )
+
+    def test_render_text_head_renders_one_window(self, monkeypatch):
+        log = EventLog()
+        log.append_train(1000, 1000, 10**6, "pulse-arrival", "A", "λ1", "dest=B")
+        windows = []
+        merged = EventLog._merged
+
+        def counting(self):
+            for times, owners in merged(self):
+                windows.append(times.size)
+                yield times, owners
+
+        monkeypatch.setattr(EventLog, "_merged", counting)
+        text = log.render_text(max_lines=5)
+        assert text == "".join(f"{t} pulse-arrival A λ1 dest=B\n" for t in range(1000, 6000, 1000))
+        assert windows == [netsim._WINDOW_LINES]
+        assert log.render_text(max_lines=0) == ""
+
+    def test_rejects_newline_in_fields(self):
+        log = EventLog()
+        for fields in (("A\nB", "λ1", ""), ("A", "λ\n1", ""), ("A", "λ1", "x\n")):
+            with pytest.raises(ValueError):
+                log.append(Event(0, "gate-open", *fields))
+            with pytest.raises(ValueError):
+                log.append_train(0, 10, 2, "gate-open", *fields)
+        assert len(log) == 0
+
+    def test_extreme_times_render_in_order(self):
+        log = EventLog()
+        log.append_train(2**61 - 7, 3, 3, "gate-open", "B", "λ2", "")
+        log.append_train(-(2**61), 2**60, 4, "pulse-arrival", "A", "λ1", "dest=B")
+        log.append(Event(2**61 - 1, "pulse-arrival", "A", "λ1", "dest=C"))
+        expected = list(reference_lines(log))
+        with mock.patch.object(netsim, "_WINDOW_LINES", 2):
+            assert list(log.render_lines()) == expected
+        assert expected[-2:] == [f"{2**61 - 1} pulse-arrival A λ1 dest=C", f"{2**61 - 1} gate-open B λ2"]
+
+    def test_rejects_non_integer_or_out_of_range_times(self):
+        log = EventLog()
+        with pytest.raises(TypeError):
+            log.append_train(0.5, 10, 2, "gate-open", "A", "λ1", "")
+        with pytest.raises(TypeError):
+            log.append(Event(1.5, "gate-open", "A", "λ1", ""))
+        with pytest.raises(OverflowError):
+            log.append_train(2**60, 2**59, 3, "gate-open", "A", "λ1", "")
+        with pytest.raises(OverflowError):
+            log.append(Event(-(2**61) - 1, "gate-open", "A", "λ1", ""))
+        assert len(log) == 0
 
     def test_guard_violations_detected(self):
         log = EventLog()
@@ -382,6 +506,19 @@ class TestSweep:
         rows = sweep_attenuation(default_fourport_network(), cfg, range(9))
         assert len(rows) == 27
         assert {r.status for r in rows} == {"ok", "no-detections"}
+
+    def test_reconcile_failure_gives_reconcile_failed_rows(self, reconcile_fails_at_5db):
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=50_000, seed=11)
+        rows = sweep_attenuation(default_fourport_network(), cfg, [0.0, 5.0, 2.0])
+        assert [(r.atten_db, r.client, r.status) for r in rows] == [
+            (db, c, status)
+            for db, status in ((0.0, "ok"), (2.0, "ok"), (5.0, "reconcile-failed"))
+            for c in (1, 2, 3)
+        ]
+        for row in rows[6:]:
+            assert math.isnan(row.qber)
+            assert row.sift_rate_hz == 0.0 and row.leaked_bits == 0
+            assert row.channel_nm == rows[row.client - 1].channel_nm
 
     def test_sweep_deterministic(self):
         spec = default_fourport_network()

@@ -13,6 +13,7 @@ from wdmqkd.protocol import (
     InsufficientDetectionsError,
     KeyBlock,
     LengthMismatchError,
+    PARITY_KINDS,
     PulseTrain,
     ReconciliationError,
     SampleSizeError,
@@ -533,6 +534,24 @@ class TestTranscript:
         assert t.parity_bit_count() == 72
         assert t.parity_bit_count(link=(0, 1)) == 67
         assert t.parity_bit_count(link=(0, 2)) == 5
+
+    def test_parity_tally_equals_full_scan(self, fake_network):
+        net = fake_network(n_ports=4, seed=3, p_sig=0.05, p_dark=1e-4, e_opt=0.02)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=20_000, seed=3)
+        t = run_session(cfg, net).transcript
+
+        def scan(link=None):
+            return sum(
+                int(m.payload.get("n_bits", 0))
+                for m in t.messages
+                if m.kind in PARITY_KINDS and (link is None or m.link == link)
+            )
+
+        links = {m.link for m in t.messages}
+        assert {(0, 1), (0, 2), (0, 3)} <= links
+        for link in links:
+            assert t.parity_bit_count(link=link) == scan(link)
+        assert t.parity_bit_count() == scan() > 0
 
     def test_listener_and_clock(self):
         seen = []

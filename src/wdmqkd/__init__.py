@@ -23,6 +23,7 @@ from .router import (
     wdm_requirements,
 )
 from .photonics import (
+    ClickRecord,
     DetectorModel,
     LinkBudget,
     SourceModel,
@@ -30,6 +31,7 @@ from .photonics import (
     expected_qber,
     p_dark_per_gate,
     p_signal_click,
+    sample_clicks,
     transmittance,
 )
 from .protocol import (
@@ -42,8 +44,6 @@ from .protocol import (
     apply_flip_mask,
     compute_flip_mask,
     estimate_qber,
-    generate_train,
-    measure_train,
     reconcile,
     run_session,
     sift,

@@ -33,25 +33,23 @@ from .photonics import (
     DEFAULT_GATE_WIDTH_NS,
     DEFAULT_MU,
     DEFAULT_REP_RATE_HZ,
+    ClickRecord,
     DetectorModel,
     LinkBudget,
     SourceModel,
     attenuation_to_length,
     p_dark_per_gate,
     p_signal_click,
+    sample_clicks,
 )
 from .protocol import (
     ClassicalMessage,
-    DetectionTrain,
     InsufficientDetectionsError,
     LinkParameters,
-    PulseTrain,
     ReconciliationError,
     SessionAbortError,
     SessionConfig,
     SessionResult,
-    generate_train,
-    measure_train,
     run_session,
 )
 from .router import (
@@ -219,17 +217,24 @@ class EventLog:
         return len(self._singles) + sum(s.count for s in self._segments)
 
     def _merged(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The log in order, one window of at most about ``_WINDOW_LINES``
-        lines at a time, as (times, owners) arrays.
+        """The whole log in order; see :meth:`_merge`."""
+        return self._merge(self._segments, self._singles)
 
-        An owner below the segment count indexes ``_segments``; any other
-        owner, less the segment count, indexes ``_singles``.  A window is a
-        time interval: each segment's lines in it form an index range found
-        by arithmetic, the singles in it a slice of their sorted times, and
-        one lexsort orders the lot.  A window exceeds the cap only when more
-        events than that share one instant.
+    @staticmethod
+    def _merge(
+        segs: Sequence[_Segment], singles: Sequence[tuple[int, int, int, Event]]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The events of ``segs`` and ``singles`` in log order, one window of
+        at most about ``_WINDOW_LINES`` lines at a time, as (times, owners)
+        arrays.
+
+        An owner below ``len(segs)`` indexes ``segs``; any other owner, less
+        that count, indexes ``singles``.  A window is a time interval: each
+        segment's lines in it form an index range found by arithmetic, the
+        singles in it a slice of their sorted times, and one lexsort orders
+        the lot.  A window exceeds the cap only when more events than that
+        share one instant.
         """
-        segs, singles = self._segments, self._singles
         n_seg = len(segs)
         t0, period, count, rank, seq0 = np.array(
             [(s.time0, s.period_ns, s.count, _RANK[s.kind], s.seq0) for s in segs],
@@ -328,36 +333,31 @@ class EventLog:
             h.update(chunk)
         return h.hexdigest()
 
-    def pulse_arrivals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, channel labels) of every pulse-arrival event, unsorted."""
-        times: list[np.ndarray] = []
-        chans: list[np.ndarray] = []
-        for s in self._segments:
-            if s.kind != "pulse-arrival":
-                continue
-            times.append(s.time0 + s.period_ns * np.arange(s.count, dtype=np.int64))
-            chans.append(np.repeat(s.channel, s.count))
-        for t, _, _, ev in self._singles:
-            if ev.kind == "pulse-arrival":
-                times.append(np.array([t], dtype=np.int64))
-                chans.append(np.array([ev.channel]))
-        if not times:
-            return np.array([], dtype=np.int64), np.array([], dtype=object)
-        return np.concatenate(times), np.concatenate(chans)
-
     def guard_violations(self, guard_ns: int) -> list[tuple[int, str, int, str]]:
-        """Pairs of different-channel pulse arrivals closer than the guard."""
-        times, chans = self.pulse_arrivals()
-        if times.size < 2:
-            return []
-        order = np.argsort(times, kind="stable")
-        times, chans = times[order], chans[order]
-        gaps = np.diff(times)
-        bad = np.flatnonzero((gaps < guard_ns) & (chans[1:] != chans[:-1]))
-        return [
-            (int(times[i]), str(chans[i]), int(times[i + 1]), str(chans[i + 1]))
-            for i in bad
-        ]
+        """Consecutive pulse arrivals on different channels closer than the guard.
+
+        The arrivals alone are walked in log order, (time, sequence number),
+        one window at a time; each is reported as (time, channel, next
+        time, next channel).
+        """
+        segs = [s for s in self._segments if s.kind == "pulse-arrival"]
+        singles = [x for x in self._singles if x[3].kind == "pulse-arrival"]
+        entries = [*segs, *(x[3] for x in singles)]  # by owner
+        labels: dict[str, int] = {}
+        channel = np.array(
+            [labels.setdefault(e.channel, len(labels)) for e in entries], dtype=np.int64
+        )
+        names = list(labels)
+        found: list[tuple[int, str, int, str]] = []
+        last_t, last_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        for times, owner in self._merge(segs, singles):
+            t, c = np.concatenate([last_t, times]), np.concatenate([last_c, channel[owner]])
+            bad = np.flatnonzero((np.diff(t) < guard_ns) & (c[1:] != c[:-1]))
+            found.extend(
+                (int(t[i]), names[c[i]], int(t[i + 1]), names[c[i + 1]]) for i in bad.tolist()
+            )
+            last_t, last_c = t[-1:], c[-1:]
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +583,15 @@ class Network:
         self._now = start + n_frames * period
         return start
 
-    def transmit_train(
-        self, server: int, client: int, n_frames: int
-    ) -> tuple[PulseTrain, DetectionTrain]:
+    def transmit_train(self, server: int, client: int, n_frames: int) -> ClickRecord:
+        """Send ``n_frames`` pulses to ``client``; log the pulse and gate
+        trains and return the frames that clicked."""
         params = self.link_parameters(server, client)
         period = self.spec.frame_period_ns
         start = self._window_start(n_frames) + params.offset_ns
         budget = self.link_budget(server, client)
-        rng = self._quantum_rng[client]
-        train = generate_train(n_frames, params.channel, self.spec.source, rng)
-        detections = measure_train(
-            train, self.spec.detectors[client], params.p_sig, params.e_opt, rng
+        clicks = sample_clicks(
+            n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )
         router_db, eatt_db = (db for _, db in budget.components)
         self.events.append_train(
@@ -611,7 +609,7 @@ class Network:
             params.channel.label,
             f"width_ns={self.spec.detectors[client].gate_width_ns}",
         )
-        return train, detections
+        return clicks
 
     def inject_pulse(self, in_port: int, channel: int | ChannelId, frame: int = 0):
         """Send one isolated pulse; returns the output port, or None if the
@@ -727,12 +725,11 @@ def sweep_attenuation(
         except ReconciliationError:
             reports, status = None, "reconcile-failed"
         if reports is None:
-            net = Network(point_spec, seed=point_seed)
             for client in cfg.clients:
                 rows.append(
                     SweepRow(
                         atten_db=float(db),
-                        channel_nm=net.link_parameters(cfg.server, client).channel.nm,
+                        channel_nm=spec.router.assignment.pair_channel(cfg.server, client).nm,
                         qber=float("nan"),
                         sift_rate_hz=0.0,
                         leaked_bits=0,

@@ -4,8 +4,10 @@ The chain is source, attenuation, gated detector.  A weak coherent pulse
 with mean photon number μ survives a lossy path with transmittance T and
 fires a detector of efficiency η with probability 1 - exp(-μηT); dark
 counts add a basis-independent click floor.  The analytic error rate and
-a Monte-Carlo gate simulation of the same model both live here so they
-can be checked against each other.
+a Monte-Carlo sampler of the same model both live here so they can be
+checked against each other.  The sampler draws the clicks first and
+returns only them, one sparse :class:`ClickRecord` per link, since only
+clicked frames ever reach the protocol.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import numpy as np
 __all__ = [
     "DetectorModel",
     "LinkBudget",
+    "ClickRecord",
     "SourceModel",
     "UndefinedRateError",
     "attenuation_to_length",
     "expected_qber",
     "p_dark_per_gate",
     "p_signal_click",
-    "simulate_gate_array",
+    "sample_clicks",
     "transmittance",
 ]
 
@@ -167,44 +170,101 @@ def expected_qber(p_sig: float, p_dark: float, e_opt: float) -> float:
     return (e_opt * p_sig + 0.5 * p_dark) / (p_sig + p_dark)
 
 
-def simulate_gate_array(
-    bits_sent: np.ndarray,
-    basis_match: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class ClickRecord:
+    """The clicked frames of one link out of ``n_frames`` sent.
+
+    Element ``i`` of every array describes frame ``frames[i]``: the bases
+    and bit the server sent, and the basis and bit the client measured.
+    Frames that did not click are not stored.
+    """
+
+    n_frames: int
+    frames: np.ndarray
+    tx_bases: np.ndarray
+    tx_bits: np.ndarray
+    rx_bases: np.ndarray
+    rx_bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        frames = np.array(self.frames, dtype=np.int64)
+        if frames.ndim != 1 or (
+            frames.size
+            and (frames[0] < 0 or frames[-1] >= self.n_frames or np.any(np.diff(frames) <= 0))
+        ):
+            raise ValueError(f"frames must be distinct, sorted and in [0, {self.n_frames})")
+        frames.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
+        for name in ("tx_bases", "tx_bits", "rx_bases", "rx_bits"):
+            arr = np.array(getattr(self, name), dtype=np.uint8)
+            if arr.shape != frames.shape or (arr.size and arr.max() > 1):
+                raise ValueError(f"{name} must hold one bit per clicked frame")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.frames.size
+
+
+def _distinct_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` distinct integers drawn uniformly from [0, n), sorted.
+
+    Draws with replacement and tops up until ``k`` are distinct; past
+    n/2 it draws the ``n - k`` integers left out instead, so time and
+    memory grow with ``k``, not ``n``.
+    """
+    if 2 * k > n:
+        out = _distinct_sorted(n, n - k, rng)
+        j = np.arange(k, dtype=np.int64)
+        # the j-th kept integer lies above every left-out one with at most j kept below it
+        return j + np.searchsorted(out - np.arange(out.size), j, side="right")
+    picked = np.empty(0, dtype=np.int64)
+    while picked.size < k:
+        # sort and drop repeats by hand: np.unique hashes first and took ~20x longer
+        picked = np.sort(np.concatenate([picked, rng.integers(0, n, size=k - picked.size)]))
+        picked = picked[np.insert(np.diff(picked) != 0, 0, True)]
+    return picked
+
+
+def sample_clicks(
+    n_frames: int,
     p_sig: float,
     p_dark: float,
     e_opt: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo realization of ``n`` gates at once.
+) -> ClickRecord:
+    """Monte-Carlo realization of ``n_frames`` gates, drawn clicks first.
 
-    Returns (clicked, bits) boolean/uint8 arrays; ``bits`` is meaningful
-    only where ``clicked``.  Signal-origin clicks with matching basis
-    reproduce the sent bit, flipped with probability e_opt; dark-origin
-    clicks and basis mismatches yield a uniform bit.
+    Each gate clicks on a signal photon with probability ``p_sig`` or a
+    dark count with probability ``p_dark``.  Signal-origin clicks with
+    matching bases reproduce the sent bit, flipped with probability
+    ``e_opt``; dark-origin clicks and basis mismatches yield a uniform
+    bit.  A gate where both fire counts as signal.
 
-    Exactly four random blocks are consumed (signal, dark, flip, noise)
-    regardless of outcomes, so stream position depends only on ``n``.
+    Only clicks are drawn, in this order: the click count k from a
+    binomial with p_click = 1 - (1 - p_sig)(1 - p_dark); k distinct
+    frames, uniform; then per click the origin (signal with probability
+    p_sig / p_click), both bases, the sent bit, the flip and the noise
+    bit.  This is the per-gate model's distribution.  How far ``rng``
+    advances depends on the clicks drawn, not on ``n_frames`` alone, and
+    time and memory are O(clicks).
     """
+    if n_frames < 1:
+        raise ValueError(f"need at least one frame, got {n_frames}")
     if not 0 <= p_sig <= 1 or not 0 <= p_dark <= 1:
         raise ValueError("click probabilities must lie in [0, 1]")
     if not 0 <= e_opt < 0.5:
         raise ValueError(f"e_opt must be in [0, 0.5), got {e_opt}")
-    bits_sent = np.asarray(bits_sent, dtype=np.uint8)
-    basis_match = np.asarray(basis_match, dtype=bool)
-    if bits_sent.shape != basis_match.shape:
-        raise ValueError("bits_sent and basis_match must have the same shape")
-    n = bits_sent.size
-
-    signal = rng.random(n) < p_sig
-    dark = rng.random(n) < p_dark
-    flip = rng.random(n) < e_opt
-    noise = rng.integers(0, 2, size=n, dtype=np.uint8)
-
-    clicked = signal | dark
-    faithful = signal & basis_match
-    bits = np.where(faithful, bits_sent ^ flip.astype(np.uint8), noise)
-    bits = np.where(clicked, bits, 0).astype(np.uint8)
-    return clicked, bits
+    p_click = min(1.0, p_sig + p_dark * (1 - p_sig))
+    k = int(rng.binomial(n_frames, p_click))
+    frames = _distinct_sorted(n_frames, k, rng)
+    signal = rng.random(k) * p_click < p_sig
+    tx_bases, rx_bases = rng.integers(0, 2, size=(2, k), dtype=np.uint8)
+    tx_bits = rng.integers(0, 2, size=k, dtype=np.uint8)
+    flip = (rng.random(k) < e_opt).astype(np.uint8)
+    noise = rng.integers(0, 2, size=k, dtype=np.uint8)
+    rx_bits = np.where(signal & (tx_bases == rx_bases), tx_bits ^ flip, noise)
+    return ClickRecord(n_frames, frames, tx_bases, tx_bits, rx_bases, rx_bits)
 
 
 def attenuation_to_length(

@@ -1,7 +1,7 @@
 """Server-client BB84 with parity reconciliation and the key-reverse step.
 
-One session runs the same pipeline on every server-client link: prepare a
-pulse train, measure it, sift on click + basis match, estimate the error
+One session runs the same pipeline on every server-client link: take the
+link's clicks from the network, sift on basis match, estimate the error
 rate from a disclosed sample, reconcile the rest with an interactive
 parity protocol, then truncate all links to a common length and let the
 server publish flip masks that rotate every client key onto the reference
@@ -21,13 +21,12 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .photonics import DetectorModel, SourceModel, p_dark_per_gate, simulate_gate_array
+from .photonics import ClickRecord
 from .router import ChannelId
 
 __all__ = [
     "BlockAlignmentError",
     "ClassicalMessage",
-    "DetectionTrain",
     "FlipMask",
     "InsufficientDetectionsError",
     "KeyBlock",
@@ -36,7 +35,6 @@ __all__ = [
     "LinkReport",
     "MESSAGE_KINDS",
     "ProtocolError",
-    "PulseTrain",
     "QberEstimate",
     "ReconciliationError",
     "SampleSizeError",
@@ -48,8 +46,6 @@ __all__ = [
     "apply_flip_mask",
     "compute_flip_mask",
     "estimate_qber",
-    "generate_train",
-    "measure_train",
     "reconcile",
     "run_session",
     "sift",
@@ -113,97 +109,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pulse and detection trains
-
-
-@dataclass(frozen=True, eq=False)
-class PulseTrain:
-    """A contiguous run of prepared frames, stored as arrays.
-
-    Frame indices are implicit: element ``i`` of each array is frame ``i``.
-    """
-
-    channel: ChannelId
-    mu: float
-    bases: np.ndarray
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bases = _bit_array(self.bases, "bases")
-        bits = _bit_array(self.bits, "bits")
-        if bases.shape != bits.shape:
-            raise ValueError("bases and bits must have equal length")
-        if bases.size == 0:
-            raise ValueError("a train must contain at least one frame")
-        if self.mu <= 0:
-            raise ValueError("mean photon number must be positive")
-        object.__setattr__(self, "bases", _frozen(bases))
-        object.__setattr__(self, "bits", _frozen(bits))
-
-    def __len__(self) -> int:
-        return self.bases.size
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionTrain:
-    """Measurement results aligned frame-for-frame with a PulseTrain."""
-
-    bases: np.ndarray
-    clicked: np.ndarray
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bases = _bit_array(self.bases, "bases")
-        clicked = np.asarray(self.clicked, dtype=bool)
-        bits = _bit_array(self.bits, "bits")
-        if not bases.shape == clicked.shape == bits.shape:
-            raise ValueError("bases, clicked, and bits must have equal length")
-        bits = np.where(clicked, bits, 0).astype(np.uint8)  # no-click carries no bit
-        object.__setattr__(self, "bases", _frozen(bases))
-        object.__setattr__(self, "clicked", _frozen(clicked))
-        object.__setattr__(self, "bits", _frozen(bits))
-
-    def __len__(self) -> int:
-        return self.bases.size
-
-
-def generate_train(
-    n_frames: int, channel: ChannelId, src: SourceModel, rng: np.random.Generator
-) -> PulseTrain:
-    """Prepare ``n_frames`` pulses with independent uniform bases and bits."""
-    if n_frames <= 0:
-        raise ValueError(f"need at least one frame, got {n_frames}")
-    bases = rng.integers(0, 2, size=n_frames, dtype=np.uint8)
-    bits = rng.integers(0, 2, size=n_frames, dtype=np.uint8)
-    return PulseTrain(channel=channel, mu=src.mean_photon_number, bases=bases, bits=bits)
-
-
-def measure_train(
-    train: PulseTrain,
-    det: DetectorModel,
-    p_sig: float,
-    e_opt: float,
-    rng: np.random.Generator,
-) -> DetectionTrain:
-    """Measure a train after the channel: random bases, then gated clicks.
-
-    ``p_sig`` is the per-gate signal click probability after all losses;
-    the dark probability comes from the detector model.
-    """
-    n = len(train)
-    rx_bases = rng.integers(0, 2, size=n, dtype=np.uint8)
-    clicked, bits = simulate_gate_array(
-        train.bits,
-        rx_bases == train.bases,
-        p_sig,
-        p_dark_per_gate(det),
-        e_opt,
-        rng,
-    )
-    return DetectionTrain(bases=rx_bases, clicked=clicked, bits=bits)
-
-
-# ---------------------------------------------------------------------------
 # Key blocks and sifting
 
 
@@ -247,24 +152,19 @@ class KeyBlock:
 
 
 def sift(
-    sent: PulseTrain,
-    received: DetectionTrain,
-    link: tuple[int, int] | None = None,
+    clicks: ClickRecord, link: tuple[int, int] | None = None
 ) -> tuple[KeyBlock, KeyBlock]:
-    """Keep frames that clicked with matching bases; returns aligned blocks.
+    """Keep the clicks whose bases match; returns aligned (sent, measured) blocks.
 
     An empty result is legal; the session layer decides whether to treat
     it as fatal.
     """
-    if len(sent) != len(received):
-        raise BlockAlignmentError(
-            f"trains cover different frame universes: {len(sent)} vs {len(received)}"
-        )
-    keep = received.clicked & (sent.bases == received.bases)
-    frames = np.flatnonzero(keep).astype(np.int64)
-    a = KeyBlock(sent.bits[keep], frames, link)
-    b = KeyBlock(received.bits[keep], frames, link)
-    return a, b
+    keep = clicks.tx_bases == clicks.rx_bases
+    frames = clicks.frames[keep]
+    return (
+        KeyBlock(clicks.tx_bits[keep], frames, link),
+        KeyBlock(clicks.rx_bits[keep], frames, link),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -794,13 +694,15 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
 
     - ``n_ports`` (int) and ``port_label(port) -> str``
     - ``link_parameters(server, client) -> LinkParameters``
-    - ``transmit_train(server, client, n_frames) -> (PulseTrain, DetectionTrain)``
+    - ``transmit_train(server, client, n_frames) -> ClickRecord``, the
+      link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
     - ``clock_ns() -> int``
     - optionally ``notify_classical(message)`` to mirror transcript entries
 
-    Flow: clients request keys; the server runs prepare/measure/sift and
-    sample-based error estimation on every link; if any estimate reaches
+    Flow: clients request keys; on every link the client announces the
+    frames that clicked and its bases, the server sifts on basis match, and
+    both run sample-based error estimation; if any estimate reaches
     the abort threshold the session aborts with full diagnostics; the
     surviving blocks are reconciled, truncated to the shortest link, and
     every client receives a flip mask rotating its key onto the lowest-
@@ -850,18 +752,17 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     for c in cfg.clients:
         st = links[c]
         link = (cfg.server, c)
-        train, detections = network.transmit_train(cfg.server, c, cfg.n_frames)
-        clicked_idx = np.flatnonzero(detections.clicked).astype(np.int64)
-        st.n_clicked = int(clicked_idx.size)
+        clicks = network.transmit_train(cfg.server, c, cfg.n_frames)
+        st.n_clicked = len(clicks)
         transcript.append(
             "BasisList", c, cfg.server, link,
             {
                 "n_clicked": st.n_clicked,
-                "frames": clicked_idx.tobytes(),
-                "bases": np.packbits(detections.bases[clicked_idx]).tobytes(),
+                "frames": clicks.frames.tobytes(),
+                "bases": np.packbits(clicks.rx_bases).tobytes(),
             },
         )
-        a, b = sift(train, detections, link=link)
+        a, b = sift(clicks, link=link)
         st.n_sifted = len(a)
         transcript.append(
             "SiftIndexSet", cfg.server, c, link,

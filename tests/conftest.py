@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from wdmqkd import netsim, protocol
-from wdmqkd.photonics import DetectorModel, SourceModel, p_dark_per_gate
-from wdmqkd.protocol import (
-    LinkParameters,
-    ReconciliationError,
-    generate_train,
-    measure_train,
-)
+from wdmqkd.photonics import SourceModel, sample_clicks
+from wdmqkd.protocol import LinkParameters, ReconciliationError
 from wdmqkd.router import build_assignment
 
 
 class FakeNetwork:
     """Smallest handle satisfying the run_session contract.
 
-    Quantum transmission is modeled directly with the photonics gate
-    simulation; there is no event log and no loss geometry, just fixed
+    Quantum transmission is modeled directly with the photonics click
+    sampler; there is no event log and no loss geometry, just fixed
     per-link click probabilities.
     """
 
@@ -37,9 +32,6 @@ class FakeNetwork:
         self.p_dark = p_dark
         self.e_opt = e_opt
         self.src = SourceModel(rep_rate_hz=rep_rate_hz, e_opt=e_opt)
-        self.det = DetectorModel(
-            dark_rate_hz=p_dark * rep_rate_hz, rep_rate_hz=rep_rate_hz
-        )
         self._seed = seed
         self._protocol_rng = np.random.default_rng(
             np.random.SeedSequence((seed, 0xFACE))
@@ -60,13 +52,10 @@ class FakeNetwork:
         )
 
     def transmit_train(self, server, client, n_frames):
-        channel = self.assignment.pair_channel(server, client)
         rng = np.random.default_rng(
             np.random.SeedSequence((self._seed, server, client))
         )
-        train = generate_train(n_frames, channel, self.src, rng)
-        detections = measure_train(train, self.det, self.p_sig, self.e_opt, rng)
-        return train, detections
+        return sample_clicks(n_frames, self.p_sig, self.p_dark, self.e_opt, rng)
 
     def protocol_rng(self):
         return self._protocol_rng

@@ -26,6 +26,7 @@ from wdmqkd.photonics import (
     expected_qber,
     p_dark_per_gate,
     p_signal_click,
+    sample_clicks,
 )
 from wdmqkd.protocol import (
     KeyBlock,
@@ -34,14 +35,11 @@ from wdmqkd.protocol import (
     Transcript,
     apply_flip_mask,
     compute_flip_mask,
-    generate_train,
-    measure_train,
     reconcile,
     sift,
 )
 from wdmqkd.router import (
     FOURPORT_CHANNEL_NM,
-    ChannelId,
     build_assignment,
     export_loss_matrix,
     fourport_router_spec,
@@ -143,9 +141,7 @@ def test_criterion_06_monte_carlo_matches_analytic_qber():
         assert p_dark == pytest.approx(4.17e-5, rel=1e-12)
         q_expected = expected_qber(p_sig, p_dark, src.e_opt)
         rng = np.random.default_rng(2026)
-        sent = generate_train(1_000_000, ChannelId(0), src, rng)
-        received = measure_train(sent, det, p_sig, src.e_opt, rng)
-        a, b = sift(sent, received)
+        a, b = sift(sample_clicks(1_000_000, p_sig, p_dark, src.e_opt, rng))
         q = np.count_nonzero(a.bits != b.bits) / len(a)
         sigma = math.sqrt(q_expected * (1 - q_expected) / len(a))
         assert abs(q - q_expected) < 4 * sigma

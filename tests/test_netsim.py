@@ -26,7 +26,7 @@ from wdmqkd.netsim import (
     sweep_rows_to_csv,
 )
 from wdmqkd.photonics import DetectorModel, SourceModel, expected_qber
-from wdmqkd.protocol import SessionConfig
+from wdmqkd.protocol import InsufficientDetectionsError, SessionConfig
 from wdmqkd.router import build_assignment, path_loss_db, uniform_router_spec
 
 
@@ -90,6 +90,23 @@ def reference_lines(log):
             yield obj.line()
         else:
             yield f"{time_ns} {obj.kind} {obj.port} {obj.channel} {obj.detail}".rstrip()
+
+
+def reference_guard_violations(log, guard_ns):
+    """Every pulse arrival expanded into one list, sorted by (time, sequence
+    number) and compared with its neighbour: the dense form of the check."""
+    arrivals = [
+        (s.time0 + i * s.period_ns, s.seq0 + i, s.channel)
+        for s in log._segments if s.kind == "pulse-arrival"
+        for i in range(s.count)
+    ]
+    arrivals += [(t, q, ev.channel) for t, _, q, ev in log._singles if ev.kind == "pulse-arrival"]
+    arrivals.sort()
+    return [
+        (t1, c1, t2, c2)
+        for (t1, _, c1), (t2, _, c2) in zip(arrivals, arrivals[1:])
+        if t2 - t1 < guard_ns and c1 != c2
+    ]
 
 
 # fields with spaces, trailing whitespace, format characters and non-ASCII
@@ -188,7 +205,7 @@ class TestEventLog:
         run = run_network(default_fourport_network(), cfg)
         assert len(run.events) == 120_069
         assert run.events.digest() == (
-            "c8a50c430ebeb35e80dc9ef47fbeceddf4c864866ce359a045284462dfd49660"
+            "6ee3b3b0b87cbcf09633c3ca09e7adcff1f1c5409188449e50c8e59b1182d1d1"
         )
 
     def test_render_text_head_renders_one_window(self, monkeypatch):
@@ -247,6 +264,14 @@ class TestEventLog:
         assert len(bad) == 5  # one 50 ns cross-channel gap per frame
         assert bad[0] == (1000, "λ1", 1050, "λ2")
         assert not log.guard_violations(50)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=random_logs(), window=st.integers(1, 9), guard=st.integers(1, 60))
+    def test_guard_violations_match_dense_reference(self, log, window, guard):
+        expected = reference_guard_violations(log, guard)
+        with mock.patch.object(netsim, "_WINDOW_LINES", window):
+            assert log.guard_violations(guard) == expected
+        assert log.guard_violations(guard) == expected
 
     def test_same_channel_not_a_violation(self):
         log = EventLog()
@@ -454,14 +479,16 @@ class TestSweep:
             assert abs(row.qber - q) < 4 * sigma
 
     def test_qber_grows_with_attenuation(self):
+        # 20 dB puts the dark floor at 12-20% QBER against ~1.2% at 0 dB,
+        # several sigma apart with ~100 sifted bits per link at 20 dB
         spec = default_fourport_network()
-        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=200_000, seed=10)
-        rows = sweep_attenuation(spec, cfg, [10.0, 0.0])
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2_000_000, seed=10)
+        rows = sweep_attenuation(spec, cfg, [20.0, 0.0])
         by_channel: dict[float, dict[float, float]] = {}
         for r in rows:
             by_channel.setdefault(r.channel_nm, {})[r.atten_db] = r.qber
         for series in by_channel.values():
-            assert series[10.0] > series[0.0]
+            assert series[20.0] > series[0.0]
 
     def test_rows_ordered_by_db_then_client(self):
         spec = default_fourport_network()
@@ -499,16 +526,31 @@ class TestSweep:
             assert math.isnan(row.qber)
             assert row.leaked_bits == 0 and row.sift_rate_hz == 0.0
 
-    def test_sampled_away_block_gives_no_detection_rows(self):
-        # at 2000 frames some points sift a single bit that the error
+    def test_sampled_away_block_gives_no_detection_rows(self, monkeypatch):
+        # at 2000 frames many points sift a single bit that the error
         # sample then discloses; those points yield rows, not an exception
-        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
-        rows = sweep_attenuation(default_fourport_network(), cfg, range(9))
-        assert len(rows) == 27
-        assert {r.status for r in rows} == {"ok", "no-detections"}
+        messages, run = [], netsim.run_network
+
+        def spy(*args, **kwargs):
+            try:
+                return run(*args, **kwargs)
+            except InsufficientDetectionsError as err:
+                messages.append(str(err))
+                raise
+
+        monkeypatch.setattr(netsim, "run_network", spy)
+        for seed in range(20):
+            cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=seed)
+            rows = sweep_attenuation(default_fourport_network(), cfg, range(9))
+            assert len(rows) == 27
+            assert {r.status for r in rows} <= {"ok", "abort", "no-detections"}
+        assert any("no bits left after sampling" in m for m in messages)
 
     def test_reconcile_failure_gives_reconcile_failed_rows(self, reconcile_fails_at_5db):
-        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=50_000, seed=11)
+        # no abort gate: a 13-bit error sample at 5 dB trips 0.11 on ~6% of seeds
+        cfg = SessionConfig(
+            server=0, clients=(1, 2, 3), n_frames=50_000, seed=11, qber_abort_threshold=0.5
+        )
         rows = sweep_attenuation(default_fourport_network(), cfg, [0.0, 5.0, 2.0])
         assert [(r.atten_db, r.client, r.status) for r in rows] == [
             (db, c, status)

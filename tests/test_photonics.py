@@ -1,4 +1,9 @@
-"""Click statistics: closed forms, their invariants, and the Monte-Carlo gate."""
+"""Click statistics: closed forms, their invariants, and the click sampler."""
+
+import itertools
+import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +15,12 @@ from wdmqkd.photonics import (
     LinkBudget,
     SourceModel,
     UndefinedRateError,
+    _distinct_sorted,
     attenuation_to_length,
     expected_qber,
     p_dark_per_gate,
     p_signal_click,
-    simulate_gate_array,
+    sample_clicks,
     transmittance,
 )
 
@@ -114,77 +120,85 @@ class TestExpectedQber:
 
 
 class TestSimulateGate:
+    """Monte-Carlo gates through ``sample_clicks``: clicks drawn first."""
+
     def test_deterministic_noiseless_click(self):
-        bits = np.ones(200, dtype=np.uint8)
         for n in (1, 200):  # a single gate and a block of them
-            clicked, seen = simulate_gate_array(
-                bits[:n], np.ones(n, dtype=bool), 1.0, 0.0, 0.0, np.random.default_rng(7)
-            )
-            assert clicked.all() and seen.tolist() == [1] * n
+            r = sample_clicks(n, 1.0, 0.0, 0.0, np.random.default_rng(7))
+            assert r.frames.tolist() == list(range(n))
+            match = r.tx_bases == r.rx_bases
+            assert np.array_equal(r.rx_bits[match], r.tx_bits[match])
 
     def test_silent_link_never_clicks(self):
-        bits = np.ones(200, dtype=np.uint8)
         for n in (1, 200):
-            clicked, seen = simulate_gate_array(
-                bits[:n], np.ones(n, dtype=bool), 0.0, 0.0, 0.0, np.random.default_rng(7)
-            )
-            assert not clicked.any() and not seen.any()  # a no-click carries bit 0
+            r = sample_clicks(n, 0.0, 0.0, 0.0, np.random.default_rng(7))
+            assert len(r) == 0 and r.n_frames == n
+            assert r.frames.dtype == np.int64 and r.rx_bits.dtype == np.uint8
 
     def test_monte_carlo_matches_closed_form(self):
         n = 1_000_000
         p_sig, p_dark, e_opt = 9.95e-4, 4.17e-5, 0.01
-        rng = np.random.default_rng(20260816)
-        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        clicked, seen = simulate_gate_array(
-            bits, np.ones(n, dtype=bool), p_sig, p_dark, e_opt, rng
-        )
+        r = sample_clicks(n, p_sig, p_dark, e_opt, np.random.default_rng(20260816))
 
         p_click = p_sig + p_dark - p_sig * p_dark
         sigma_click = np.sqrt(p_click * (1 - p_click) / n)
-        assert abs(clicked.mean() - p_click) < 3 * sigma_click
+        assert abs(len(r) / n - p_click) < 3 * sigma_click
 
-        n_click = int(clicked.sum())
-        err = float((seen[clicked] != bits[clicked]).mean())
+        match = r.tx_bases == r.rx_bases
+        n_match = int(match.sum())
+        err = float((r.rx_bits[match] != r.tx_bits[match]).mean())
         q = expected_qber(p_sig, p_dark, e_opt)
-        sigma_err = np.sqrt(q * (1 - q) / n_click)
+        sigma_err = np.sqrt(q * (1 - q) / n_match)
         assert abs(err - q) < 3 * sigma_err
+
+    def test_origin_split_matches_per_gate_model(self):
+        # bright signal and dark counts: a gate where both fire is a signal
+        # click, so matched-basis errors are 1/2 P(dark only) / p_click
+        n, p_sig, p_dark = 200_000, 0.3, 0.3
+        r = sample_clicks(n, p_sig, p_dark, 0.0, np.random.default_rng(13))
+        p_click = p_sig + p_dark - p_sig * p_dark
+        assert abs(len(r) / n - p_click) < 4 * np.sqrt(p_click * (1 - p_click) / n)
+        match = r.tx_bases == r.rx_bases
+        q = 0.5 * p_dark * (1 - p_sig) / p_click
+        err = float((r.rx_bits[match] != r.tx_bits[match]).mean())
+        assert abs(err - q) < 4 * np.sqrt(q * (1 - q) / match.sum())
 
     def test_mismatched_basis_is_coin_flip(self):
         n = 200_000
-        rng = np.random.default_rng(11)
-        bits = np.zeros(n, dtype=np.uint8)
-        clicked, seen = simulate_gate_array(
-            bits, np.zeros(n, dtype=bool), 0.5, 0.0, 0.0, rng
-        )
-        frac_ones = float(seen[clicked].mean())
-        assert abs(frac_ones - 0.5) < 4 * np.sqrt(0.25 / clicked.sum())
+        r = sample_clicks(n, 0.5, 0.0, 0.0, np.random.default_rng(11))
+        mismatch = r.tx_bases != r.rx_bases
+        agree = float((r.rx_bits[mismatch] == r.tx_bits[mismatch]).mean())
+        assert abs(agree - 0.5) < 4 * np.sqrt(0.25 / mismatch.sum())
 
     def test_identical_seed_identical_outcomes(self):
-        bits = np.arange(1000, dtype=np.uint8) % 2
-        match = (np.arange(1000) % 3).astype(bool)
-        a = simulate_gate_array(bits, match, 0.1, 0.01, 0.02, np.random.default_rng(5))
-        b = simulate_gate_array(bits, match, 0.1, 0.01, 0.02, np.random.default_rng(5))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = sample_clicks(1000, 0.1, 0.01, 0.02, np.random.default_rng(5))
+        b = sample_clicks(1000, 0.1, 0.01, 0.02, np.random.default_rng(5))
+        for name in ("frames", "tx_bases", "tx_bits", "rx_bases", "rx_bits"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_stream_position_depends_only_on_count(self):
-        r1 = np.random.default_rng(3)
-        r2 = np.random.default_rng(3)
-        bits = np.zeros(64, dtype=np.uint8)
-        match = np.ones(64, dtype=bool)
-        simulate_gate_array(bits, match, 0.9, 0.5, 0.3, r1)
-        simulate_gate_array(bits, match, 0.0, 0.0, 0.0, r2)
-        assert r1.random() == r2.random()
+    def test_bad_inputs_rejected(self):
+        rng = np.random.default_rng(0)
+        # no frame, p_sig above 1, negative p_dark, e_opt at 0.5
+        bad = ((0, 0.1, 0.0, 0.0), (3, 1.5, 0.0, 0.0), (3, 0.1, -0.1, 0.0), (3, 0.1, 0.0, 0.5))
+        for args in bad:
+            with pytest.raises(ValueError):
+                sample_clicks(*args, rng)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_gate_array(
-                np.zeros(3, dtype=np.uint8),
-                np.ones(4, dtype=bool),
-                0.1,
-                0.0,
-                0.0,
-                np.random.default_rng(0),
-            )
+    def test_cost_grows_with_clicks_not_frames(self):
+        t0 = time.perf_counter()
+        r = sample_clicks(10**12, 1e-9, 0.0, 0.0, np.random.default_rng(1))
+        assert time.perf_counter() - t0 < 1.0
+        assert 0 < len(r) < 2000 and r.frames[-1] < 10**12
+
+    @pytest.mark.parametrize("k", [2, 5])  # the drawn and the left-out branch
+    def test_click_frames_uniform_over_subsets(self, k):
+        rng = np.random.default_rng(k)
+        draws = 6000
+        counts = Counter(tuple(_distinct_sorted(6, k, rng).tolist()) for _ in range(draws))
+        subsets = list(itertools.combinations(range(6), k))
+        assert sorted(counts) == subsets
+        mean = draws / len(subsets)
+        assert all(abs(c - mean) < 5 * math.sqrt(mean) for c in counts.values())
 
 
 class TestAttenuationToLength:

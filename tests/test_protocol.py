@@ -1,20 +1,18 @@
-"""Prepare/measure/sift pipeline, reconciliation, flip masks, and sessions."""
+"""Click records and sifting, reconciliation, flip masks, and sessions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdmqkd.photonics import DetectorModel, SourceModel, expected_qber
+from wdmqkd.photonics import ClickRecord, expected_qber, sample_clicks
 from wdmqkd.protocol import (
     BlockAlignmentError,
-    DetectionTrain,
     FlipMask,
     InsufficientDetectionsError,
     KeyBlock,
     LengthMismatchError,
     PARITY_KINDS,
-    PulseTrain,
     ReconciliationError,
     SampleSizeError,
     SessionAbortError,
@@ -23,16 +21,10 @@ from wdmqkd.protocol import (
     apply_flip_mask,
     compute_flip_mask,
     estimate_qber,
-    generate_train,
-    measure_train,
     reconcile,
     run_session,
     sift,
 )
-from wdmqkd.router import ChannelId
-
-CH = ChannelId(0)
-SRC = SourceModel()
 
 
 def make_blocks(bits_a, bits_b, link=None):
@@ -51,153 +43,110 @@ def bit_pairs(draw, min_size=1, max_size=200):
     return a, b
 
 
+def record(frames, tx_bases, tx_bits, rx_bases, rx_bits, n_frames=4):
+    return ClickRecord(n_frames, frames, tx_bases, tx_bits, rx_bases, rx_bits)
+
+
 class TestTrains:
+    """The click record one pulse train leaves: what ``sift`` takes in."""
+
     def test_generate_is_reproducible(self):
-        t1 = generate_train(4, CH, SRC, np.random.default_rng(3))
-        t2 = generate_train(4, CH, SRC, np.random.default_rng(3))
-        assert np.array_equal(t1.bases, t2.bases)
-        assert np.array_equal(t1.bits, t2.bits)
-        assert len(t1) == 4
+        r1 = sample_clicks(4, 0.5, 0.1, 0.0, np.random.default_rng(3))
+        r2 = sample_clicks(4, 0.5, 0.1, 0.0, np.random.default_rng(3))
+        for name in ("frames", "tx_bases", "tx_bits", "rx_bases", "rx_bits"):
+            assert np.array_equal(getattr(r1, name), getattr(r2, name))
+        assert r1.n_frames == 4 and len(r1) <= 4
 
     def test_generate_is_balanced(self):
-        t = generate_train(100_000, CH, SRC, np.random.default_rng(1))
-        assert 0.49 <= t.bits.mean() <= 0.51
-        assert 0.49 <= t.bases.mean() <= 0.51
+        r = sample_clicks(100_000, 1.0, 0.0, 0.0, np.random.default_rng(1))
+        assert len(r) == 100_000
+        for arr in (r.tx_bits, r.tx_bases, r.rx_bases):
+            assert 0.49 <= arr.mean() <= 0.51
 
     def test_generate_rejects_empty(self):
         with pytest.raises(ValueError):
-            generate_train(0, CH, SRC, np.random.default_rng(0))
+            sample_clicks(0, 0.1, 0.0, 0.0, np.random.default_rng(0))
 
     def test_record_view(self):
-        # frame i is element i of every array; channel and mu are per train
-        t = generate_train(5, CH, SRC, np.random.default_rng(9))
-        assert len(t) == t.bases.size == t.bits.size == 5
-        assert t.channel == CH and t.mu == SRC.mean_photon_number
-        assert not t.bases.flags.writeable and not t.bits.flags.writeable
+        # element i of every array is frame frames[i]; arrays are read-only
+        r = sample_clicks(5, 0.6, 0.0, 0.0, np.random.default_rng(9))
+        assert len(r) == r.frames.size == r.tx_bits.size == r.rx_bits.size
+        assert r.frames.dtype == np.int64
+        assert np.all(np.diff(r.frames) > 0) and np.all((0 <= r.frames) & (r.frames < 5))
+        for arr in (r.frames, r.tx_bases, r.tx_bits, r.rx_bases, r.rx_bits):
+            assert not arr.flags.writeable
 
     def test_measure_noiseless(self):
-        train = generate_train(4000, CH, SRC, np.random.default_rng(2))
-        det = measure_train(
-            train, DetectorModel(dark_rate_hz=0.0), 1.0, 0.0, np.random.default_rng(3)
-        )
-        assert det.clicked.all()
-        match = det.bases == train.bases
-        assert np.array_equal(det.bits[match], train.bits[match])
+        r = sample_clicks(4000, 1.0, 0.0, 0.0, np.random.default_rng(2))
+        assert r.frames.tolist() == list(range(4000))  # every frame clicks
+        match = r.rx_bases == r.tx_bases
+        assert np.array_equal(r.rx_bits[match], r.tx_bits[match])
 
     def test_measure_dead_link(self):
-        train = generate_train(1000, CH, SRC, np.random.default_rng(2))
-        det = measure_train(
-            train, DetectorModel(dark_rate_hz=0.0), 0.0, 0.0, np.random.default_rng(3)
-        )
-        assert not det.clicked.any()
+        r = sample_clicks(1000, 0.0, 0.0, 0.0, np.random.default_rng(2))
+        assert len(r) == 0 and r.n_frames == 1000
 
     def test_measure_click_rate(self):
         n = 1_000_000
         p_sig, p_dark = 9.95e-4, 4.17e-5
-        train = generate_train(n, CH, SRC, np.random.default_rng(5))
-        det = measure_train(
-            train,
-            DetectorModel(dark_rate_hz=p_dark * 1e6),
-            p_sig,
-            0.01,
-            np.random.default_rng(6),
-        )
+        r = sample_clicks(n, p_sig, p_dark, 0.01, np.random.default_rng(5))
         p_click = p_sig + p_dark - p_sig * p_dark
         sigma = np.sqrt(p_click * (1 - p_click) / n)
-        assert abs(det.clicked.mean() - p_click) < 4 * sigma
+        assert abs(len(r) / n - p_click) < 4 * sigma
 
     def test_detection_record_view(self):
-        det = DetectionTrain(
-            bases=np.array([0, 1], dtype=np.uint8),
-            clicked=np.array([True, False]),
-            bits=np.array([1, 1], dtype=np.uint8),
-        )
-        assert len(det) == 2
-        assert det.bases.tolist() == [0, 1]
-        assert det.clicked.tolist() == [True, False]
-        assert det.bits.tolist() == [1, 0]  # a no-click carries no bit
+        r = record([0, 3], [0, 1], [1, 1], [1, 1], [0, 1])
+        assert len(r) == 2 and r.n_frames == 4
+        assert r.frames.tolist() == [0, 3]
+        assert r.rx_bases.tolist() == [1, 1] and r.rx_bits.tolist() == [0, 1]
 
     def test_pulse_record_validation(self):
         with pytest.raises(ValueError):  # bases must be binary
-            PulseTrain(channel=CH, mu=0.1, bases=np.array([2]), bits=np.array([0]))
+            record([0], [2], [0], [0], [0])
         with pytest.raises(ValueError):  # bits must be binary
-            PulseTrain(channel=CH, mu=0.1, bases=np.array([0]), bits=np.array([3]))
-        with pytest.raises(ValueError):
-            PulseTrain(channel=CH, mu=0.0, bases=np.array([0]), bits=np.array([0]))
-        with pytest.raises(ValueError):
-            PulseTrain(channel=CH, mu=0.1, bases=np.array([0, 1]), bits=np.array([0]))
-        with pytest.raises(ValueError):
-            DetectionTrain(
-                bases=np.array([0]), clicked=np.array([True, False]), bits=np.array([0])
-            )
+            record([0], [0], [3], [0], [0])
+        with pytest.raises(ValueError):  # one value per click
+            record([0, 1], [0, 1], [0], [0, 1], [0, 1])
+        with pytest.raises(ValueError):  # frames distinct and sorted
+            record([1, 1], [0, 0], [0, 0], [0, 0], [0, 0])
+        with pytest.raises(ValueError):  # frames inside the train
+            record([4], [0], [0], [0], [0])
 
 
 class TestSift:
     def test_noiseless_halves_and_agrees(self):
         n = 20_000
-        train = generate_train(n, CH, SRC, np.random.default_rng(4))
-        det = measure_train(
-            train, DetectorModel(dark_rate_hz=0.0), 1.0, 0.0, np.random.default_rng(5)
-        )
-        a, b = sift(train, det)
+        r = sample_clicks(n, 1.0, 0.0, 0.0, np.random.default_rng(4))
+        a, b = sift(r)
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.frames, b.frames)
         sigma = np.sqrt(0.25 / n)
         assert abs(len(a) / n - 0.5) < 4 * sigma
 
     def test_zero_clicks_flagged_empty(self):
-        train = generate_train(100, CH, SRC, np.random.default_rng(4))
-        det = measure_train(
-            train, DetectorModel(dark_rate_hz=0.0), 0.0, 0.0, np.random.default_rng(5)
-        )
-        a, b = sift(train, det)
+        r = sample_clicks(100, 0.0, 0.0, 0.0, np.random.default_rng(4))
+        a, b = sift(r)
         assert len(a) == 0 and len(b) == 0
         assert a.aligned_with(b)
 
     def test_noisy_mismatch_matches_prediction(self):
         n = 1_000_000
         p_sig, p_dark, e_opt = 9.95e-4, 4.17e-5, 0.01
-        train = generate_train(n, CH, SRC, np.random.default_rng(7))
-        det = measure_train(
-            train,
-            DetectorModel(dark_rate_hz=p_dark * 1e6),
-            p_sig,
-            e_opt,
-            np.random.default_rng(8),
-        )
-        a, b = sift(train, det)
+        r = sample_clicks(n, p_sig, p_dark, e_opt, np.random.default_rng(7))
+        a, b = sift(r)
         q = expected_qber(p_sig, p_dark, e_opt)
         err = (a.bits != b.bits).mean()
         sigma = np.sqrt(q * (1 - q) / len(a))
         assert abs(err - q) < 4 * sigma
 
-    def test_misaligned_trains_rejected(self):
-        t1 = generate_train(10, CH, SRC, np.random.default_rng(0))
-        t2 = generate_train(11, CH, SRC, np.random.default_rng(0))
-        det = measure_train(
-            t2, DetectorModel(dark_rate_hz=0.0), 1.0, 0.0, np.random.default_rng(1)
-        )
-        with pytest.raises(BlockAlignmentError):
-            sift(t1, det)
-
     def test_keeps_only_clicked_matching_frames(self):
-        train = PulseTrain(
-            channel=CH,
-            mu=0.1,
-            bases=np.array([0, 0, 1, 1], dtype=np.uint8),
-            bits=np.array([1, 0, 1, 0], dtype=np.uint8),
-        )
-        det = DetectionTrain(
-            bases=np.array([0, 1, 1, 1], dtype=np.uint8),
-            clicked=np.array([True, True, False, True]),
-            bits=np.array([1, 0, 1, 1], dtype=np.uint8),
-        )
-        a, b = sift(train, det)
-        # frame 0: clicked + matched; frame 1: basis mismatch; frame 2: no
-        # click; frame 3: clicked + matched
+        # frame 2 did not click; frame 1 clicked with mismatched bases
+        r = record([0, 1, 3], [0, 0, 1], [1, 0, 0], [0, 1, 1], [1, 0, 1])
+        a, b = sift(r, link=(0, 1))
         assert a.frames.tolist() == [0, 3]
         assert a.bits.tolist() == [1, 0]
         assert b.bits.tolist() == [1, 1]
+        assert a.link == b.link == (0, 1)
 
 
 class TestEstimateQber:

@@ -501,6 +501,7 @@ class Network:
         self.spec = spec
         self.events = EventLog()
         self._assignment = spec.router.assignment
+        self._labels = tuple(port.label for port in self._assignment.ports)
         seed_seq = (
             seed
             if isinstance(seed, np.random.SeedSequence)
@@ -530,10 +531,9 @@ class Network:
         return self._session_rng
 
     def notify_classical(self, msg: ClassicalMessage) -> None:
-        port = "-" if msg.sender is None else self.port_label(msg.sender)
-        link = "-" if msg.link is None else (
-            f"{self.port_label(msg.link[0])}-{self.port_label(msg.link[1])}"
-        )
+        labels = self._labels
+        port = "-" if msg.sender is None else labels[msg.sender]
+        link = "-" if msg.link is None else f"{labels[msg.link[0]]}-{labels[msg.link[1]]}"
         self.events.append(
             Event(
                 msg.time_ns,

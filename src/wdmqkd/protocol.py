@@ -344,21 +344,18 @@ class Transcript:
 # Reconciliation (interactive parity protocol with backtracking)
 
 
-def _block_parities(bits: np.ndarray, perm: np.ndarray, k: int) -> np.ndarray:
-    starts = np.arange(0, perm.size, k)
-    return (np.add.reduceat(bits[perm].astype(np.int64), starts) & 1).astype(np.uint8)
+def _prefix_parities(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Entry i is the parity of the first i shuffled bits, so the parity of
+    shuffled positions [lo, hi) is ``pre[hi] ^ pre[lo]``."""
+    pre = np.zeros(perm.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits[perm], out=pre[1:])
+    return pre
 
 
-def _range_parity(bits: np.ndarray, perm: np.ndarray, lo: int, hi: int) -> int:
-    return int(bits[perm[lo:hi]].astype(np.int64).sum() & 1)
-
-
-@dataclass
-class _PassState:
-    k: int
-    perm: np.ndarray          # shuffled position -> original index
-    block_of: np.ndarray      # original index -> block number
-    odd: np.ndarray           # per-block parity-mismatch flags
+def _subset_parities(packed_masks: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Parity of ``bits`` over each row of a ``np.packbits(masks, axis=1)`` array."""
+    ones = np.bitwise_count(packed_masks & np.packbits(bits)).sum(axis=1, dtype=np.int64)
+    return (ones & 1).astype(np.uint8)
 
 
 def reconcile(
@@ -376,11 +373,15 @@ def reconcile(
     seed is put on the transcript, splits into blocks (first pass sized
     0.73 / max(estimate, 0.005); doubling afterwards, but never beyond
     half the key, so every pass can still separate an error pair), and
-    compares block parities.  Odd blocks are binary-searched to one wrong
-    bit, which is flipped on the ``b`` side; every flip reopens the blocks
-    of earlier passes containing that bit, so error pairs missed early are
-    unwound later.  A final batch of random-subset parities confirms
-    equality.
+    compares block parities.  The odd blocks of a pass are binary-searched
+    together, one level at a time: each level is one ``ParityQuery`` with
+    the int64 ``lo``/``hi`` bounds of every open range and one
+    ``ParityReply`` with their packed parities (``n_bits`` = number of
+    ranges).  The wrong bit found in each block is flipped on the ``b``
+    side, and the flips reopen the blocks of other passes containing those
+    bits; rounds then bisect the first pass with odd blocks until none is
+    left, so error pairs missed early are unwound later.  A final batch of
+    random-subset parities confirms equality.
 
     Returns ``(a, corrected_b, leaked_bits)`` where ``leaked_bits`` counts
     every parity bit put on the transcript, final check included.
@@ -405,36 +406,38 @@ def reconcile(
     k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
     k_cap = max(k1, n // 2)
     leaked = 0
-    states: list[_PassState] = []
-    stack: list[tuple[int, int]] = []
+    # per pass: block size, shuffled position -> original index, original
+    # index -> block number, prefix parities of a, per-block mismatch flags
+    passes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def binary_search_and_flip(q: int, blk: int) -> None:
+    def bisect_and_flip(q: int) -> None:
+        """Bisect every odd block of pass ``q`` together, one query and one
+        reply per level, then flip the wrong bit found in each block."""
         nonlocal leaked
-        st = states[q]
-        lo = blk * st.k
-        hi = min(lo + st.k, n)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
+        k, perm, _, pre_a, odd = passes[q]
+        pre_b = _prefix_parities(bb, perm)
+        lo = np.flatnonzero(odd) * k
+        hi = np.minimum(lo + k, n)
+        while (open_ := np.flatnonzero(hi - lo > 1)).size:
+            qlo = lo[open_]
+            mid = (qlo + hi[open_]) // 2
             transcript.append(
-                "ParityQuery", client, server, link, {"pass": q, "lo": lo, "hi": mid}
+                "ParityQuery", client, server, link,
+                {"pass": q, "lo": qlo.tobytes(), "hi": mid.tobytes()},
             )
-            sp = _range_parity(ab, st.perm, lo, mid)
+            par_a = pre_a[mid] ^ pre_a[qlo]
             transcript.append(
                 "ParityReply", server, client, link,
-                {"pass": q, "lo": lo, "hi": mid, "parity": sp, "n_bits": 1},
+                {"pass": q, "parities": np.packbits(par_a).tobytes(), "n_bits": mid.size},
             )
-            leaked += 1
-            if sp != _range_parity(bb, st.perm, lo, mid):
-                hi = mid
-            else:
-                lo = mid
-        j = int(st.perm[lo])
-        bb[j] ^= 1
-        for r, other in enumerate(states):
-            brk = int(other.block_of[j])
-            other.odd[brk] = not other.odd[brk]
-            if other.odd[brk]:
-                stack.append((r, brk))
+            leaked += mid.size
+            left = par_a != pre_b[mid] ^ pre_b[qlo]
+            hi[open_[left]] = mid[left]
+            lo[open_[~left]] = mid[~left]
+        wrong = perm[lo]
+        bb[wrong] ^= 1
+        for _, _, block_of, _, other_odd in passes:
+            np.bitwise_xor.at(other_odd, block_of[wrong], True)
 
     for p in range(n_passes):
         k = min(k1 << p, k_cap)
@@ -445,49 +448,53 @@ def reconcile(
         perm = np.random.default_rng(seed).permutation(n)
         block_of = np.empty(n, dtype=np.int64)
         block_of[perm] = np.arange(n, dtype=np.int64) // k
-        n_blocks = math.ceil(n / k)
+        starts = np.arange(0, n, k)
+        ends = np.minimum(starts + k, n)
 
         transcript.append(
             "ParityQuery", client, server, link, {"pass": p, "block_size": k}
         )
-        server_par = _block_parities(ab, perm, k)
+        pre_a = _prefix_parities(ab, perm)
+        server_par = pre_a[ends] ^ pre_a[starts]
         transcript.append(
             "ParityReply", server, client, link,
             {
                 "pass": p,
                 "block_size": k,
                 "parities": np.packbits(server_par).tobytes(),
-                "n_bits": n_blocks,
+                "n_bits": starts.size,
             },
         )
-        leaked += n_blocks
-        odd = server_par != _block_parities(bb, perm, k)
-        states.append(_PassState(k=k, perm=perm, block_of=block_of, odd=odd))
-        stack.extend((p, int(blk)) for blk in np.flatnonzero(odd))
-        while stack:
-            q, blk = stack.pop()
-            if states[q].odd[blk]:
-                binary_search_and_flip(q, blk)
+        leaked += starts.size
+        pre_b = _prefix_parities(bb, perm)
+        passes.append((k, perm, block_of, pre_a, server_par != pre_b[ends] ^ pre_b[starts]))
+        # each round's flips reopen blocks of other passes; bisect the first
+        # pass with odd blocks, smallest blocks first, until none is odd
+        while odd_passes := [r for r, (*_, odd) in enumerate(passes) if odd.any()]:
+            bisect_and_flip(odd_passes[0])
 
     check_seed = int(rng.integers(0, 2**63))
     transcript.append(
         "FinalCheck", client, server, link,
         {"seed": check_seed, "n_subsets": final_check_bits},
     )
-    masks = np.random.default_rng(check_seed).integers(
-        0, 2, size=(final_check_bits, n), dtype=np.uint8
+    masks = np.packbits(
+        np.random.default_rng(check_seed).integers(
+            0, 2, size=(final_check_bits, n), dtype=np.uint8
+        ),
+        axis=1,
     )
-    digest_a = (masks.astype(np.int64) @ ab.astype(np.int64)) & 1
+    digest_a = _subset_parities(masks, ab)
     transcript.append(
         "FinalCheck", server, client, link,
         {
             "seed": check_seed,
-            "digest": np.packbits(digest_a.astype(np.uint8)).tobytes(),
+            "digest": np.packbits(digest_a).tobytes(),
             "n_bits": final_check_bits,
         },
     )
     leaked += final_check_bits
-    digest_b = (masks.astype(np.int64) @ bb.astype(np.int64)) & 1
+    digest_b = _subset_parities(masks, bb)
     if not np.array_equal(digest_a, digest_b):
         raise ReconciliationError(
             f"final check failed on {int(np.count_nonzero(digest_a != digest_b))} "
@@ -522,17 +529,8 @@ class FlipMask:
         return int(self.positions.size)
 
     @property
-    def is_empty(self) -> bool:
-        return self.positions.size == 0
-
-    @property
     def positions_one_based(self) -> tuple[int, ...]:
         return tuple(int(p) + 1 for p in self.positions)
-
-    def as_bit_array(self) -> np.ndarray:
-        mask = np.zeros(self.length, dtype=np.uint8)
-        mask[self.positions] = 1
-        return mask
 
 
 def compute_flip_mask(reference: KeyBlock, other: KeyBlock) -> FlipMask:

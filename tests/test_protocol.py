@@ -35,6 +35,40 @@ def make_blocks(bits_a, bits_b, link=None):
     )
 
 
+def disclosed_parity_bits(transcript, bits):
+    """Sum of ``n_bits`` over the parity replies, checking each one's shape.
+
+    Every bisection reply must answer the query before it: one parity of
+    ``bits`` per int64 range ``[lo, hi)`` of the announced permutation,
+    packed into exactly ``(n_bits + 7) // 8`` bytes, with no single-bit
+    ``parity`` field for leak counters to mistake it by.
+    """
+    messages = list(transcript)
+    perms = {}
+    total = 0
+    for prev, m in zip([None] + messages, messages):
+        if m.kind == "PermutationSeed":
+            perms[m.payload["pass"]] = np.random.default_rng(m.payload["seed"]).permutation(
+                bits.size
+            )
+        if not (m.kind == "ParityReply" or (m.kind == "FinalCheck" and "digest" in m.payload)):
+            continue
+        n_bits = m.payload["n_bits"]
+        packed = m.payload["parities" if m.kind == "ParityReply" else "digest"]
+        assert len(packed) == (n_bits + 7) // 8
+        assert "parity" not in m.payload
+        total += n_bits
+        if m.kind == "ParityReply" and "block_size" not in m.payload:
+            assert prev.kind == "ParityQuery" and prev.payload["pass"] == m.payload["pass"]
+            lo = np.frombuffer(prev.payload["lo"], dtype=np.int64)
+            hi = np.frombuffer(prev.payload["hi"], dtype=np.int64)
+            assert lo.size == hi.size == n_bits > 0
+            perm = perms[m.payload["pass"]]
+            expected = [int(bits[perm[l:h]].sum()) & 1 for l, h in zip(lo, hi)]
+            assert np.unpackbits(np.frombuffer(packed, np.uint8))[:n_bits].tolist() == expected
+    return total
+
+
 @st.composite
 def bit_pairs(draw, min_size=1, max_size=200):
     n = draw(st.integers(min_value=min_size, max_value=max_size))
@@ -276,10 +310,60 @@ class TestReconcile:
         a, b = make_blocks(bits, wrong)
         t = Transcript()
         try:
-            _, _, leaked = reconcile(a, b, min(n_err, n) / n, t, rng=rng)
+            ca, cb, leaked = reconcile(a, b, min(n_err, n) / n, t, rng=rng)
         except ReconciliationError:
             return  # rare non-convergence still keeps accounting elsewhere
-        assert leaked == t.parity_bit_count()
+        assert leaked == t.parity_bit_count() == disclosed_parity_bits(t, bits)
+        assert np.array_equal(cb.bits, ca.bits)
+
+    def test_bisection_levels_batched_in_message_pairs(self):
+        rng = np.random.default_rng(10_000)
+        n, n_err = 2048, 61
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        wrong = bits.copy()
+        wrong[rng.choice(n, size=n_err, replace=False)] ^= 1
+        a, b = make_blocks(bits, wrong)
+        t = Transcript()
+        ca, cb, leaked = reconcile(a, b, n_err / n, t, rng=rng)
+        assert np.array_equal(cb.bits, ca.bits)
+        assert leaked == disclosed_parity_bits(t, bits)
+        widths = [
+            m.payload["n_bits"] for m in t
+            if m.kind == "ParityReply" and "block_size" not in m.payload
+        ]
+        assert max(widths) > 1  # one level answers many blocks at once
+
+    def test_message_budget(self):
+        # one message pair per bisection step sends about 3,000 messages
+        # here, one pair per level about 130
+        rng = np.random.default_rng(0)
+        n = 20_000
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        wrong = bits.copy()
+        wrong[rng.choice(n, size=240, replace=False)] ^= 1
+        a, b = make_blocks(bits, wrong)
+        t = Transcript()
+        ca, cb, _ = reconcile(a, b, 0.012, t, rng=rng)
+        assert np.array_equal(cb.bits, ca.bits)
+        assert len(t) <= 300
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 513, 10_000])
+    def test_final_check_matches_matmul_reference(self, n):
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        wrong = bits.copy()
+        wrong[n // 2] ^= 1
+        a, b = make_blocks(bits, wrong)
+        t = Transcript()
+        ca, cb, _ = reconcile(a, b, 1 / n, t, rng=rng)
+        assert np.array_equal(cb.bits, ca.bits)
+        reply = t.messages[-1]
+        assert reply.kind == "FinalCheck"
+        masks = np.random.default_rng(reply.payload["seed"]).integers(
+            0, 2, size=(64, n), dtype=np.uint8
+        )
+        reference = (masks.astype(np.int64) @ bits.astype(np.int64)) & 1
+        assert reply.payload["digest"] == np.packbits(reference.astype(np.uint8)).tobytes()
 
 
 class TestFlipMask:
@@ -293,7 +377,7 @@ class TestFlipMask:
     def test_identical_gives_empty_mask(self):
         a, b = make_blocks([1, 0, 1], [1, 0, 1])
         mask = compute_flip_mask(a, b)
-        assert mask.is_empty
+        assert len(mask) == 0
         assert np.array_equal(apply_flip_mask(b, mask).bits, b.bits)
 
     def test_complement_sets_all(self):
@@ -317,7 +401,6 @@ class TestFlipMask:
             FlipMask(4, np.array([2, 2], dtype=np.int64))
         with pytest.raises(ValueError):
             FlipMask(4, np.array([-1], dtype=np.int64))
-        assert FlipMask(4, np.array([1, 3], dtype=np.int64)).as_bit_array().tolist() == [0, 1, 0, 1]
 
     @given(bit_pairs())
     @settings(max_examples=100)
@@ -328,7 +411,7 @@ class TestFlipMask:
         assert np.array_equal(apply_flip_mask(b, mask).bits, a.bits)
         twice = apply_flip_mask(apply_flip_mask(b, mask), mask)
         assert np.array_equal(twice.bits, b.bits)
-        assert compute_flip_mask(a, a).is_empty
+        assert len(compute_flip_mask(a, a)) == 0
 
 
 class TestSessionConfig:

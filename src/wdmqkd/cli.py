@@ -58,8 +58,9 @@ EXIT_USAGE = 2
 EXIT_ABORT = 3
 
 _TOP_KEYS = frozenset({"network", "session", "sweep", "output"})
-_ROUTER_KEYS = frozenset({"ports", "uniform_loss_db", "loss_file", "crosstalk_db"})
-_SWEEP_KEYS = frozenset({"start_db", "stop_db", "step_db"})
+_ROUTER_KEYS = frozenset({"ports", "uniform_loss_db", "loss_file"})
+_SWEEP_ORDER = ("start_db", "stop_db", "step_db")
+_SWEEP_KEYS = frozenset(_SWEEP_ORDER)
 _OUTPUT_KEYS = frozenset({"key_dir", "csv"})
 
 
@@ -161,7 +162,10 @@ def _build(cls, section: Mapping, where: str, fixed: Sequence[str] = (), **given
     for name, parse in parsers.items():
         if parse is not None and name in section:
             kwargs[name] = parse(section[name], f"{where}.{name}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def _section(node: Any, where: str) -> dict:
@@ -177,22 +181,19 @@ def _build_router(node: Any, base_dir: Path):
     ports = _as_int(data.get("ports", 4), "network.router.ports")
     if ports < 2:
         raise ConfigError(f"network.router.ports must be at least 2, got {ports}")
-    crosstalk = _as_float(data.get("crosstalk_db", 28.0), "network.router.crosstalk_db")
     nm = FOURPORT_CHANNEL_NM if ports == 4 else None
     assignment = build_assignment(ports, nm=nm)
     if "loss_file" in data:
         path = base_dir / str(data["loss_file"])
         if not path.is_file():
             raise ConfigError(f"network.router.loss_file not found: {path}")
-        return import_loss_matrix(
-            path.read_text(encoding="utf-8"), assignment, crosstalk_db=crosstalk
-        )
+        return import_loss_matrix(path.read_text(encoding="utf-8"), assignment)
     if "uniform_loss_db" in data:
         loss = _as_float(data["uniform_loss_db"], "network.router.uniform_loss_db")
-        return uniform_router_spec(assignment, loss_db=loss, crosstalk_db=crosstalk)
+        return uniform_router_spec(assignment, loss_db=loss)
     if ports == 4:
-        return fourport_router_spec(crosstalk_db=crosstalk)
-    return uniform_router_spec(assignment, crosstalk_db=crosstalk)
+        return fourport_router_spec()
+    return uniform_router_spec(assignment)
 
 
 def _build_detectors(
@@ -398,6 +399,9 @@ def cmd_sweep(run_cfg: RunConfig, out: str | None) -> int:
     """QBER versus eATT sweep; CSV artifact plus a per-channel summary."""
     if run_cfg.sweep_db is None:
         raise ConfigError("the config has no sweep section")
+    for key, value in zip(_SWEEP_ORDER, run_cfg.sweep_db):
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep.{key} must be finite, got {value}")
     start, stop, step = run_cfg.sweep_db
     if step <= 0:
         raise ConfigError(f"sweep.step_db must be positive, got {step}")

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -52,14 +51,7 @@ from .protocol import (
     SessionResult,
     run_session,
 )
-from .router import (
-    ChannelId,
-    RouterSpec,
-    UnroutableWavelengthError,
-    fourport_router_spec,
-    path_loss_db,
-    route,
-)
+from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db
 
 __all__ = [
     "Event",
@@ -305,16 +297,6 @@ class EventLog:
             body = b"".join(templates[owners].tolist())
             yield body % tuple(times[owners < n_seg].tolist())
 
-    def events(self) -> Iterator[Event]:
-        segs, n_seg = self._segments, len(self._segments)
-        for times, owners in self._merged():
-            for time_ns, owner in zip(times.tolist(), owners.tolist()):
-                if owner < n_seg:
-                    s = segs[owner]
-                    yield Event(time_ns, s.kind, s.port, s.channel, s.detail)
-                else:
-                    yield self._singles[owner - n_seg][3]
-
     def render_lines(self) -> Iterator[str]:
         for chunk in self._chunks():
             yield from chunk.decode().split("\n")[:-1]
@@ -370,8 +352,8 @@ class NetworkSpec:
 
     The port named by ``server`` holds the source; every other port holds
     a client with its own detector and a per-link eATT on its path.
-    ``frame_period_ns`` must equal 10⁹ / source rep rate; leave it None to
-    have it derived.
+    The frame period is 10⁹ / source rep rate, which must be a whole
+    number of nanoseconds.
     """
 
     router: RouterSpec
@@ -380,7 +362,6 @@ class NetworkSpec:
     detectors: Mapping[int, DetectorModel]
     eatt_db: Mapping[int, float]
     offsets_ns: Mapping[int, int] | None = None
-    frame_period_ns: int | None = None
     guard_ns: int = DEFAULT_GUARD_NS
     classical_delay_ns: int = 0
 
@@ -396,14 +377,6 @@ class NetworkSpec:
             raise ValueError(
                 f"rep rate {self.source.rep_rate_hz} Hz gives a non-integer "
                 f"frame period of {period} ns"
-            )
-        period = int(round(period))
-        if self.frame_period_ns is None:
-            object.__setattr__(self, "frame_period_ns", period)
-        elif self.frame_period_ns != period:
-            raise ValueError(
-                f"frame period {self.frame_period_ns} ns contradicts the "
-                f"{self.source.rep_rate_hz} Hz rep rate ({period} ns)"
             )
 
         if set(self.detectors) != set(clients):
@@ -423,8 +396,8 @@ class NetworkSpec:
                 f"got {sorted(self.eatt_db)}"
             )
         for p, db in self.eatt_db.items():
-            if db < 0:
-                raise ValueError(f"eATT at port {p} is negative: {db} dB")
+            if not db >= 0:
+                raise ValueError(f"eatt_db at port {p} must be >= 0 dB, got {db}")
 
         channel_idx = tuple(ch.index for ch in a.channels)
         if self.offsets_ns is None:
@@ -447,6 +420,10 @@ class NetworkSpec:
                     raise ValueError(
                         f"offset {off} ns of channel {ch} outside the frame"
                     )
+
+    @property
+    def frame_period_ns(self) -> int:
+        return round(1e9 / self.source.rep_rate_hz)
 
     @property
     def clients(self) -> tuple[int, ...]:
@@ -521,7 +498,7 @@ class Network:
         return self._assignment.n_ports
 
     def port_label(self, port: int) -> str:
-        return self._assignment.port(port).label
+        return self._labels[port]
 
     def clock_ns(self) -> int:
         self._now += self.spec.classical_delay_ns
@@ -544,12 +521,6 @@ class Network:
             )
         )
 
-    def link_budget(self, server: int, client: int) -> LinkBudget:
-        return LinkBudget.of(
-            ("router", path_loss_db(self.spec.router, server, client)),
-            ("eATT", float(self.spec.eatt_db[client])),
-        )
-
     def link_parameters(self, server: int, client: int) -> LinkParameters:
         if server != self.spec.server:
             raise ValueError(
@@ -558,7 +529,10 @@ class Network:
             )
         channel = self._assignment.pair_channel(server, client)
         det = self.spec.detectors[client]
-        budget = self.link_budget(server, client)
+        budget = LinkBudget.of(
+            ("router", path_loss_db(self.spec.router, server, client)),
+            ("eATT", float(self.spec.eatt_db[client])),
+        )
         return LinkParameters(
             channel=channel,
             p_sig=p_signal_click(self.spec.source, budget, det),
@@ -589,18 +563,17 @@ class Network:
         params = self.link_parameters(server, client)
         period = self.spec.frame_period_ns
         start = self._window_start(n_frames) + params.offset_ns
-        budget = self.link_budget(server, client)
         clicks = sample_clicks(
             n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )
-        router_db, eatt_db = (db for _, db in budget.components)
+        router_db = float(path_loss_db(self.spec.router, server, client))
         self.events.append_train(
             start, period, n_frames,
             "pulse-arrival",
             self.port_label(server),
             params.channel.label,
             f"dest={self.port_label(client)} router_db={router_db} "
-            f"eatt_db={eatt_db} loss_db={budget.total_db}",
+            f"eatt_db={float(self.spec.eatt_db[client])} loss_db={params.total_loss_db}",
         )
         self.events.append_train(
             start, period, n_frames,
@@ -610,32 +583,6 @@ class Network:
             f"width_ns={self.spec.detectors[client].gate_width_ns}",
         )
         return clicks
-
-    def inject_pulse(self, in_port: int, channel: int | ChannelId, frame: int = 0):
-        """Send one isolated pulse; returns the output port, or None if the
-        wavelength is dark at that input and the pulse is discarded."""
-        period = self.spec.frame_period_ns
-        ch_index = channel.index if isinstance(channel, ChannelId) else int(channel)
-        offset = self.spec.offsets_ns.get(ch_index, 0)
-        time_ns = (self._now // period + 1 + frame) * period + offset
-        label = ChannelId(ch_index).label
-        try:
-            dest = route(self.spec.router, in_port, ch_index)
-        except UnroutableWavelengthError:
-            self.events.append(
-                Event(
-                    time_ns, "pulse-arrival", self.port_label(in_port), label,
-                    "dest=- discarded=unroutable",
-                )
-            )
-            return None
-        self.events.append(
-            Event(
-                time_ns, "pulse-arrival", self.port_label(in_port), label,
-                f"dest={dest.label}",
-            )
-        )
-        return dest
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,7 +650,7 @@ def sweep_attenuation(
     """
     if not db_list:
         raise ValueError("db_list must be nonempty")
-    if any(db < 0 for db in db_list):
+    if not all(db >= 0 for db in db_list):
         raise ValueError("attenuations must be nonnegative")
     master = cfg.seed if seed is None else int(seed)
     rows: list[SweepRow] = []

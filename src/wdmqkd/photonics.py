@@ -61,16 +61,16 @@ class SourceModel:
     e_opt: float = DEFAULT_E_OPT
 
     def __post_init__(self) -> None:
-        if self.mean_photon_number <= 0:
-            raise ValueError(f"mean photon number must be > 0, got {self.mean_photon_number}")
+        if not self.mean_photon_number > 0:
+            raise ValueError(f"mean_photon_number must be > 0, got {self.mean_photon_number}")
         if self.mean_photon_number > 1:
             warnings.warn(
                 f"mean photon number {self.mean_photon_number} > 1 is far from the "
                 "pseudo-single-photon regime this model assumes",
                 stacklevel=2,
             )
-        if self.rep_rate_hz <= 0:
-            raise ValueError(f"repetition rate must be > 0, got {self.rep_rate_hz}")
+        if not self.rep_rate_hz > 0:
+            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
         if not 0 <= self.e_opt < 0.5:
             raise ValueError(f"e_opt must be in [0, 0.5), got {self.e_opt}")
 
@@ -87,12 +87,12 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.dark_rate_hz < 0:
-            raise ValueError(f"dark rate must be >= 0, got {self.dark_rate_hz}")
-        if self.gate_width_ns <= 0:
-            raise ValueError(f"gate width must be > 0, got {self.gate_width_ns}")
-        if self.rep_rate_hz <= 0:
-            raise ValueError(f"repetition rate must be > 0, got {self.rep_rate_hz}")
+        if not self.dark_rate_hz >= 0:
+            raise ValueError(f"dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
+        if not self.gate_width_ns > 0:
+            raise ValueError(f"gate_width_ns must be > 0, got {self.gate_width_ns}")
+        if not self.rep_rate_hz > 0:
+            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
         if self.dark_rate_hz >= self.rep_rate_hz:
             raise ValueError(
                 f"dark rate {self.dark_rate_hz} Hz must stay below the "
@@ -110,8 +110,8 @@ class LinkBudget:
         norm = tuple((str(lbl), float(db)) for lbl, db in self.components)
         object.__setattr__(self, "components", norm)
         for lbl, db in self.components:
-            if db < 0:
-                raise ValueError(f"loss component {lbl!r} is negative: {db} dB")
+            if not db >= 0:
+                raise ValueError(f"loss component {lbl!r} must be >= 0 dB, got {db}")
 
     @classmethod
     def of(cls, *components: tuple[str, float]) -> "LinkBudget":
@@ -125,13 +125,10 @@ class LinkBudget:
     def transmittance(self) -> float:
         return transmittance(self.total_db)
 
-    def plus(self, label: str, db: float) -> "LinkBudget":
-        return LinkBudget(self.components + ((label, float(db)),))
-
 
 def transmittance(loss_db: float) -> float:
     """Power transmittance of a ``loss_db`` attenuation: 10^(-dB/10)."""
-    if loss_db < 0:
+    if not loss_db >= 0:
         raise ValueError(f"loss must be >= 0 dB, got {loss_db}")
     return float(10.0 ** (-loss_db / 10.0))
 
@@ -271,8 +268,8 @@ def attenuation_to_length(
     extra_db: float, fiber_alpha: float = DEFAULT_FIBER_ALPHA_DB_PER_KM
 ) -> float:
     """Fiber length whose attenuation equals ``extra_db`` at ``fiber_alpha`` dB/km."""
-    if fiber_alpha <= 0:
+    if not fiber_alpha > 0:
         raise ValueError(f"fiber attenuation must be > 0 dB/km, got {fiber_alpha}")
-    if extra_db < 0:
+    if not extra_db >= 0:
         raise ValueError(f"attenuation must be >= 0 dB, got {extra_db}")
     return extra_db / fiber_alpha

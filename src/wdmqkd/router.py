@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "ChannelId",
@@ -358,10 +358,6 @@ def verify_assignment(assignment: WavelengthAssignment) -> VerificationReport:
 # Loss model
 
 
-# Default crosstalk bound check; figures far outside this range are almost
-# certainly unit mistakes (fractions instead of dB, or missing sign).
-CROSSTALK_SANE_DB = (10.0, 60.0)
-
 # Uniform fallback insertion loss for simulated routers without a measured
 # matrix: roughly the mean of the shipped 4-port unit.
 DEFAULT_UNIFORM_LOSS_DB = 2.2
@@ -377,7 +373,6 @@ class RouterSpec:
 
     assignment: WavelengthAssignment
     insertion_loss_db: Mapping[tuple[int, int], float]
-    crosstalk_db: float = 28.0
 
     def __post_init__(self) -> None:
         n = self.assignment.n_ports
@@ -389,24 +384,18 @@ class RouterSpec:
                 f"missing={sorted(want - have)} extra={sorted(have - want)}"
             )
         for pair, db in self.insertion_loss_db.items():
-            if db < 0:
-                raise ValueError(f"negative insertion loss {db} dB at {pair}")
-        lo, hi = CROSSTALK_SANE_DB
-        if not lo <= self.crosstalk_db <= hi:
-            raise ValueError(
-                f"crosstalk {self.crosstalk_db} dB outside sane range {lo}-{hi} dB"
-            )
+            if not db >= 0:
+                raise ValueError(f"insertion loss at {pair} must be >= 0 dB, got {db}")
 
 
 def uniform_router_spec(
     assignment: WavelengthAssignment,
     loss_db: float = DEFAULT_UNIFORM_LOSS_DB,
-    crosstalk_db: float = 28.0,
 ) -> RouterSpec:
     """RouterSpec with one loss figure for every directed path."""
     n = assignment.n_ports
     losses = {(i, j): loss_db for i in range(n) for j in range(n) if i != j}
-    return RouterSpec(assignment, losses, crosstalk_db)
+    return RouterSpec(assignment, losses)
 
 
 # Measured insertion losses (dB) of the shipped 4-port unit, directed
@@ -419,14 +408,14 @@ FOURPORT_LOSS_DB: dict[tuple[str, str], float] = {
 }
 
 
-def fourport_router_spec(crosstalk_db: float = 28.0) -> RouterSpec:
+def fourport_router_spec() -> RouterSpec:
     """The canonical 4-port unit: measured losses, 1510/1530/1550 nm channels."""
     assignment = build_assignment(4, nm=FOURPORT_CHANNEL_NM)
     by_label = {p.label: p.index for p in assignment.ports}
     losses = {
         (by_label[a], by_label[b]): db for (a, b), db in FOURPORT_LOSS_DB.items()
     }
-    return RouterSpec(assignment, losses, crosstalk_db)
+    return RouterSpec(assignment, losses)
 
 
 def path_loss_db(
@@ -492,7 +481,6 @@ def import_loss_matrix(
     text: str,
     assignment: WavelengthAssignment,
     default_db: float = DEFAULT_UNIFORM_LOSS_DB,
-    crosstalk_db: float = 28.0,
 ) -> RouterSpec:
     """Parse directed ``in out dB`` lines; absent pairs get ``default_db``."""
     n = assignment.n_ports
@@ -508,7 +496,7 @@ def import_loss_matrix(
         if pi.index == po.index:
             raise ValueError(f"loss matrix line {lineno}: diagonal entry {parts[0]}")
         db = float(parts[2])
-        if db < 0:
-            raise ValueError(f"loss matrix line {lineno}: negative loss {db}")
+        if not db >= 0:
+            raise ValueError(f"loss matrix line {lineno}: loss must be >= 0 dB, got {db}")
         losses[(pi.index, po.index)] = db
-    return RouterSpec(assignment, losses, crosstalk_db)
+    return RouterSpec(assignment, losses)

@@ -40,11 +40,11 @@ UNKNOWN_KEY_CASES = {
     "network": (
         "network: {serverr: 1}\n",
         "serverr; allowed: classical_delay_ns, detectors, eatt_db, "
-        "frame_period_ns, guard_ns, offsets_ns, router, server, source",
+        "guard_ns, offsets_ns, router, server, source",
     ),
     "network.router": (
         "network: {router: {portz: 4}}\n",
-        "portz; allowed: crosstalk_db, loss_file, ports, uniform_loss_db",
+        "portz; allowed: loss_file, ports, uniform_loss_db",
     ),
     "network.source": (
         "network: {source: {mu: 0.1}}\n",
@@ -173,9 +173,16 @@ class TestSimulate:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_key_named_in_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "session: {n_frame: 1000}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "n_frame" in capsys.readouterr().err
+        for text, key in [
+            ("session: {n_frame: 1000}\n", "n_frame"),
+            # keys no longer in the config format
+            ("network: {frame_period_ns: 1000}\n", "frame_period_ns"),
+            ("network: {router: {crosstalk_db: 28.0}}\n", "crosstalk_db"),
+        ]:
+            cfg = write_config(tmp_path, text)
+            assert main(["simulate", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "unknown key(s)" in err and key in err
 
     def test_malformed_yaml(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: [unclosed\n")
@@ -188,6 +195,28 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            ("simulate", "network: {eatt_db: .nan}", "network: eatt_db"),
+            ("simulate", "network: {source: {mean_photon_number: .nan}}",
+             "network.source: mean_photon_number"),
+            ("simulate", "network: {source: {rep_rate_hz: .nan}}", "network.source: rep_rate_hz"),
+            ("simulate", "network: {detectors: {1: {}, 2: {dark_rate_hz: .nan}, 3: {}}}",
+             "network.detectors.2: dark_rate_hz"),
+            ("simulate", "network: {detectors: {1: {gate_width_ns: .nan}, 2: {}, 3: {}}}",
+             "network.detectors.1: gate_width_ns"),
+            ("sweep", "sweep: {start_db: .nan, stop_db: 10.0, step_db: 5.0}", "sweep.start_db"),
+            ("sweep", "sweep: {start_db: 0.0, stop_db: .inf, step_db: 5.0}", "sweep.stop_db"),
+            ("sweep", "sweep: {start_db: 0.0, stop_db: 10.0, step_db: .nan}", "sweep.step_db"),
+        ],
+    )
+    def test_non_finite_value_named(self, tmp_path, capsys, command, text, field):
+        cfg = write_config(tmp_path, text + "\nsession: {n_frames: 2000}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and ("nan" in err or "inf" in err)
 
     def test_low_frame_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: {n_frames: 500}\n")
@@ -309,6 +338,7 @@ class TestSessionOutcomes:
     )
     @example(n_frames=1, eatt_db=40.0, seed=0, shape=SESSION_SHAPES[3])  # link A-B: 0 clicks
     @example(n_frames=200, eatt_db=0.0, seed=1, shape=SESSION_SHAPES[0])  # 1 click, sifted
+    @example(n_frames=2000, eatt_db=float("inf"), seed=0, shape=SESSION_SHAPES[3])  # cut links
     def test_agreed_keys_or_session_error(self, tmp_path_factory, n_frames, eatt_db, seed, shape):
         mode, clients = shape
         cfg = SessionConfig(server=0, clients=clients, mode=mode, n_frames=n_frames, seed=seed)
@@ -344,7 +374,7 @@ class TestLoadConfig:
     def test_full_network_section(self, tmp_path):
         text = """\
 network:
-  router: {ports: 4, uniform_loss_db: 2.0, crosstalk_db: 30.0}
+  router: {ports: 4, uniform_loss_db: 2.0}
   server: 1
   source: {mean_photon_number: 0.2, rep_rate_hz: 500000.0, e_opt: 0.02}
   detectors:
@@ -353,7 +383,6 @@ network:
     3: {dark_rate_hz: 30.0, gate_width_ns: 3.0}
   eatt_db: {0: 1.0, 2: 2.0, 3: 3.0}
   offsets_ns: {0: 0, 1: 700, 2: 1400}
-  frame_period_ns: 2000
   guard_ns: 50
   classical_delay_ns: 5
 session:
@@ -372,7 +401,7 @@ session:
         assert cfg.spec.detectors[3].gate_width_ns == 3.0
         assert cfg.spec.eatt_db == {0: 1.0, 2: 2.0, 3: 3.0}
         assert cfg.spec.offsets_ns == {0: 0, 1: 700, 2: 1400}
-        assert cfg.spec.frame_period_ns == 2000
+        assert cfg.spec.frame_period_ns == 2000  # from the 500 kHz source
         assert cfg.spec.guard_ns == 50
         assert cfg.spec.classical_delay_ns == 5
         assert cfg.session.mode == "multicast"

@@ -246,11 +246,6 @@ class TestModels:
         assert b.total_db == pytest.approx(7.0, rel=1e-12)
         assert b.transmittance == pytest.approx(transmittance(7.0), rel=1e-12)
 
-    def test_budget_plus_appends(self):
-        b = LinkBudget.of(("router", 2.0)).plus("eATT", 3.0)
-        assert b.total_db == 5.0
-        assert b.components[-1] == ("eATT", 3.0)
-
     def test_budget_rejects_negative(self):
         with pytest.raises(ValueError):
             LinkBudget.of(("gain?", -1.0))

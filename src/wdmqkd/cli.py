@@ -190,7 +190,10 @@ def _build_router(node: Any, base_dir: Path):
         return import_loss_matrix(path.read_text(encoding="utf-8"), assignment)
     if "uniform_loss_db" in data:
         loss = _as_float(data["uniform_loss_db"], "network.router.uniform_loss_db")
-        return uniform_router_spec(assignment, loss_db=loss)
+        try:
+            return uniform_router_spec(assignment, loss_db=loss)
+        except ValueError as err:
+            raise ConfigError(f"network.router.uniform_loss_db: {err}") from err
     if ports == 4:
         return fourport_router_spec()
     return uniform_router_spec(assignment)

@@ -9,10 +9,13 @@ in an event log that is totally ordered and reproducible from the seed.
 
 Pulse trains put millions of identical-period events in the log, so the
 log stores them as arithmetic segments and expands to lines only when
-rendered.  Rendering walks the log in time windows of bounded size: in
-each, the index range of every segment comes from arithmetic, one numpy
-lexsort orders its lines with the single events, and one ``%`` over
-per-segment byte templates formats the whole window at once.
+rendered.  Rendering walks the log in blocks of bounded size.  Where the
+active trains share one period and no single event falls, as across a
+quantum window, a block is a run of frames: one frame's order, found by
+one lexsort, holds for all of them.  Elsewhere a block is a time window
+that one numpy lexsort orders.  One writer turns every block into bytes:
+it tiles one row's bytes, every line's text after room for its time, and
+writes the decimal times into the room with numpy.
 """
 
 from __future__ import annotations
@@ -145,11 +148,6 @@ def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
         raise ValueError(f"event fields must not hold a newline: {fields!r}")
 
 
-def _escape(line: str) -> bytes:
-    """One rendered line as a literal ``%``-template, newline included."""
-    return line.encode().replace(b"%", b"%%") + b"\n"
-
-
 @dataclass(frozen=True)
 class _Segment:
     """``count`` identical events at times time0 + i·period_ns."""
@@ -162,6 +160,77 @@ class _Segment:
     channel: str
     detail: str
     seq0: int
+
+
+# Decimal classes of a time: searchsorted(_TIME_CLASSES, t, "right") is
+# 0..18 for negative times of 19..1 digits, 19..37 for times >= 0 of 1..19.
+_TIME_CLASSES = np.array(
+    [-(10**k - 1) for k in range(18, 0, -1)] + [0] + [10**k for k in range(1, 19)],
+    dtype=np.int64,
+)
+_CLASS_NEGATIVE = np.arange(38) < 19
+_CLASS_DIGITS = np.abs(np.arange(38) - 18) + _CLASS_NEGATIVE
+# Room for a time of each class: its sign, then zeros for the digits.
+_CLASS_ROOM = np.array(
+    [b"-" * bool(neg) + b"0" * int(n) for n, neg in zip(_CLASS_DIGITS, _CLASS_NEGATIVE)],
+    dtype=object,
+)
+
+
+def _digit_planes(values: np.ndarray, n_digits: int) -> np.ndarray:
+    """The ASCII decimal digits of nonnegative ``values`` that have
+    ``n_digits`` digits each: an (n_digits, *values.shape) uint8 array, most
+    significant digit first.  Digits come from uint32 division by 10, nine
+    at a time."""
+    planes = np.empty((n_digits, *values.shape), dtype=np.uint8)
+    parts = [values] if n_digits <= 9 else np.divmod(values, 10**9)[::-1]
+    i = n_digits
+    for part, n in zip(parts, (min(n_digits, 9), n_digits - 9)):
+        part = part.astype(np.uint32)
+        for _ in range(n):
+            i -= 1
+            quotient = part // 10
+            np.subtract(part, quotient * 10, out=planes[i], casting="unsafe")
+            part = quotient
+    planes += ord("0")
+    return planes
+
+
+def _write_block(
+    times: np.ndarray, owners: np.ndarray, suffixes: np.ndarray, suffix_len: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The lines of one (times, owners) block as UTF-8 bytes, one uint8
+    array per run of rows whose times keep their sign and digit count.
+
+    A run tiles one row's bytes, each owner's suffix after room for its
+    time, then writes the digits of the times.  Times rise down each
+    column of a block, so a block whose first and last rows agree in sign
+    and digit count is one run."""
+    cls = np.searchsorted(_TIME_CLASSES, times[[0, -1]] if len(times) > 1 else times, "right")
+    if (cls[0] != cls[-1]).any():
+        cls = np.searchsorted(_TIME_CLASSES, times, side="right")
+    cuts = (np.flatnonzero((cls[1:] != cls[:-1]).any(axis=1)) + 1).tolist()
+    pieces = np.empty(2 * owners.size, dtype=object)
+    pieces[1::2] = suffixes[owners]
+    for r0, r1 in zip([0, *cuts], [*cuts, len(times)]):
+        digits, negative = _CLASS_DIGITS[cls[r0]], _CLASS_NEGATIVE[cls[r0]]
+        pieces[0::2] = _CLASS_ROOM[cls[r0]]
+        out = np.tile(np.frombuffer(b"".join(pieces.tolist()), dtype=np.uint8), (r1 - r0, 1))
+        size = digits + negative + suffix_len[owners]
+        lead = np.cumsum(size) - size + negative
+        values = np.abs(times[r0:r1].T)
+        for n in np.flatnonzero(np.bincount(digits)).tolist():
+            cols = np.flatnonzero(digits == n)
+            planes = _digit_planes(values[cols], n)  # (n, columns, rows)
+            # copy along the shorter axis: a column's digits at once, or
+            # one digit of every column
+            if cols.size < len(out):
+                for j, at in enumerate(lead[cols].tolist()):
+                    out[:, at:at + n] = planes[:, j].T
+            else:
+                for i in range(n):
+                    out[:, lead[cols] + i] = planes[i].T
+        yield out.reshape(-1)
 
 
 class EventLog:
@@ -216,16 +285,26 @@ class EventLog:
     def _merge(
         segs: Sequence[_Segment], singles: Sequence[tuple[int, int, int, Event]]
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The events of ``segs`` and ``singles`` in log order, one window of
-        at most about ``_WINDOW_LINES`` lines at a time, as (times, owners)
-        arrays.
+        """The events of ``segs`` and ``singles`` in log order, in blocks of
+        at most about ``_WINDOW_LINES`` lines.
 
-        An owner below ``len(segs)`` indexes ``segs``; any other owner, less
-        that count, indexes ``singles``.  A window is a time interval: each
-        segment's lines in it form an index range found by arithmetic, the
-        singles in it a slice of their sorted times, and one lexsort orders
-        the lot.  A window exceeds the cap only when more events than that
-        share one instant.
+        A block is (times, owners): ``times`` an (m, P) array read row by
+        row, ``owners`` the P owners of its columns.  An owner below
+        ``len(segs)`` indexes ``segs``; any other owner, less that count,
+        indexes ``singles``.
+
+        The log is cut into time intervals at every segment's first and
+        after its last line and around every single.  In an interval where
+        the active segments share one period, no single falls, and whole
+        frames hold at least the cap's worth of lines, a frame of one period
+        holds one line of each segment, always in one order, so a lexsort
+        of the first frame orders them all: each row of a block is one
+        frame, the one above plus the period, and a block holds at most the
+        cap.  Elsewhere, blocks are one-row windows: each segment's lines in
+        a window form an index range found by arithmetic, the singles a
+        slice of their sorted times, and one lexsort orders the lot.  A
+        window holds fewer lines than the cap plus the most it has at one
+        instant.
         """
         n_seg = len(segs)
         t0, period, count, rank, seq0 = np.array(
@@ -235,71 +314,103 @@ class EventLog:
         keys = np.array([x[:3] for x in singles], dtype=np.int64).reshape(-1, 3)
         by_key = np.lexsort(keys.T[::-1])
         st, sr, sq = keys[by_key].T
-        total = int(count.sum()) + len(singles)
-        if not total:
+        if not count.sum() + len(singles):
             return
-        t_start = min([*t0, *st[:1]])
-        t_end = max([*(t0 + period * (count - 1)), *st[-1:]]) + 1
 
         def below(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Lines before each time in ``t``: per segment (a row each) and of the singles."""
             return np.clip(-((t0 - t[:, None]) // period), 0, count), np.searchsorted(st, t)
 
-        def window_ends() -> Iterator[int]:
-            """For each multiple of the cap, the latest time with at most that
-            many lines before it: one bisection for a batch of windows."""
+        def windows(t_lo: int, t_hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            """The lines in [t_lo, t_hi) as one-row blocks.  For each multiple
+            of the cap past the lines before ``t_lo``, one vectorized bisection
+            finds the latest time with at most that many lines before it."""
+            seg, s = below(np.array([t_lo, t_hi]))
+            (first, stop), seg_lo, s_lo = (seg.sum(axis=1) + s).tolist(), seg[0], int(s[0])
+            if first == stop:
+                return
             step = _WINDOW_LINES * _ENDS_PER_BISECTION
-            for first in range(_WINDOW_LINES, total + step, step):
-                limit = np.arange(first, first + step, _WINDOW_LINES)
-                lo, hi = np.full(limit.size, t_start), np.full(limit.size, t_end)
+            for batch in range(first + _WINDOW_LINES, stop + step, step):
+                limit = np.arange(batch, batch + step, _WINDOW_LINES)
+                lo, hi = np.full(limit.size, t_lo), np.full(limit.size, t_hi)
                 while (lo < hi).any():
                     mid = (lo + hi + 1) // 2
                     seg, s = below(mid)
                     fits = seg.sum(axis=1) + s <= limit
                     lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid - 1)
-                yield from lo.tolist()
+                for end in lo.tolist():
+                    seg_hi, s_hi = (x[0] for x in below(np.array([end])))
+                    n = seg_hi - seg_lo
+                    owner = np.repeat(np.arange(n_seg), n)
+                    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n - seg_lo, n)
+                    times = np.concatenate([t0[owner] + period[owner] * k, st[s_lo:s_hi]])
+                    order = np.lexsort((
+                        np.concatenate([seq0[owner] + k, sq[s_lo:s_hi]]),
+                        np.concatenate([rank[owner], sr[s_lo:s_hi]]),
+                        times,
+                    ))
+                    owners = np.concatenate([owner, n_seg + by_key[s_lo:s_hi]])
+                    if order.size:
+                        yield times[order][None, :], owners[order]
+                    seg_lo, s_lo = seg_hi, s_hi
+                    if end == t_hi:
+                        return
 
-        seg_lo, s_lo, done = np.zeros(n_seg, dtype=np.int64), 0, 0
-        for end in window_ends():
-            seg_hi, s_hi = below(np.array([end]))
-            seg_hi, s_hi = seg_hi[0], int(s_hi[0])
-            n = seg_hi - seg_lo
-            owner = np.repeat(np.arange(n_seg), n)
-            k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n - seg_lo, n)
-            times = np.concatenate([t0[owner] + period[owner] * k, st[s_lo:s_hi]])
-            order = np.lexsort((
-                np.concatenate([seq0[owner] + k, sq[s_lo:s_hi]]),
-                np.concatenate([rank[owner], sr[s_lo:s_hi]]),
-                times,
-            ))
-            owners = np.concatenate([owner, n_seg + by_key[s_lo:s_hi]])
-            yield times[order], owners[order]
-            seg_lo, s_lo, done = seg_hi, s_hi, done + order.size
-            if done == total:
-                return
+        # Intervals [cut[i], cut[i + 1]), some empty: inside one, each segment
+        # is active throughout or not at all, and a single is alone at its
+        # instant.
+        end = t0 + period * (count - 1) + 1
+        cut = np.sort(np.concatenate([t0, end, st, st + 1]))
+        first_iv, stop_iv = np.searchsorted(cut, t0), np.searchsorted(cut, end)
+        n_periods = np.zeros(cut.size - 1, dtype=np.int64)
+        n_active, frame_ns = n_periods.copy(), np.ones_like(n_periods)
+        for p in sorted(set(period.tolist())):
+            on = period == p
+            active = np.cumsum(
+                np.bincount(first_iv[on], minlength=cut.size)
+                - np.bincount(stop_iv[on], minlength=cut.size)
+            )[:-1]
+            n_periods += active > 0
+            n_active += active
+            frame_ns[active > 0] = p
+        frames = np.diff(cut) // frame_ns
+        periodic = (
+            (n_periods == 1) & (n_active <= _WINDOW_LINES)
+            & (np.minimum(frames, _WINDOW_LINES) * n_active >= _WINDOW_LINES)
+            & (np.diff(np.searchsorted(st, cut)) == 0)
+        )
+        done = int(cut[0])
+        for i in np.flatnonzero(periodic).tolist():
+            a, p, m = int(cut[i]), int(frame_ns[i]), int(frames[i])
+            yield from windows(done, a)
+            act = np.flatnonzero((first_iv <= i) & (i < stop_iv))
+            k = -((t0[act] - a) // p)  # each segment's first line at or after a
+            times = t0[act] + p * k
+            order = np.lexsort((seq0[act] + k, rank[act], times))
+            rows = _WINDOW_LINES // act.size
+            for r in range(0, m, rows):
+                yield times[order] + p * np.arange(r, min(r + rows, m))[:, None], act[order]
+            done = a + m * p
+        yield from windows(done, int(cut[-1]))
 
-    def _chunks(self) -> Iterator[bytes]:
-        """Each window of the log rendered as UTF-8 lines, each ending in a newline.
-
-        A segment renders through a ``%d`` template, a single as a literal
-        (``%`` doubled in both), so one ``%`` per window fills in the times.
-        """
-        n_seg = len(self._segments)
-        templates = np.array(
+    def _chunks(self) -> Iterator[np.ndarray]:
+        """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
+        of at most about one block each."""
+        # each owner's line less its time, newline included
+        suffixes = np.array(
             [
-                b"%d" + _escape(f" {s.kind} {s.port} {s.channel} {s.detail}".rstrip())
-                for s in self._segments
-            ]
-            + [_escape(ev.line()) for _, _, _, ev in self._singles],
+                f" {e.kind} {e.port} {e.channel} {e.detail}".rstrip().encode() + b"\n"
+                for e in itertools.chain(self._segments, (x[3] for x in self._singles))
+            ],
             dtype=object,
         )
+        suffix_len = np.array([len(s) for s in suffixes], dtype=np.int64)
         for times, owners in self._merged():
-            body = b"".join(templates[owners].tolist())
-            yield body % tuple(times[owners < n_seg].tolist())
+            yield from _write_block(times, owners, suffixes, suffix_len)
 
     def render_lines(self) -> Iterator[str]:
         for chunk in self._chunks():
-            yield from chunk.decode().split("\n")[:-1]
+            yield from chunk.tobytes().decode().split("\n")[:-1]
 
     def render_text(self, max_lines: int | None = None) -> str:
         if max_lines is None:
@@ -319,7 +430,7 @@ class EventLog:
         """Consecutive pulse arrivals on different channels closer than the guard.
 
         The arrivals alone are walked in log order, (time, sequence number),
-        one window at a time; each is reported as (time, channel, next
+        one block at a time; each is reported as (time, channel, next
         time, next channel).
         """
         segs = [s for s in self._segments if s.kind == "pulse-arrival"]
@@ -332,8 +443,9 @@ class EventLog:
         names = list(labels)
         found: list[tuple[int, str, int, str]] = []
         last_t, last_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        for times, owner in self._merge(segs, singles):
-            t, c = np.concatenate([last_t, times]), np.concatenate([last_c, channel[owner]])
+        for times, owners in self._merge(segs, singles):
+            t = np.concatenate([last_t, times.ravel()])
+            c = np.concatenate([last_c, np.tile(channel[owners], len(times))])
             bad = np.flatnonzero((np.diff(t) < guard_ns) & (c[1:] != c[:-1]))
             found.extend(
                 (int(t[i]), names[c[i]], int(t[i + 1]), names[c[i + 1]]) for i in bad.tolist()

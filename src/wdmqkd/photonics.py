@@ -61,8 +61,10 @@ class SourceModel:
     e_opt: float = DEFAULT_E_OPT
 
     def __post_init__(self) -> None:
-        if not self.mean_photon_number > 0:
-            raise ValueError(f"mean_photon_number must be > 0, got {self.mean_photon_number}")
+        if not 0 < self.mean_photon_number < float("inf"):
+            raise ValueError(
+                f"mean_photon_number must be finite and > 0, got {self.mean_photon_number}"
+            )
         if self.mean_photon_number > 1:
             warnings.warn(
                 f"mean photon number {self.mean_photon_number} > 1 is far from the "

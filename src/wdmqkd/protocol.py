@@ -592,12 +592,14 @@ class SessionConfig:
         if self.mode == "multicast" and len(clients) < 2:
             raise ValueError("multicast needs at least two clients")
         if self.n_frames <= 0:
-            raise ValueError("n_frames must be positive")
+            raise ValueError(f"n_frames must be positive, got {self.n_frames}")
         if not 0 < self.sample_fraction < 1:
-            raise ValueError("sample fraction must be in (0, 1)")
+            raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction}")
         # zero forces an abort on any estimate, which is useful for drills
         if not 0 <= self.qber_abort_threshold <= 0.5:
-            raise ValueError("abort threshold must be in [0, 0.5]")
+            raise ValueError(
+                f"qber_abort_threshold must be in [0, 0.5], got {self.qber_abort_threshold}"
+            )
 
 
 @dataclass(frozen=True)

@@ -202,18 +202,28 @@ class TestSimulate:
             ("simulate", "network: {eatt_db: .nan}", "network: eatt_db"),
             ("simulate", "network: {source: {mean_photon_number: .nan}}",
              "network.source: mean_photon_number"),
+            ("simulate", "network: {source: {mean_photon_number: .inf}}",
+             "network.source: mean_photon_number"),
+            ("simulate", "network: {eatt_db: .inf, source: {mean_photon_number: .inf}}",
+             "network.source: mean_photon_number"),
             ("simulate", "network: {source: {rep_rate_hz: .nan}}", "network.source: rep_rate_hz"),
             ("simulate", "network: {detectors: {1: {}, 2: {dark_rate_hz: .nan}, 3: {}}}",
              "network.detectors.2: dark_rate_hz"),
             ("simulate", "network: {detectors: {1: {gate_width_ns: .nan}, 2: {}, 3: {}}}",
              "network.detectors.1: gate_width_ns"),
+            ("simulate", "network: {router: {ports: 4, uniform_loss_db: .nan}}",
+             "network.router.uniform_loss_db"),
+            ("simulate", "session: {sample_fraction: .nan}", "session: sample_fraction"),
+            ("simulate", "session: {qber_abort_threshold: .nan}", "session: qber_abort_threshold"),
             ("sweep", "sweep: {start_db: .nan, stop_db: 10.0, step_db: 5.0}", "sweep.start_db"),
             ("sweep", "sweep: {start_db: 0.0, stop_db: .inf, step_db: 5.0}", "sweep.stop_db"),
             ("sweep", "sweep: {start_db: 0.0, stop_db: 10.0, step_db: .nan}", "sweep.step_db"),
         ],
     )
     def test_non_finite_value_named(self, tmp_path, capsys, command, text, field):
-        cfg = write_config(tmp_path, text + "\nsession: {n_frames: 2000}\n")
+        if not text.startswith("session"):
+            text += "\nsession: {n_frames: 2000}\n"
+        cfg = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert field in err and ("nan" in err or "inf" in err)

@@ -141,6 +141,57 @@ def random_logs(draw):
     return log
 
 
+POWER_OF_TEN = st.sampled_from([10**j for j in range(1, 19)])
+
+
+@st.composite
+def quantum_window_logs(draw):
+    """A quantum window like the one ``Network.transmit_train`` writes: k
+    channels at distinct offsets inside one period, each a pulse train and a
+    gate train of one count at equal times, with singles before, inside and
+    after the window.  The window may straddle a power of ten or its
+    negative, lie below zero, or start at or above 2**32."""
+    k = draw(st.integers(1, 3))
+    period = draw(st.integers(k, 60))
+    count = draw(st.integers(1, 60))
+    span = period * count
+    start = draw(st.one_of(
+        st.integers(-200, 200),
+        st.builds(lambda p, d: p - d, POWER_OF_TEN, st.integers(0, span)),
+        st.builds(lambda p, d: -p - d, POWER_OF_TEN, st.integers(0, span)),
+        st.integers(2**32 - span, 2**32 + 100),
+        st.integers(-(2**61), 2**61 - 10**4),
+    ))
+    offsets = draw(st.lists(st.integers(0, period - 1), min_size=k, max_size=k, unique=True))
+    trains = []
+    for off in offsets:
+        channel = draw(FIELD)
+        pair = [
+            (start + off, period, count, kind, draw(FIELD), channel, draw(FIELD))
+            for kind in ("pulse-arrival", "gate-open")
+        ]
+        trains += pair[::draw(st.sampled_from([1, -1]))]  # either appended first
+    lo, hi = max(start - 50, -(2**61)), min(start + span + 50, 2**61 - 1)
+    where = st.one_of(
+        st.integers(lo, max(start - 1, lo)),
+        st.integers(start, start + span - 1),
+        st.integers(start + span, hi),
+    )
+    singles = [
+        Event(draw(where), draw(st.sampled_from(EVENT_KINDS)), draw(FIELD), draw(FIELD), draw(FIELD))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    n_before = draw(st.integers(0, len(singles)))
+    log = EventLog()
+    for event in singles[:n_before]:
+        log.append(event)
+    for train in trains:
+        log.append_train(*train)
+    for event in singles[n_before:]:
+        log.append(event)
+    return log
+
+
 class TestEventLog:
     def test_orders_by_time_then_kind_then_seq(self):
         log = EventLog()
@@ -199,6 +250,47 @@ class TestEventLog:
             assert log.digest() == manual.hexdigest()
         assert list(log.render_lines()) == expected  # one window of default size
 
+    @settings(max_examples=200, deadline=None)
+    @given(log=quantum_window_logs(), window=st.sampled_from(range(1, 10)), guard=st.integers(1, 60))
+    def test_quantum_window_render_matches_reference(self, log, window, guard):
+        expected = list(reference_lines(log))
+        text = "".join(line + "\n" for line in expected)
+        violations = reference_guard_violations(log, guard)
+        for cap in (window, netsim._WINDOW_LINES):
+            with mock.patch.object(netsim, "_WINDOW_LINES", cap):
+                assert list(log.render_lines()) == expected
+                assert log.render_text() == text
+                assert log.digest() == hashlib.sha256(text.encode()).hexdigest()
+                assert log.guard_violations(guard) == violations
+                for times, owners in log._merged():
+                    assert times.shape[1] == owners.size
+                    # more than the cap only with the lines of a crowded instant
+                    crowd = np.unique(times, return_counts=True)[1].max()
+                    assert times.size <= cap - 1 + crowd
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=st.lists(
+            st.tuples(st.integers(-(2**61), 2**61 - 1), st.integers(0, 10**17), FIELD),
+            min_size=1, max_size=5,
+        ),
+        rows=st.integers(1, 30),
+    )
+    def test_block_writer_matches_decimal_formatting(self, columns, rows):
+        """Columns that rise down the rows, crossing powers of ten and zero
+        at different rows, write as ``str`` would."""
+        times = np.array(
+            [[min(t + i * step, 2**61 - 1) for t, step, _ in columns] for i in range(rows)],
+            dtype=np.int64,
+        )
+        suffixes = np.array([f" {f}\n".encode() for *_, f in columns], dtype=object)
+        suffix_len = np.array([len(x) for x in suffixes])
+        owners = np.arange(len(columns))
+        written = b"".join(netsim._write_block(times, owners, suffixes, suffix_len))
+        assert written.decode() == "".join(
+            f"{t} {f}\n" for row in times.tolist() for t, (*_, f) in zip(row, columns)
+        )
+
     def test_session_digest_pinned(self):
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=20000, seed=3)
         run = run_network(default_fourport_network(), cfg)
@@ -223,6 +315,16 @@ class TestEventLog:
         assert text == "".join(f"{t} pulse-arrival A λ1 dest=B\n" for t in range(1000, 6000, 1000))
         assert windows == [netsim._WINDOW_LINES]
         assert log.render_text(max_lines=0) == ""
+
+    def test_single_inside_unit_period_stretch(self):
+        log = EventLog()
+        log.append_train(0, 1, 10, "gate-open", "B", "λ1", "")
+        log.append(Event(5, "pulse-arrival", "A", "λ1", "dest=B"))
+        expected = list(reference_lines(log))
+        for cap in (1, 2, 3):
+            with mock.patch.object(netsim, "_WINDOW_LINES", cap):
+                assert list(log.render_lines()) == expected
+        assert expected[5:7] == ["5 pulse-arrival A λ1 dest=B", "5 gate-open B λ1"]
 
     def test_rejects_newline_in_fields(self):
         log = EventLog()

@@ -144,7 +144,7 @@ def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
     """Reject events the log cannot order in int64 or render as one line."""
     if not -_TIME_LIMIT <= first_ns <= last_ns < _TIME_LIMIT:
         raise OverflowError(f"event times {first_ns}..{last_ns} ns outside ±2**61 ns")
-    if any("\n" in f for f in fields):
+    if "\n" in "".join(fields):
         raise ValueError(f"event fields must not hold a newline: {fields!r}")
 
 
@@ -244,13 +244,18 @@ class EventLog:
 
     def __init__(self) -> None:
         self._segments: list[_Segment] = []
-        self._singles: list[tuple[int, int, int, Event]] = []
+        # (time_ns, kind rank, sequence number, kind, port, channel, detail)
+        self._singles: list[tuple[int, int, int, str, str, str, str]] = []
         self._next_seq = 0
 
     def append(self, event: Event) -> None:
-        time_ns = operator.index(event.time_ns)
-        _check_event(time_ns, time_ns, event.port, event.channel, event.detail)
-        self._singles.append((time_ns, _RANK[event.kind], self._next_seq, event))
+        self._append(event.time_ns, event.kind, event.port, event.channel, event.detail)
+
+    def _append(self, time_ns: int, kind: str, port: str, channel: str, detail: str) -> None:
+        """Append one event given by its fields, building no :class:`Event`."""
+        time_ns = operator.index(time_ns)
+        _check_event(time_ns, time_ns, port, channel, detail)
+        self._singles.append((time_ns, _RANK[kind], self._next_seq, kind, port, channel, detail))
         self._next_seq += 1
 
     def append_train(
@@ -283,7 +288,7 @@ class EventLog:
 
     @staticmethod
     def _merge(
-        segs: Sequence[_Segment], singles: Sequence[tuple[int, int, int, Event]]
+        segs: Sequence[_Segment], singles: Sequence[tuple[int, int, int, str, str, str, str]]
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The events of ``segs`` and ``singles`` in log order, in blocks of
         at most about ``_WINDOW_LINES`` lines.
@@ -397,11 +402,12 @@ class EventLog:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
         of at most about one block each."""
         # each owner's line less its time, newline included
+        fields = itertools.chain(
+            ((s.kind, s.port, s.channel, s.detail) for s in self._segments),
+            (x[3:] for x in self._singles),
+        )
         suffixes = np.array(
-            [
-                f" {e.kind} {e.port} {e.channel} {e.detail}".rstrip().encode() + b"\n"
-                for e in itertools.chain(self._segments, (x[3] for x in self._singles))
-            ],
+            [f" {k} {p} {c} {d}".rstrip().encode() + b"\n" for k, p, c, d in fields],
             dtype=object,
         )
         suffix_len = np.array([len(s) for s in suffixes], dtype=np.int64)
@@ -434,12 +440,10 @@ class EventLog:
         time, next channel).
         """
         segs = [s for s in self._segments if s.kind == "pulse-arrival"]
-        singles = [x for x in self._singles if x[3].kind == "pulse-arrival"]
-        entries = [*segs, *(x[3] for x in singles)]  # by owner
+        singles = [x for x in self._singles if x[3] == "pulse-arrival"]
+        by_owner = [*(s.channel for s in segs), *(x[5] for x in singles)]
         labels: dict[str, int] = {}
-        channel = np.array(
-            [labels.setdefault(e.channel, len(labels)) for e in entries], dtype=np.int64
-        )
+        channel = np.array([labels.setdefault(c, len(labels)) for c in by_owner], dtype=np.int64)
         names = list(labels)
         found: list[tuple[int, str, int, str]] = []
         last_t, last_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -623,14 +627,9 @@ class Network:
         labels = self._labels
         port = "-" if msg.sender is None else labels[msg.sender]
         link = "-" if msg.link is None else f"{labels[msg.link[0]]}-{labels[msg.link[1]]}"
-        self.events.append(
-            Event(
-                msg.time_ns,
-                "classical-message",
-                port,
-                "-",
-                f"kind={msg.kind} link={link} seq={msg.seq}",
-            )
+        self.events._append(
+            msg.time_ns, "classical-message", port, "-",
+            f"kind={msg.kind} link={link} seq={msg.seq}",
         )
 
     def link_parameters(self, server: int, client: int) -> LinkParameters:

@@ -71,8 +71,8 @@ class SourceModel:
                 "pseudo-single-photon regime this model assumes",
                 stacklevel=2,
             )
-        if not self.rep_rate_hz > 0:
-            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
+        if not 0 < self.rep_rate_hz < float("inf"):
+            raise ValueError(f"rep_rate_hz must be finite and > 0, got {self.rep_rate_hz}")
         if not 0 <= self.e_opt < 0.5:
             raise ValueError(f"e_opt must be in [0, 0.5), got {self.e_opt}")
 
@@ -91,10 +91,10 @@ class DetectorModel:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not self.dark_rate_hz >= 0:
             raise ValueError(f"dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
-        if not self.gate_width_ns > 0:
-            raise ValueError(f"gate_width_ns must be > 0, got {self.gate_width_ns}")
-        if not self.rep_rate_hz > 0:
-            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
+        if not 0 < self.gate_width_ns < float("inf"):
+            raise ValueError(f"gate_width_ns must be finite and > 0, got {self.gate_width_ns}")
+        if not 0 < self.rep_rate_hz < float("inf"):
+            raise ValueError(f"rep_rate_hz must be finite and > 0, got {self.rep_rate_hz}")
         if self.dark_rate_hz >= self.rep_rate_hz:
             raise ValueError(
                 f"dark rate {self.dark_rate_hz} Hz must stay below the "

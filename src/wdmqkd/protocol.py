@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -240,9 +240,14 @@ MESSAGE_KINDS = (
 PARITY_KINDS = ("ParityReply", "FinalCheck")
 
 
-@dataclass(frozen=True)
-class ClassicalMessage:
-    """One classical-channel message, totally ordered by sequence number."""
+_KINDS = frozenset(MESSAGE_KINDS)
+
+
+class ClassicalMessage(NamedTuple):
+    """One classical-channel message, totally ordered by sequence number.
+
+    A named tuple, so immutable and cheaper to build than a frozen
+    dataclass; :meth:`Transcript.append` checks the kind."""
 
     session_id: int
     seq: int
@@ -252,10 +257,6 @@ class ClassicalMessage:
     receiver: int | None
     link: tuple[int, int] | None
     payload: Mapping[str, object]
-
-    def __post_init__(self) -> None:
-        if self.kind not in MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind {self.kind!r}")
 
 
 def _payload_repr(payload: Mapping[str, object]) -> str:
@@ -303,21 +304,15 @@ class Transcript:
         link: tuple[int, int] | None,
         payload: Mapping[str, object],
     ) -> ClassicalMessage:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
         seq = len(self.messages)
         time_ns = int(self._clock()) if self._clock is not None else seq
-        msg = ClassicalMessage(
-            session_id=self.session_id,
-            seq=seq,
-            time_ns=time_ns,
-            kind=kind,
-            sender=sender,
-            receiver=receiver,
-            link=link,
-            payload=dict(payload),
-        )
+        payload = dict(payload)
+        msg = ClassicalMessage(self.session_id, seq, time_ns, kind, sender, receiver, link, payload)
         self.messages.append(msg)
         if kind in PARITY_KINDS:
-            self._parity_bits[link] += int(msg.payload.get("n_bits", 0))  # type: ignore[arg-type]
+            self._parity_bits[link] += int(payload.get("n_bits", 0))  # type: ignore[arg-type]
         if self._listener is not None:
             self._listener(msg)
         return msg
@@ -344,20 +339,6 @@ class Transcript:
 # Reconciliation (interactive parity protocol with backtracking)
 
 
-def _prefix_parities(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Entry i is the parity of the first i shuffled bits, so the parity of
-    shuffled positions [lo, hi) is ``pre[hi] ^ pre[lo]``."""
-    pre = np.zeros(perm.size + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate(bits[perm], out=pre[1:])
-    return pre
-
-
-def _subset_parities(packed_masks: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Parity of ``bits`` over each row of a ``np.packbits(masks, axis=1)`` array."""
-    ones = np.bitwise_count(packed_masks & np.packbits(bits)).sum(axis=1, dtype=np.int64)
-    return (ones & 1).astype(np.uint8)
-
-
 def reconcile(
     a: KeyBlock,
     b: KeyBlock,
@@ -380,8 +361,14 @@ def reconcile(
     ranges).  The wrong bit found in each block is flipped on the ``b``
     side, and the flips reopen the blocks of other passes containing those
     bits; rounds then bisect the first pass with odd blocks until none is
-    left, so error pairs missed early are unwound later.  A final batch of
-    random-subset parities confirms equality.
+    left, so error pairs missed early are unwound later.  A final check
+    sends ``a``'s parities over ``final_check_bits`` random subsets, one
+    row of packed bits each, drawn as the check seed's first bytes.
+
+    Sparse error tracking: ``b``'s parity over a range is ``a``'s XOR that
+    of the errors in it, and each flip removes an error, so a pass keeps
+    ``a``'s prefix parities and the sorted shuffled positions of the errors
+    left.  A pass costs O(n) once, a bisection level two ``searchsorted``.
 
     Returns ``(a, corrected_b, leaked_bits)`` where ``leaked_bits`` counts
     every parity bit put on the transcript, final check included.
@@ -401,22 +388,21 @@ def reconcile(
     server = link[0] if link else None
     client = link[1] if link else None
 
-    ab = a.bits.copy()
-    bb = b.bits.copy()
+    ab = a.bits
+    err = ab != b.bits
     k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
     k_cap = max(k1, n // 2)
     leaked = 0
-    # per pass: block size, shuffled position -> original index, original
-    # index -> block number, prefix parities of a, per-block mismatch flags
-    passes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # per pass: block size, prefix parities of a, and the errors left as
+    # sorted shuffled positions and the key index at each
+    passes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def bisect_and_flip(q: int) -> None:
-        """Bisect every odd block of pass ``q`` together, one query and one
+    def bisect_and_flip(q: int, odd: np.ndarray) -> None:
+        """Bisect the odd blocks of pass ``q`` together, one query and one
         reply per level, then flip the wrong bit found in each block."""
         nonlocal leaked
-        k, perm, _, pre_a, odd = passes[q]
-        pre_b = _prefix_parities(bb, perm)
-        lo = np.flatnonzero(odd) * k
+        k, pre_a, pos, index = passes[q]
+        lo = odd * k
         hi = np.minimum(lo + k, n)
         while (open_ := np.flatnonzero(hi - lo > 1)).size:
             qlo = lo[open_]
@@ -431,13 +417,21 @@ def reconcile(
                 {"pass": q, "parities": np.packbits(par_a).tobytes(), "n_bits": mid.size},
             )
             leaked += mid.size
-            left = par_a != pre_b[mid] ^ pre_b[qlo]
+            left = (np.searchsorted(pos, mid) - np.searchsorted(pos, qlo)) & 1 == 1
             hi[open_[left]] = mid[left]
             lo[open_[~left]] = mid[~left]
-        wrong = perm[lo]
-        bb[wrong] ^= 1
-        for _, _, block_of, _, other_odd in passes:
-            np.bitwise_xor.at(other_odd, block_of[wrong], True)
+        err[index[np.searchsorted(pos, lo)]] = False
+        for r, (k, pre_a, pos, index) in enumerate(passes):
+            keep = err[index]
+            passes[r] = (k, pre_a, pos[keep], index[keep])
+
+    def first_odd() -> tuple[int, np.ndarray] | None:
+        """The first pass with odd blocks, and those blocks."""
+        for q, (k, _, pos, _) in enumerate(passes):
+            odd = np.flatnonzero(np.bincount(pos // k) & 1)
+            if odd.size:
+                return q, odd
+        return None
 
     for p in range(n_passes):
         k = min(k1 << p, k_cap)
@@ -446,61 +440,61 @@ def reconcile(
             "PermutationSeed", client, server, link, {"pass": p, "seed": seed}
         )
         perm = np.random.default_rng(seed).permutation(n)
-        block_of = np.empty(n, dtype=np.int64)
-        block_of[perm] = np.arange(n, dtype=np.int64) // k
         starts = np.arange(0, n, k)
         ends = np.minimum(starts + k, n)
 
         transcript.append(
             "ParityQuery", client, server, link, {"pass": p, "block_size": k}
         )
-        pre_a = _prefix_parities(ab, perm)
-        server_par = pre_a[ends] ^ pre_a[starts]
+        # entry i is the parity of a's first i shuffled bits
+        pre_a = np.zeros(n + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(ab[perm], out=pre_a[1:])
         transcript.append(
             "ParityReply", server, client, link,
             {
                 "pass": p,
                 "block_size": k,
-                "parities": np.packbits(server_par).tobytes(),
+                "parities": np.packbits(pre_a[ends] ^ pre_a[starts]).tobytes(),
                 "n_bits": starts.size,
             },
         )
         leaked += starts.size
-        pre_b = _prefix_parities(bb, perm)
-        passes.append((k, perm, block_of, pre_a, server_par != pre_b[ends] ^ pre_b[starts]))
+        pos = np.flatnonzero(err[perm])
+        passes.append((k, pre_a, pos, perm[pos]))
+        del perm  # not kept: free it before the next pass draws its own
         # each round's flips reopen blocks of other passes; bisect the first
         # pass with odd blocks, smallest blocks first, until none is odd
-        while odd_passes := [r for r, (*_, odd) in enumerate(passes) if odd.any()]:
-            bisect_and_flip(odd_passes[0])
+        while found := first_odd():
+            bisect_and_flip(*found)
 
     check_seed = int(rng.integers(0, 2**63))
     transcript.append(
         "FinalCheck", client, server, link,
         {"seed": check_seed, "n_subsets": final_check_bits},
     )
-    masks = np.packbits(
-        np.random.default_rng(check_seed).integers(
-            0, 2, size=(final_check_bits, n), dtype=np.uint8
-        ),
-        axis=1,
-    )
-    digest_a = _subset_parities(masks, ab)
+    n_bytes = (n + 7) // 8
+    masks = np.frombuffer(
+        np.random.default_rng(check_seed).bytes(final_check_bits * n_bytes), dtype=np.uint8
+    ).reshape(final_check_bits, n_bytes)
+    ones = np.bitwise_count(masks & np.packbits(ab)).sum(axis=1, dtype=np.int64)
     transcript.append(
         "FinalCheck", server, client, link,
         {
             "seed": check_seed,
-            "digest": np.packbits(digest_a).tobytes(),
+            "digest": np.packbits(ones & 1).tobytes(),
             "n_bits": final_check_bits,
         },
     )
     leaked += final_check_bits
-    digest_b = _subset_parities(masks, bb)
-    if not np.array_equal(digest_a, digest_b):
+    # b's subset parity differs from a's by that of the errors left in it
+    residual = np.flatnonzero(err)
+    in_subset = masks[:, residual >> 3] >> (7 - (residual & 7)).astype(np.uint8) & 1
+    mismatched = np.count_nonzero(in_subset.sum(axis=1) & 1)
+    if mismatched:
         raise ReconciliationError(
-            f"final check failed on {int(np.count_nonzero(digest_a != digest_b))} "
-            f"of {final_check_bits} subset parities"
+            f"final check failed on {mismatched} of {final_check_bits} subset parities"
         )
-    return a, b.with_bits(bb), leaked
+    return a, b.with_bits(ab ^ err), leaked
 
 
 # ---------------------------------------------------------------------------

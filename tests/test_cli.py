@@ -207,10 +207,13 @@ class TestSimulate:
             ("simulate", "network: {eatt_db: .inf, source: {mean_photon_number: .inf}}",
              "network.source: mean_photon_number"),
             ("simulate", "network: {source: {rep_rate_hz: .nan}}", "network.source: rep_rate_hz"),
+            ("simulate", "network: {source: {rep_rate_hz: .inf}}", "network.source: rep_rate_hz"),
             ("simulate", "network: {detectors: {1: {}, 2: {dark_rate_hz: .nan}, 3: {}}}",
              "network.detectors.2: dark_rate_hz"),
             ("simulate", "network: {detectors: {1: {gate_width_ns: .nan}, 2: {}, 3: {}}}",
              "network.detectors.1: gate_width_ns"),
+            ("simulate", "network: {detectors: {1: {}, 2: {}, 3: {gate_width_ns: .inf}}}",
+             "network.detectors.3: gate_width_ns"),
             ("simulate", "network: {router: {ports: 4, uniform_loss_db: .nan}}",
              "network.router.uniform_loss_db"),
             ("simulate", "session: {sample_fraction: .nan}", "session: sample_fraction"),

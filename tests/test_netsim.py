@@ -80,16 +80,15 @@ def reference_lines(log):
     train, the renderer ``EventLog`` used before its windowed one."""
 
     def expand(seg):
+        fields = (seg.kind, seg.port, seg.channel, seg.detail)
         for i in range(seg.count):
-            yield (seg.time0 + i * seg.period_ns, netsim._RANK[seg.kind], seg.seq0 + i, seg, i)
+            yield (seg.time0 + i * seg.period_ns, netsim._RANK[seg.kind], seg.seq0 + i, *fields)
 
+    # a single is (time, kind rank, sequence number, kind, port, channel, detail)
     streams = [expand(s) for s in log._segments]
-    streams.append((t, r, q, ev, -1) for t, r, q, ev in sorted(log._singles, key=lambda x: x[:3]))
-    for time_ns, _, _, obj, i in heapq.merge(*streams, key=lambda x: x[:3]):
-        if i < 0:
-            yield obj.line()
-        else:
-            yield f"{time_ns} {obj.kind} {obj.port} {obj.channel} {obj.detail}".rstrip()
+    streams.append(sorted(log._singles, key=lambda x: x[:3]))
+    for time_ns, _, _, *fields in heapq.merge(*streams, key=lambda x: x[:3]):
+        yield Event(time_ns, *fields).line()
 
 
 def reference_guard_violations(log, guard_ns):
@@ -100,7 +99,7 @@ def reference_guard_violations(log, guard_ns):
         for s in log._segments if s.kind == "pulse-arrival"
         for i in range(s.count)
     ]
-    arrivals += [(t, q, ev.channel) for t, _, q, ev in log._singles if ev.kind == "pulse-arrival"]
+    arrivals += [(t, q, channel) for t, _, q, kind, _, channel, _ in log._singles if kind == "pulse-arrival"]
     arrivals.sort()
     return [
         (t1, c1, t2, c2)

@@ -224,6 +224,8 @@ class TestModels:
             SourceModel(mean_photon_number=0.0)
         with pytest.raises(ValueError):
             SourceModel(rep_rate_hz=0.0)
+        with pytest.raises(ValueError, match="rep_rate_hz"):
+            SourceModel(rep_rate_hz=float("inf"))
         with pytest.raises(ValueError):
             SourceModel(e_opt=0.5)
         with pytest.warns(UserWarning):
@@ -238,6 +240,10 @@ class TestModels:
             DetectorModel(dark_rate_hz=-1.0)
         with pytest.raises(ValueError):
             DetectorModel(gate_width_ns=0.0)
+        with pytest.raises(ValueError, match="gate_width_ns"):
+            DetectorModel(gate_width_ns=float("inf"))
+        with pytest.raises(ValueError, match="rep_rate_hz"):
+            DetectorModel(rep_rate_hz=float("inf"))
         with pytest.raises(ValueError):
             DetectorModel(dark_rate_hz=2e6, rep_rate_hz=1e6)
 

@@ -1,5 +1,8 @@
 """Click records and sifting, reconciliation, flip masks, and sessions."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +70,137 @@ def disclosed_parity_bits(transcript, bits):
             expected = [int(bits[perm[l:h]].sum()) & 1 for l, h in zip(lo, hi)]
             assert np.unpackbits(np.frombuffer(packed, np.uint8))[:n_bits].tolist() == expected
     return total
+
+
+def reference_reconcile(
+    a, b, qber_estimate, transcript, rng=None, n_passes=4, final_check_bits=64
+):
+    """The dense form of ``reconcile``: every round recomputes b's prefix
+    parities of the pass it bisects, every pass keeps an int64 block map,
+    and the final check draws its masks as one (subsets × n) bit array.
+    Its transcript differs from ``reconcile``'s only in the final check's
+    digest, whose subsets are drawn otherwise."""
+    if not a.aligned_with(b):
+        raise BlockAlignmentError("blocks to reconcile must share their frame list")
+    n = len(a)
+    if n == 0:
+        raise ValueError("cannot reconcile empty blocks")
+    if not 0 <= qber_estimate <= 1:
+        raise ValueError(f"error estimate must be a fraction, got {qber_estimate}")
+    if n_passes < 1:
+        raise ValueError("need at least one pass")
+    if rng is None:
+        rng = np.random.default_rng(0x5EC0)
+    link = a.link
+    server = link[0] if link else None
+    client = link[1] if link else None
+
+    def prefix_parities(bits, perm):
+        pre = np.zeros(perm.size + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(bits[perm], out=pre[1:])
+        return pre
+
+    def subset_parities(packed_masks, bits):
+        ones = np.bitwise_count(packed_masks & np.packbits(bits)).sum(axis=1, dtype=np.int64)
+        return (ones & 1).astype(np.uint8)
+
+    ab = a.bits.copy()
+    bb = b.bits.copy()
+    k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
+    k_cap = max(k1, n // 2)
+    leaked = 0
+    passes = []  # (block size, perm, block_of, prefix parities of a, odd flags)
+
+    def bisect_and_flip(q):
+        nonlocal leaked
+        k, perm, _, pre_a, odd = passes[q]
+        pre_b = prefix_parities(bb, perm)
+        lo = np.flatnonzero(odd) * k
+        hi = np.minimum(lo + k, n)
+        while (open_ := np.flatnonzero(hi - lo > 1)).size:
+            qlo = lo[open_]
+            mid = (qlo + hi[open_]) // 2
+            transcript.append(
+                "ParityQuery", client, server, link,
+                {"pass": q, "lo": qlo.tobytes(), "hi": mid.tobytes()},
+            )
+            par_a = pre_a[mid] ^ pre_a[qlo]
+            transcript.append(
+                "ParityReply", server, client, link,
+                {"pass": q, "parities": np.packbits(par_a).tobytes(), "n_bits": mid.size},
+            )
+            leaked += mid.size
+            left = par_a != pre_b[mid] ^ pre_b[qlo]
+            hi[open_[left]] = mid[left]
+            lo[open_[~left]] = mid[~left]
+        wrong = perm[lo]
+        bb[wrong] ^= 1
+        for _, _, block_of, _, other_odd in passes:
+            np.bitwise_xor.at(other_odd, block_of[wrong], True)
+
+    for p in range(n_passes):
+        k = min(k1 << p, k_cap)
+        seed = int(rng.integers(0, 2**63))
+        transcript.append("PermutationSeed", client, server, link, {"pass": p, "seed": seed})
+        perm = np.random.default_rng(seed).permutation(n)
+        block_of = np.empty(n, dtype=np.int64)
+        block_of[perm] = np.arange(n, dtype=np.int64) // k
+        starts = np.arange(0, n, k)
+        ends = np.minimum(starts + k, n)
+        transcript.append("ParityQuery", client, server, link, {"pass": p, "block_size": k})
+        pre_a = prefix_parities(ab, perm)
+        server_par = pre_a[ends] ^ pre_a[starts]
+        transcript.append(
+            "ParityReply", server, client, link,
+            {
+                "pass": p,
+                "block_size": k,
+                "parities": np.packbits(server_par).tobytes(),
+                "n_bits": starts.size,
+            },
+        )
+        leaked += starts.size
+        pre_b = prefix_parities(bb, perm)
+        passes.append((k, perm, block_of, pre_a, server_par != pre_b[ends] ^ pre_b[starts]))
+        while odd_passes := [r for r, (*_, odd) in enumerate(passes) if odd.any()]:
+            bisect_and_flip(odd_passes[0])
+
+    check_seed = int(rng.integers(0, 2**63))
+    transcript.append(
+        "FinalCheck", client, server, link, {"seed": check_seed, "n_subsets": final_check_bits}
+    )
+    masks = np.packbits(
+        np.random.default_rng(check_seed).integers(
+            0, 2, size=(final_check_bits, n), dtype=np.uint8
+        ),
+        axis=1,
+    )
+    digest_a = subset_parities(masks, ab)
+    transcript.append(
+        "FinalCheck", server, client, link,
+        {"seed": check_seed, "digest": np.packbits(digest_a).tobytes(), "n_bits": final_check_bits},
+    )
+    leaked += final_check_bits
+    digest_b = subset_parities(masks, bb)
+    if not np.array_equal(digest_a, digest_b):
+        raise ReconciliationError("final check failed")
+    return a, b.with_bits(bb), leaked
+
+
+def reconcile_outcome(fn, a, b, estimate, seed):
+    """(transcript rows less the final check's digest, result or None)."""
+    t = Transcript()
+    try:
+        _, cb, leaked = fn(a, b, estimate, t, rng=np.random.default_rng(seed))
+        result = (cb.bits.tolist(), leaked)
+    except ReconciliationError:
+        result = None
+    rows = [
+        (m.seq, m.kind, m.sender, m.receiver, m.link,
+         {k: v for k, v in m.payload.items() if not (m.kind == "FinalCheck" and k == "digest")})
+        for m in t
+    ]
+    return rows, result
 
 
 @st.composite
@@ -359,11 +493,54 @@ class TestReconcile:
         assert np.array_equal(cb.bits, ca.bits)
         reply = t.messages[-1]
         assert reply.kind == "FinalCheck"
-        masks = np.random.default_rng(reply.payload["seed"]).integers(
-            0, 2, size=(64, n), dtype=np.uint8
-        )
+        # one row of packed bits per subset, drawn as the seed's first bytes
+        packed = np.frombuffer(
+            np.random.default_rng(reply.payload["seed"]).bytes(64 * ((n + 7) // 8)), np.uint8
+        ).reshape(64, -1)
+        masks = np.unpackbits(packed, axis=1, count=n)
         reference = (masks.astype(np.int64) @ bits.astype(np.int64)) & 1
         assert reply.payload["digest"] == np.packbits(reference.astype(np.uint8)).tobytes()
+
+    def test_final_check_of_no_subsets(self):
+        a, b = make_blocks([0, 1, 1, 0, 1], [0, 1, 1, 0, 1])
+        t = Transcript()
+        _, cb, leaked = reconcile(a, b, 0.0, t, rng=np.random.default_rng(0), final_check_bits=0)
+        assert t.messages[-1].payload["digest"] == b"" and t.messages[-1].payload["n_bits"] == 0
+        assert leaked == t.parity_bit_count() and cb.bits.tolist() == [0, 1, 1, 0, 1]
+
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        error_rate=st.floats(min_value=0, max_value=0.1),
+        estimate=st.floats(min_value=0, max_value=1),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, n, error_rate, estimate, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        wrong = bits.copy()
+        wrong[rng.choice(n, size=round(error_rate * n), replace=False)] ^= 1
+        a, b = make_blocks(bits, wrong, link=(0, 1))
+        assert reconcile_outcome(reconcile, a, b, estimate, seed) == reconcile_outcome(
+            reference_reconcile, a, b, estimate, seed
+        )
+
+    def test_memory_per_key_bit(self):
+        # the dense form peaks at about 145 bytes per key bit here
+        n = 200_000
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        wrong = bits.copy()
+        wrong[rng.choice(n, size=n // 50, replace=False)] ^= 1
+        a, b = make_blocks(bits, wrong)
+        tracemalloc.start()
+        try:
+            _, cb, _ = reconcile(a, b, 0.02, Transcript(), rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(cb.bits, bits)
+        assert peak <= 110 * n
 
 
 class TestFlipMask:
@@ -594,6 +771,13 @@ class TestTranscript:
         assert len(seen) == 2
         assert seen[0].time_ns == 100 and seen[1].time_ns == 101
         assert seen[0].session_id == 5
+
+    def test_messages_are_immutable(self):
+        t = Transcript()
+        msg = t.append("KeyRequest", 1, 0, (0, 1), {"mode": "unicast"})
+        with pytest.raises(AttributeError):
+            msg.kind = "Abort"
+        assert t.messages == [msg] and msg.kind == "KeyRequest" and msg.seq == 0
 
     def test_render_text_is_stable(self):
         t = Transcript()

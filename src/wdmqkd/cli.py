@@ -28,7 +28,6 @@ import yaml
 from .netsim import (
     NetworkSpec,
     SweepRow,
-    default_fourport_network,
     run_network,
     sweep_attenuation,
     sweep_rows_to_csv,
@@ -36,6 +35,7 @@ from .netsim import (
 from .photonics import DEFAULT_CLIENT_DARK_RATES_HZ, DetectorModel, SourceModel
 from .protocol import SessionAbortError, SessionConfig, SessionError
 from .router import (
+    DEFAULT_UNIFORM_LOSS_DB,
     FOURPORT_CHANNEL_NM,
     build_assignment,
     export_assignment,
@@ -115,20 +115,12 @@ def _as_ports(value: Any, where: str) -> tuple[int, ...]:
     return tuple(_as_int(c, f"{where} entry") for c in value)
 
 
-def _as_offsets(value: Any, where: str) -> dict[int, int]:
-    return {
-        _as_int(k, f"{where} channel key"): _as_int(v, f"{where}[{k}]")
-        for k, v in _require_mapping(value, where).items()
-    }
-
-
 # parsers of the dataclass fields a config sets directly, by annotation
 _PARSERS = {
     int: _as_int,
     float: _as_float,
     str: lambda value, where: str(value),
     tuple[int, ...]: _as_ports,  # session clients
-    Mapping[int, int]: _as_offsets,  # network channel offsets
 }
 
 
@@ -181,22 +173,22 @@ def _build_router(node: Any, base_dir: Path):
     ports = _as_int(data.get("ports", 4), "network.router.ports")
     if ports < 2:
         raise ConfigError(f"network.router.ports must be at least 2, got {ports}")
+    loss = _as_float(
+        data.get("uniform_loss_db", DEFAULT_UNIFORM_LOSS_DB), "network.router.uniform_loss_db"
+    )
+    if not loss >= 0:
+        raise ConfigError(f"network.router.uniform_loss_db must be >= 0 dB, got {loss}")
     nm = FOURPORT_CHANNEL_NM if ports == 4 else None
     assignment = build_assignment(ports, nm=nm)
     if "loss_file" in data:
         path = base_dir / str(data["loss_file"])
         if not path.is_file():
             raise ConfigError(f"network.router.loss_file not found: {path}")
-        return import_loss_matrix(path.read_text(encoding="utf-8"), assignment)
-    if "uniform_loss_db" in data:
-        loss = _as_float(data["uniform_loss_db"], "network.router.uniform_loss_db")
-        try:
-            return uniform_router_spec(assignment, loss_db=loss)
-        except ValueError as err:
-            raise ConfigError(f"network.router.uniform_loss_db: {err}") from err
-    if ports == 4:
+        text = path.read_text(encoding="utf-8")
+        return import_loss_matrix(text, assignment, default_db=loss)
+    if ports == 4 and "uniform_loss_db" not in data:
         return fourport_router_spec()
-    return uniform_router_spec(assignment)
+    return uniform_router_spec(assignment, loss_db=loss)
 
 
 def _build_detectors(
@@ -219,7 +211,7 @@ def _build_detectors(
         where = f"network.detectors.{port}"
         out[port] = _build(
             DetectorModel, _require_mapping(value, where), where,
-            rep_rate_hz=source.rep_rate_hz,
+            fixed=("rep_rate_hz",), rep_rate_hz=source.rep_rate_hz,
         )
     return out
 
@@ -235,9 +227,7 @@ def _build_eatt(value: Any, clients: Sequence[int]) -> dict[int, float]:
 
 
 def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
-    if node is None:
-        return default_fourport_network()
-    data = _require_mapping(node, "network")
+    data = _section(node, "network")
     _check_keys(data, frozenset(_field_parsers(NetworkSpec)), "network")
     router = _build_router(data.get("router"), base_dir)
     server = _as_int(data.get("server", 0), "network.server")
@@ -270,11 +260,17 @@ def _build_sweep(node: Any) -> tuple[float, float, float] | None:
     missing = sorted(_SWEEP_KEYS - set(data))
     if missing:
         raise ConfigError(f"sweep section is missing {', '.join(missing)}")
-    return (
-        _as_float(data["start_db"], "sweep.start_db"),
-        _as_float(data["stop_db"], "sweep.stop_db"),
-        _as_float(data["step_db"], "sweep.step_db"),
-    )
+    start, stop, step = (_as_float(data[key], f"sweep.{key}") for key in _SWEEP_ORDER)
+    for key, value in zip(_SWEEP_ORDER, (start, stop, step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep.{key} must be finite, got {value}")
+    if step <= 0:
+        raise ConfigError(f"sweep.step_db must be positive, got {step}")
+    if start < 0 or stop < start:
+        raise ConfigError(
+            f"sweep range must satisfy 0 <= start <= stop, got {start}..{stop}"
+        )
+    return start, stop, step
 
 
 @dataclass(frozen=True)
@@ -402,16 +398,7 @@ def cmd_sweep(run_cfg: RunConfig, out: str | None) -> int:
     """QBER versus eATT sweep; CSV artifact plus a per-channel summary."""
     if run_cfg.sweep_db is None:
         raise ConfigError("the config has no sweep section")
-    for key, value in zip(_SWEEP_ORDER, run_cfg.sweep_db):
-        if not math.isfinite(value):
-            raise ConfigError(f"sweep.{key} must be finite, got {value}")
     start, stop, step = run_cfg.sweep_db
-    if step <= 0:
-        raise ConfigError(f"sweep.step_db must be positive, got {step}")
-    if start < 0 or stop < start:
-        raise ConfigError(
-            f"sweep range must satisfy 0 <= start <= stop, got {start}..{stop}"
-        )
     n_points = int(math.floor((stop - start) / step + 1e-9)) + 1
     db_list = [start + i * step for i in range(n_points)]
     _warn_low_frames(run_cfg.session.n_frames)

@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -108,8 +109,10 @@ def assign_time_offsets(
         raise ValueError("channels must be distinct")
     if not idx:
         raise ValueError("need at least one channel")
-    if frame_period_ns <= 0 or guard_ns <= 0:
-        raise ValueError("frame period and guard must be positive")
+    if frame_period_ns <= 0:
+        raise ValueError(f"frame period must be positive, got {frame_period_ns} ns")
+    if guard_ns <= 0:
+        raise ValueError(f"guard_ns must be positive, got {guard_ns}")
     if len(idx) * guard_ns > frame_period_ns:
         raise SchedulingInfeasibleError(
             f"{len(idx)} channels at {guard_ns} ns guard do not fit in a "
@@ -469,7 +472,8 @@ class NetworkSpec:
     The port named by ``server`` holds the source; every other port holds
     a client with its own detector and a per-link eATT on its path.
     The frame period is 10⁹ / source rep rate, which must be a whole
-    number of nanoseconds.
+    number of nanoseconds; the router's channels, in index order, sit
+    0, guard_ns, 2·guard_ns, ... into it.
     """
 
     router: RouterSpec
@@ -477,7 +481,6 @@ class NetworkSpec:
     source: SourceModel
     detectors: Mapping[int, DetectorModel]
     eatt_db: Mapping[int, float]
-    offsets_ns: Mapping[int, int] | None = None
     guard_ns: int = DEFAULT_GUARD_NS
     classical_delay_ns: int = 0
 
@@ -508,38 +511,23 @@ class NetworkSpec:
                 )
         if set(self.eatt_db) != set(clients):
             raise ValueError(
-                f"eATT map must cover exactly the client ports {clients}, "
+                f"eatt_db must cover exactly the client ports {clients}, "
                 f"got {sorted(self.eatt_db)}"
             )
         for p, db in self.eatt_db.items():
             if not db >= 0:
                 raise ValueError(f"eatt_db at port {p} must be >= 0 dB, got {db}")
-
-        channel_idx = tuple(ch.index for ch in a.channels)
-        if self.offsets_ns is None:
-            object.__setattr__(
-                self,
-                "offsets_ns",
-                assign_time_offsets(channel_idx, self.frame_period_ns, self.guard_ns),
-            )
-        else:
-            offs = dict(self.offsets_ns)
-            if set(offs) != set(channel_idx):
-                raise ValueError(
-                    f"offsets must cover exactly the channels {channel_idx}"
-                )
-            values = list(offs.values())
-            if len(set(values)) != len(values):
-                raise ValueError("channel offsets must be pairwise distinct")
-            for ch, off in offs.items():
-                if not 0 <= off < self.frame_period_ns:
-                    raise ValueError(
-                        f"offset {off} ns of channel {ch} outside the frame"
-                    )
+        self.offsets_ns  # the channels must fit in the frame
 
     @property
     def frame_period_ns(self) -> int:
         return round(1e9 / self.source.rep_rate_hz)
+
+    @cached_property
+    def offsets_ns(self) -> dict[int, int]:
+        """Each channel's time offset in the frame: its rank times ``guard_ns``."""
+        channels = self.router.assignment.channels
+        return assign_time_offsets(channels, self.frame_period_ns, self.guard_ns)
 
     @property
     def clients(self) -> tuple[int, ...]:

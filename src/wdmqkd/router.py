@@ -11,7 +11,7 @@ stores the per-path insertion-loss figures of a physical unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -116,25 +116,18 @@ class WavelengthAssignment:
 
     n_ports: int
     channel_of: Mapping[tuple[int, int], ChannelId]
-    ports: tuple[PortId, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.n_ports < 2:
             raise ValueError(f"a router needs at least 2 ports, got {self.n_ports}")
-        if not self.ports:
-            object.__setattr__(
-                self,
-                "ports",
-                tuple(PortId(i, port_label(i)) for i in range(self.n_ports)),
-            )
-        if len(self.ports) != self.n_ports:
-            raise ValueError("ports tuple does not match n_ports")
-        labels = {p.label for p in self.ports}
-        if len(labels) != self.n_ports:
-            raise ValueError("port labels must be unique")
         for (i, j) in self.channel_of:
             if not (0 <= i < j < self.n_ports):
                 raise ValueError(f"invalid pair key ({i}, {j})")
+
+    @cached_property
+    def ports(self) -> tuple[PortId, ...]:
+        """Every port, in index order, named by :func:`port_label`."""
+        return tuple(PortId(i, port_label(i)) for i in range(self.n_ports))
 
     @cached_property
     def channels(self) -> tuple[ChannelId, ...]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ UNKNOWN_KEY_CASES = {
     "network": (
         "network: {serverr: 1}\n",
         "serverr; allowed: classical_delay_ns, detectors, eatt_db, "
-        "guard_ns, offsets_ns, router, server, source",
+        "guard_ns, router, server, source",
     ),
     "network.router": (
         "network: {router: {portz: 4}}\n",
@@ -52,7 +53,7 @@ UNKNOWN_KEY_CASES = {
     ),
     "network.detectors.1": (
         "network: {detectors: {1: {dark_rate: 1.0}, 2: {}, 3: {}}}\n",
-        "dark_rate; allowed: dark_rate_hz, efficiency, gate_width_ns, rep_rate_hz",
+        "dark_rate; allowed: dark_rate_hz, efficiency, gate_width_ns",
     ),
     "session": (  # the server is the network's, not the session's
         "session: {server: 1}\n",
@@ -221,6 +222,10 @@ class TestSimulate:
             ("sweep", "sweep: {start_db: .nan, stop_db: 10.0, step_db: 5.0}", "sweep.start_db"),
             ("sweep", "sweep: {start_db: 0.0, stop_db: .inf, step_db: 5.0}", "sweep.stop_db"),
             ("sweep", "sweep: {start_db: 0.0, stop_db: 10.0, step_db: .nan}", "sweep.step_db"),
+            ("simulate", "network: {guard_ns: 0}", "network: guard_ns must be positive, got 0"),
+            ("simulate", "network: {guard_ns: -5}", "network: guard_ns must be positive, got -5"),
+            ("simulate", "network: {eatt_db: {1: 0.0, 3: 0.0}}",
+             "network: eatt_db must cover exactly the client ports (1, 2, 3), got [1, 3]"),
         ],
     )
     def test_non_finite_value_named(self, tmp_path, capsys, command, text, field):
@@ -229,7 +234,9 @@ class TestSimulate:
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert field in err and ("nan" in err or "inf" in err)
+        assert field in err
+        if ".nan" in text or ".inf" in text:
+            assert "nan" in err or "inf" in err
 
     def test_low_frame_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: {n_frames: 500}\n")
@@ -293,6 +300,19 @@ class TestSweep:
         cfg = write_config(tmp_path, "sweep: {start_db: 10.0, stop_db: 0.0, step_db: 5.0}\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("{start_db: 5, stop_db: 0, step_db: 0}", "sweep.step_db must be positive, got 0.0"),
+            ("{start_db: 5, stop_db: 0, step_db: 1}",
+             "sweep range must satisfy 0 <= start <= stop, got 5.0..0.0"),
+        ],
+    )
+    def test_simulate_rejects_bad_sweep_section(self, tmp_path, capsys, section, message):
+        cfg = write_config(tmp_path, f"session: {{n_frames: 2000}}\nsweep: {section}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: {n_frames: 2000}\n")
@@ -395,7 +415,6 @@ network:
     2: {dark_rate_hz: 20.0, efficiency: 0.2}
     3: {dark_rate_hz: 30.0, gate_width_ns: 3.0}
   eatt_db: {0: 1.0, 2: 2.0, 3: 3.0}
-  offsets_ns: {0: 0, 1: 700, 2: 1400}
   guard_ns: 50
   classical_delay_ns: 5
 session:
@@ -413,7 +432,7 @@ session:
         assert cfg.spec.detectors[0].rep_rate_hz == 500000.0  # inherited
         assert cfg.spec.detectors[3].gate_width_ns == 3.0
         assert cfg.spec.eatt_db == {0: 1.0, 2: 2.0, 3: 3.0}
-        assert cfg.spec.offsets_ns == {0: 0, 1: 700, 2: 1400}
+        assert cfg.spec.offsets_ns == {0: 0, 1: 50, 2: 100}  # from guard_ns
         assert cfg.spec.frame_period_ns == 2000  # from the 500 kHz source
         assert cfg.spec.guard_ns == 50
         assert cfg.spec.classical_delay_ns == 5
@@ -432,6 +451,39 @@ session:
         assert cfg.spec.router.insertion_loss_db[(0, 1)] == 9.0
         assert cfg.spec.router.insertion_loss_db[(1, 0)] == 9.5
         assert cfg.spec.router.insertion_loss_db[(0, 2)] == 2.2  # default fill
+
+    def test_uniform_loss_fills_loss_file_gaps(self, tmp_path):
+        (tmp_path / "loss.txt").write_text("A B 9.0\n", encoding="utf-8")
+        text = "network: {router: {ports: 4, loss_file: loss.txt, uniform_loss_db: 3.5}}\n"
+        losses = load_config(write_config(tmp_path, text)).spec.router.insertion_loss_db
+        assert losses[(0, 1)] == 9.0
+        assert {db for pair, db in losses.items() if pair != (0, 1)} == {3.5}
+
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), ("-1.0", "-1.0")])
+    def test_bad_uniform_loss_named_next_to_loss_file(self, tmp_path, value, shown):
+        (tmp_path / "loss.txt").write_text("A B 9.0\n", encoding="utf-8")
+        router = f"{{loss_file: loss.txt, uniform_loss_db: {value}}}"
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write_config(tmp_path, f"network: {{router: {router}}}\n"))
+        assert str(excinfo.value) == (
+            f"network.router.uniform_loss_db must be >= 0 dB, got {shown}"
+        )
+
+    @pytest.mark.parametrize("network", ["", "network:\n", "network: {}\n"])
+    def test_absent_network_is_the_default_fourport(self, tmp_path, network):
+        cfg = load_config(write_config(tmp_path, network + "session: {n_frames: 20000, seed: 3}\n"))
+        got = run_network(cfg.spec, cfg.session)
+        want = run_network(default_fourport_network(), cfg.session)
+        assert got.events.digest() == want.events.digest()
+        assert got.result.client_keys.keys() == want.result.client_keys.keys()
+        for client, key in want.result.client_keys.items():
+            np.testing.assert_array_equal(got.result.client_keys[client], key)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```yaml\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+        cfg = load_config(write_config(tmp_path, block))
+        assert cfg.spec.clients == (1, 2, 3) and cfg.sweep_db == (0.0, 25.0, 5.0)
 
     def test_scalar_eatt_broadcasts(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "network: {eatt_db: 4.5}\n"))

@@ -419,15 +419,10 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             make_spec(source=SourceModel(rep_rate_hz=3.0e5))  # 3333.3 ns
 
-    def test_offset_validation(self):
-        with pytest.raises(ValueError):
-            make_spec(offsets_ns={0: 0, 1: 0, 2: 100})
-        with pytest.raises(ValueError):
-            make_spec(offsets_ns={0: 0, 1: 100, 2: 1000})
-        with pytest.raises(ValueError):
-            make_spec(offsets_ns={0: 0, 1: 100})
-        spec = make_spec(offsets_ns={0: 0, 1: 300, 2: 600})
-        assert spec.offsets_ns[2] == 600
+    def test_offsets_derive_from_guard(self):
+        assert make_spec(guard_ns=300).offsets_ns == {0: 0, 1: 300, 2: 600}
+        with pytest.raises(SchedulingInfeasibleError):
+            make_spec(guard_ns=400)  # three 400 ns slots in a 1000 ns frame
 
     def test_uniform_eatt_replacement(self):
         spec = default_fourport_network().with_uniform_eatt(7.5)

@@ -62,6 +62,8 @@ _ROUTER_KEYS = frozenset({"ports", "uniform_loss_db", "loss_file"})
 _SWEEP_ORDER = ("start_db", "stop_db", "step_db")
 _SWEEP_KEYS = frozenset(_SWEEP_ORDER)
 _OUTPUT_KEYS = frozenset({"key_dir", "csv"})
+# libyaml's parser where PyYAML was built with it: the same values, about 5x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,10 @@ def _build_router(node: Any, base_dir: Path):
         if not path.is_file():
             raise ConfigError(f"network.router.loss_file not found: {path}")
         text = path.read_text(encoding="utf-8")
-        return import_loss_matrix(text, assignment, default_db=loss)
+        try:
+            return import_loss_matrix(text, assignment, default_db=loss)
+        except ValueError as err:
+            raise ConfigError(f"network.router.loss_file {path}: {err}") from err
     if ports == 4 and "uniform_loss_db" not in data:
         return fourport_router_spec()
     return uniform_router_spec(assignment, loss_db=loss)
@@ -289,7 +294,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+        raw = yaml.load(p.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {p}: {err}") from err
     data = _require_mapping(raw if raw is not None else {}, "config")

@@ -15,7 +15,9 @@ quantum window, a block is a run of frames: one frame's order, found by
 one lexsort, holds for all of them.  Elsewhere a block is a time window
 that one numpy lexsort orders.  One writer turns every block into bytes:
 it tiles one row's bytes, every line's text after room for its time, and
-writes the decimal times into the room with numpy.
+writes the decimal times into the room with numpy.  Where the period
+divides a power of ten D, a block [H·D, (H+1)·D) with H >= 1 is the one
+before with the leading digits str(H) of its times rewritten.
 """
 
 from __future__ import annotations
@@ -285,21 +287,23 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._singles) + sum(s.count for s in self._segments)
 
-    def _merged(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _merged(self) -> Iterator[tuple[np.ndarray, np.ndarray, range | None]]:
         """The whole log in order; see :meth:`_merge`."""
         return self._merge(self._segments, self._singles)
 
     @staticmethod
     def _merge(
         segs: Sequence[_Segment], singles: Sequence[tuple[int, int, int, str, str, str, str]]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, range | None]]:
         """The events of ``segs`` and ``singles`` in log order, in blocks of
         at most about ``_WINDOW_LINES`` lines.
 
-        A block is (times, owners): ``times`` an (m, P) array read row by
-        row, ``owners`` the P owners of its columns.  An owner below
+        A block is (times, owners, run): ``times`` an (m, P) array read row
+        by row, ``owners`` the P owners of its columns.  An owner below
         ``len(segs)`` indexes ``segs``; any other owner, less that count,
-        indexes ``singles``.
+        indexes ``singles``.  ``run`` is None, or the starts of whole
+        decades [H·D, (H+1)·D), H >= 1, as ``range(H0·D, H1·D, D)``: the
+        block is then decade H0, and decade H is the block plus (H - H0)·D.
 
         The log is cut into time intervals at every segment's first and
         after its last line and around every single.  In an interval where
@@ -308,11 +312,14 @@ class EventLog:
         holds one line of each segment, always in one order, so a lexsort
         of the first frame orders them all: each row of a block is one
         frame, the one above plus the period, and a block holds at most the
-        cap.  Elsewhere, blocks are one-row windows: each segment's lines in
-        a window form an index range found by arithmetic, the singles a
-        slice of their sorted times, and one lexsort orders the lot.  A
-        window holds fewer lines than the cap plus the most it has at one
-        instant.
+        cap.  Where the period divides a power of ten, D is the largest such
+        power whose D/period frames fit in the cap; frames then start at
+        multiples of the period, blocks end at multiples of D, and the whole
+        decades at or above D go out as one run.  Elsewhere, blocks are one-row windows:
+        each segment's lines in a window form an index range found by
+        arithmetic, the singles a slice of their sorted times, and one
+        lexsort orders the lot.  A window holds fewer lines than the cap
+        plus the most it has at one instant.
         """
         n_seg = len(segs)
         t0, period, count, rank, seq0 = np.array(
@@ -359,7 +366,7 @@ class EventLog:
                     ))
                     owners = np.concatenate([owner, n_seg + by_key[s_lo:s_hi]])
                     if order.size:
-                        yield times[order][None, :], owners[order]
+                        yield times[order][None, :], owners[order], None
                     seg_lo, s_lo = seg_hi, s_hi
                     if end == t_hi:
                         return
@@ -389,21 +396,39 @@ class EventLog:
         )
         done = int(cut[0])
         for i in np.flatnonzero(periodic).tolist():
-            a, p, m = int(cut[i]), int(frame_ns[i]), int(frames[i])
-            yield from windows(done, a)
+            a, e, p = int(cut[i]), int(cut[i + 1]), int(frame_ns[i])
             act = np.flatnonzero((first_iv <= i) & (i < stop_iv))
-            k = -((t0[act] - a) // p)  # each segment's first line at or after a
+            decade = max((d for d in (10**j for j in range(19))
+                          if d % p == 0 and d // p * act.size <= _WINDOW_LINES), default=0)
+            rows = decade // p or _WINDOW_LINES // act.size
+            span, base = rows * p, 0 if decade else a  # blocks end at base + j·span
+            f0, f1 = a + (base - a) % p, e - (e - base) % p  # the whole frames in [a, e)
+            if f0 >= f1:
+                continue
+            yield from windows(done, f0)
+            k = -((t0[act] - f0) // p)  # each segment's first line at or after f0
             times = t0[act] + p * k
             order = np.lexsort((seq0[act] + k, rank[act], times))
-            rows = _WINDOW_LINES // act.size
-            for r in range(0, m, rows):
-                yield times[order] + p * np.arange(r, min(r + rows, m))[:, None], act[order]
-            done = a + m * p
+            first, owners = times[order], act[order]
+            # the whole decades [H·D, (H+1)·D) with H >= 1 go out as one run
+            lo, hi = (max(-(-f0 // decade), 1) * decade, f1 // decade * decade) if decade else (f1, f1)
+            if lo >= hi:
+                lo = hi = f1
+            edges = [f0, *range(f0 - (f0 - base) % span + span, lo, span), lo]
+            edges += [hi, *range(hi + span, f1, span), f1]
+            for r0, r1 in itertools.pairwise(edges):
+                if r0 < r1:
+                    run = range(lo, hi, decade) if (r0, r1) == (lo, hi) else None
+                    r1 = r0 + decade if run else r1
+                    yield first + p * np.arange((r0 - f0) // p, (r1 - f0) // p)[:, None], owners, run
+            done = f1
         yield from windows(done, int(cut[-1]))
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
-        of at most about one block each."""
+        of at most about one block each.  A run of decades renders its first
+        decade of each digit count; each later decade is the one before with
+        the digits of H that changed rewritten."""
         # each owner's line less its time, newline included
         fields = itertools.chain(
             ((s.kind, s.port, s.channel, s.detail) for s in self._segments),
@@ -414,8 +439,24 @@ class EventLog:
             dtype=object,
         )
         suffix_len = np.array([len(s) for s in suffixes], dtype=np.int64)
-        for times, owners in self._merged():
-            yield from _write_block(times, owners, suffixes, suffix_len)
+        for times, owners, run in self._merged():
+            if run is None:
+                yield from _write_block(times, owners, suffixes, suffix_len)
+                continue
+            # a time in decade H is str(H), then digits that every decade repeats
+            width = 0
+            for start in run:
+                stamp = np.frombuffer(str(start // run.step).encode(), dtype=np.uint8)
+                if stamp.size != width:
+                    [block] = _write_block(times + (start - run.start), owners, suffixes, suffix_len)
+                    width, size = stamp.size, stamp.size + len(str(run.step)) - 1 + suffix_len[owners]
+                    leads = np.cumsum(size) - size
+                else:  # the decade before, with the digits of H that changed rewritten
+                    block = block.copy()
+                    for i in np.flatnonzero(stamp != last):
+                        block.reshape(len(times), -1)[:, leads + i] = stamp[i]
+                yield block
+                last = stamp
 
     def render_lines(self) -> Iterator[str]:
         for chunk in self._chunks():
@@ -440,7 +481,9 @@ class EventLog:
 
         The arrivals alone are walked in log order, (time, sequence number),
         one block at a time; each is reported as (time, channel, next
-        time, next channel).
+        time, next channel).  In a run of decades, each later decade's
+        violations are the first's, moved by the decades between, after the
+        pair that crosses into it from the decade before.
         """
         segs = [s for s in self._segments if s.kind == "pulse-arrival"]
         singles = [x for x in self._singles if x[3] == "pulse-arrival"]
@@ -449,15 +492,24 @@ class EventLog:
         channel = np.array([labels.setdefault(c, len(labels)) for c in by_owner], dtype=np.int64)
         names = list(labels)
         found: list[tuple[int, str, int, str]] = []
+
+        def extend(t: np.ndarray, c: np.ndarray, shifts: Iterable[int]) -> None:
+            """Add the violations among ``t``, moved by each of ``shifts`` in turn."""
+            i = np.flatnonzero((np.diff(t) < guard_ns) & (c[1:] != c[:-1]))
+            c1, c2 = ([names[x] for x in c[j].tolist()] for j in (i, i + 1))
+            for s in shifts:
+                found.extend(zip((t[i] + s).tolist(), c1, (t[i + 1] + s).tolist(), c2))
+
         last_t, last_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        for times, owners in self._merge(segs, singles):
+        for times, owners, run in self._merge(segs, singles):
             t = np.concatenate([last_t, times.ravel()])
             c = np.concatenate([last_c, np.tile(channel[owners], len(times))])
-            bad = np.flatnonzero((np.diff(t) < guard_ns) & (c[1:] != c[:-1]))
-            found.extend(
-                (int(t[i]), names[c[i]], int(t[i + 1]), names[c[i + 1]]) for i in bad.tolist()
-            )
+            extend(t, c, [0])
             last_t, last_c = t[-1:], c[-1:]
+            if run:  # each later decade repeats the first, after the last line of the one before
+                extend(np.append(t[-1] - run.step, times), np.append(c[-1], c[-times.size:]),
+                       range(run.step, len(run) * run.step, run.step))
+                last_t = last_t + (run.stop - run.step - run.start)
         return found
 
 

@@ -485,10 +485,12 @@ def import_loss_matrix(
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"loss matrix line {lineno}: expected 'in out dB', got {raw!r}")
-        pi, po = assignment.port(parts[0]), assignment.port(parts[1])
+        try:
+            pi, po, db = assignment.port(parts[0]), assignment.port(parts[1]), float(parts[2])
+        except ValueError as err:  # an unknown port label or a bad number
+            raise ValueError(f"loss matrix line {lineno}: {err}") from None
         if pi.index == po.index:
             raise ValueError(f"loss matrix line {lineno}: diagonal entry {parts[0]}")
-        db = float(parts[2])
         if not db >= 0:
             raise ValueError(f"loss matrix line {lineno}: loss must be >= 0 dB, got {db}")
         losses[(pi.index, po.index)] = db

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wdmqkd import cli
 from wdmqkd.cli import ConfigError, load_config, main
 from wdmqkd.netsim import default_fourport_network, run_network
 from wdmqkd.protocol import ReconciliationError, SessionConfig, SessionError
@@ -469,6 +472,30 @@ session:
             f"network.router.uniform_loss_db must be >= 0 dB, got {shown}"
         )
 
+    @pytest.mark.parametrize("row, reason", [
+        ("A B x", "could not convert string to float: 'x'"),
+        ("A Z 1.0", "unknown port label 'Z'"),
+        ("A B", "expected 'in out dB', got 'A B'"),
+        ("B B 1.0", "diagonal entry B"),
+        ("A B -1.0", "loss must be >= 0 dB, got -1.0"),
+    ])
+    def test_bad_loss_file_line_named(self, tmp_path, capsys, row, reason):
+        loss = tmp_path / "loss.txt"
+        loss.write_text(f"# in out dB\n{row}\n", encoding="utf-8")
+        cfg = write_config(tmp_path, "network: {router: {loss_file: loss.txt}}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: network.router.loss_file {loss}: loss matrix line 2: {reason}\n"
+        )
+
+    def test_yaml_loaders_agree(self):
+        """The loader ``load_config`` uses reads every shipped config as PyYAML's
+        pure-Python one does."""
+        root = SHIPPED_CONFIG.parents[1]
+        for path in [SHIPPED_CONFIG, *sorted((root / "perfbench" / "configs").glob("*.yaml"))]:
+            text = path.read_text(encoding="utf-8")
+            assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.safe_load(text)
+
     @pytest.mark.parametrize("network", ["", "network:\n", "network: {}\n"])
     def test_absent_network_is_the_default_fourport(self, tmp_path, network):
         cfg = load_config(write_config(tmp_path, network + "session: {n_frames: 20000, seed: 3}\n"))
@@ -515,29 +542,27 @@ session:
         assert str(excinfo.value) == f"unknown key(s) in {where}: {rest}"
 
 
+def run_python(*args):
+    """A Python subprocess that imports ``wdmqkd`` from this checkout's src/."""
+    path = [str(SHIPPED_CONFIG.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_run_broadcast_script(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_broadcast.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--frames", "20000", "--log-lines", "3"],
-            capture_output=True, text=True,
-        )
+        proc = run_python(str(script), "--frames", "20000", "--log-lines", "3")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "guard violations: 0" in lines
         assert lines[-4].startswith("event log: ") and len(lines[-3:]) == 3
 
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "wdmqkd.cli", "router-table", "--ports", "4"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "wdmqkd.cli", "router-table", "--ports", "4")
         assert proc.returncode == 0
         assert "4 WDMs × 3 channels" in proc.stdout
 
     def test_usage_error_is_exit_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "wdmqkd.cli", "simulate"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "wdmqkd.cli", "simulate")
         assert proc.returncode == 2

@@ -191,6 +191,58 @@ def quantum_window_logs(draw):
     return log
 
 
+DECADE_PERIODS = (1, 2, 4, 5, 10, 20, 25, 50, 100)
+
+
+@st.composite
+def decade_logs(draw):
+    """A quantum window whose period divides a power of ten D, and a window
+    cap under which its blocks are cut at multiples of D: it spans up to a
+    dozen decades and may start below D or below zero, cross a power of ten
+    in its leading digits, or hold singles inside a decade."""
+    period = draw(st.sampled_from(DECADE_PERIODS))
+    k = draw(st.integers(1, min(3, period)))
+    rows = next(10**j for j in range(3) if 10**j % period == 0) // period
+    cap = draw(st.integers(rows * 2 * k, 20 * rows * 2 * k - 1))
+    span = period * draw(st.integers(1, 12 * rows))
+    decade = rows * period
+    start = draw(st.one_of(
+        st.integers(-2 * decade, decade),
+        st.builds(lambda m, d: 10**m * decade - d, st.integers(1, 3), st.integers(0, 3 * decade)),
+        st.integers(0, 2**61 - 1 - span),
+    ))
+    offsets = draw(st.lists(st.integers(0, period - 1), min_size=k, max_size=k, unique=True))
+    log = EventLog()
+    for off in offsets:
+        for kind in ("pulse-arrival", "gate-open"):
+            log.append_train(start + off, period, span // period, kind, "A", f"λ{off}", "")
+    for _ in range(draw(st.integers(0, 2))):
+        time_ns = draw(st.integers(max(start - period, -(2**61)), start + span))
+        log.append(Event(time_ns, draw(st.sampled_from(EVENT_KINDS)), "B", draw(FIELD), ""))
+    return log, cap
+
+
+def assert_matches_reference(log, caps, guard):
+    """Under each window cap, the renders, the digest and the guard check of
+    ``log`` equal the references, and every block keeps to the cap."""
+    expected = list(reference_lines(log))
+    text = "".join(line + "\n" for line in expected)
+    violations = reference_guard_violations(log, guard)
+    for cap in caps:
+        with mock.patch.object(netsim, "_WINDOW_LINES", cap):
+            assert list(log.render_lines()) == expected
+            assert log.render_text() == text
+            assert log.digest() == hashlib.sha256(text.encode()).hexdigest()
+            assert log.guard_violations(guard) == violations
+            for times, owners, run in log._merged():
+                assert times.shape[1] == owners.size
+                # more than the cap only with the lines of a crowded instant
+                crowd = np.unique(times, return_counts=True)[1].max()
+                assert times.size <= cap - 1 + crowd
+                if run:  # the block is the first decade of the run
+                    assert run.start <= times.min() <= times.max() < run.start + run.step
+
+
 class TestEventLog:
     def test_orders_by_time_then_kind_then_seq(self):
         log = EventLog()
@@ -252,20 +304,13 @@ class TestEventLog:
     @settings(max_examples=200, deadline=None)
     @given(log=quantum_window_logs(), window=st.sampled_from(range(1, 10)), guard=st.integers(1, 60))
     def test_quantum_window_render_matches_reference(self, log, window, guard):
-        expected = list(reference_lines(log))
-        text = "".join(line + "\n" for line in expected)
-        violations = reference_guard_violations(log, guard)
-        for cap in (window, netsim._WINDOW_LINES):
-            with mock.patch.object(netsim, "_WINDOW_LINES", cap):
-                assert list(log.render_lines()) == expected
-                assert log.render_text() == text
-                assert log.digest() == hashlib.sha256(text.encode()).hexdigest()
-                assert log.guard_violations(guard) == violations
-                for times, owners in log._merged():
-                    assert times.shape[1] == owners.size
-                    # more than the cap only with the lines of a crowded instant
-                    crowd = np.unique(times, return_counts=True)[1].max()
-                    assert times.size <= cap - 1 + crowd
+        assert_matches_reference(log, (window, netsim._WINDOW_LINES), guard)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_and_cap=decade_logs(), guard=st.integers(1, 101))
+    def test_decade_runs_match_reference(self, log_and_cap, guard):
+        log, cap = log_and_cap
+        assert_matches_reference(log, (cap,), guard)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -305,14 +350,14 @@ class TestEventLog:
         merged = EventLog._merged
 
         def counting(self):
-            for times, owners in merged(self):
+            for times, owners, run in merged(self):
                 windows.append(times.size)
-                yield times, owners
+                yield times, owners, run
 
         monkeypatch.setattr(EventLog, "_merged", counting)
         text = log.render_text(max_lines=5)
         assert text == "".join(f"{t} pulse-arrival A λ1 dest=B\n" for t in range(1000, 6000, 1000))
-        assert windows == [netsim._WINDOW_LINES]
+        assert windows == [999]  # the frames before the first decade boundary, 10**6 ns
         assert log.render_text(max_lines=0) == ""
 
     def test_single_inside_unit_period_stretch(self):

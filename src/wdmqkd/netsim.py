@@ -7,17 +7,18 @@ transmissions whose loss is the measured router path plus a configurable
 eATT.  Every pulse arrival, detection gate, and classical message lands
 in an event log that is totally ordered and reproducible from the seed.
 
-Pulse trains put millions of identical-period events in the log, so the
-log stores them as arithmetic segments and expands to lines only when
-rendered.  Rendering walks the log in blocks of bounded size.  Where the
-active trains share one period and no single event falls, as across a
-quantum window, a block is a run of frames: one frame's order, found by
-one lexsort, holds for all of them.  Elsewhere a block is a time window
-that one numpy lexsort orders.  One writer turns every block into bytes:
-it tiles one row's bytes, every line's text after room for its time, and
-writes the decimal times into the room with numpy.  Where the period
-divides a power of ten D, a block [H·D, (H+1)·D) with H >= 1 is the one
-before with the leading digits str(H) of its times rewritten.
+The log holds what a Network writes: classical messages before and after
+one quantum window, and in the window pulse and gate trains that share
+one period and one count and start in the window's first frame.  The
+trains are stored as arithmetic sequences and expand to lines only when
+rendered.  Rendering walks the log in blocks of bounded size: the
+messages in one-row blocks, the window in runs of whole frames, each
+frame the one before plus the period, so one lexsort of the first frame
+orders them all.  One writer turns every block into bytes: it tiles one
+row's bytes, every line's text after room for its time, and writes the
+decimal times into the room with numpy.  Where the period divides a
+power of ten D, a block [H·D, (H+1)·D) with H >= 1 is the one before
+with the leading digits str(H) of its times rewritten.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .protocol import (
 from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db
 
 __all__ = [
-    "Event",
     "EventLog",
     "Network",
     "NetworkRun",
@@ -84,12 +84,11 @@ DEFAULT_GUARD_NS = 100
 EVENT_KINDS = ("pulse-arrival", "gate-open", "classical-message")
 _RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
 
-# Lines per rendering window: bounds the memory a render takes, whatever
-# the length of the log.  2**15 rendered a 1.5M-line log no faster and
-# raised the peak RSS of its digest plus guard check by 3 MB.
+# Lines per rendering block, or one frame where a frame holds more: bounds
+# the memory a render takes, whatever the length of the log.  2**15
+# rendered a 1.5M-line log no faster and raised the peak RSS of its digest
+# plus guard check by 3 MB.
 _WINDOW_LINES = 1 << 13
-# Window ends found by one vectorized bisection; bounds its arrays too.
-_ENDS_PER_BISECTION = 64
 # Event times lie in [-2**61, 2**61), so sums and differences of two times
 # fit in int64.
 _TIME_LIMIT = 1 << 61
@@ -127,44 +126,12 @@ def assign_time_offsets(
 # Event log
 
 
-@dataclass(frozen=True)
-class Event:
-    """One log entry; renders as ``time_ns kind port channel detail``."""
-
-    time_ns: int
-    kind: str
-    port: str
-    channel: str
-    detail: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-
-    def line(self) -> str:
-        return f"{self.time_ns} {self.kind} {self.port} {self.channel} {self.detail}".rstrip()
-
-
 def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
     """Reject events the log cannot order in int64 or render as one line."""
     if not -_TIME_LIMIT <= first_ns <= last_ns < _TIME_LIMIT:
         raise OverflowError(f"event times {first_ns}..{last_ns} ns outside ±2**61 ns")
     if "\n" in "".join(fields):
         raise ValueError(f"event fields must not hold a newline: {fields!r}")
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """``count`` identical events at times time0 + i·period_ns."""
-
-    time0: int
-    period_ns: int
-    count: int
-    kind: str
-    port: str
-    channel: str
-    detail: str
-    seq0: int
 
 
 # Decimal classes of a time: searchsorted(_TIME_CLASSES, t, "right") is
@@ -239,29 +206,42 @@ def _write_block(
 
 
 class EventLog:
-    """Totally ordered event log with lazy expansion of periodic trains.
+    """Totally ordered event log of classical messages around one quantum
+    window of periodic trains.
 
-    Order is (time, kind rank, sequence number); sequence numbers follow
-    append order, so ties between same-kind events keep causal order.
-    Times are integer nanoseconds in [-2**61, 2**61), and no field may
-    hold a newline, so every event renders as exactly one line.
+    Order is (time, kind rank, append order).  Times are integer
+    nanoseconds in [-2**61, 2**61), and no field may hold a newline, so
+    every event renders as exactly one line.
+
+    The first train sets the window (f, period, count): f is its first
+    time rounded down to a multiple of its period, and the window spans
+    [f, f + count·period).  Every later train must share the period and
+    the count and start in the window's first frame [f, f + period), so
+    each frame holds one line of every train, always in one order.  No
+    single event may fall inside the window.  An append that breaks the
+    rule raises ValueError and leaves the log as it was.
     """
 
     def __init__(self) -> None:
-        self._segments: list[_Segment] = []
-        # (time_ns, kind rank, sequence number, kind, port, channel, detail)
-        self._singles: list[tuple[int, int, int, str, str, str, str]] = []
-        self._next_seq = 0
+        # (time_ns, kind, port, channel, detail); a train's time is its first line's
+        self._trains: list[tuple[int, str, str, str, str]] = []
+        self._singles: list[tuple[int, str, str, str, str]] = []
+        self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
 
-    def append(self, event: Event) -> None:
-        self._append(event.time_ns, event.kind, event.port, event.channel, event.detail)
-
-    def _append(self, time_ns: int, kind: str, port: str, channel: str, detail: str) -> None:
-        """Append one event given by its fields, building no :class:`Event`."""
+    def append(self, time_ns: int, kind: str, port: str, channel: str, detail: str) -> None:
+        """Append one event, outside the quantum window."""
+        if kind not in _RANK:
+            raise ValueError(f"unknown event kind {kind!r}")
         time_ns = operator.index(time_ns)
         _check_event(time_ns, time_ns, port, channel, detail)
-        self._singles.append((time_ns, _RANK[kind], self._next_seq, kind, port, channel, detail))
-        self._next_seq += 1
+        if self._window is not None:
+            f, period, count = self._window
+            if f <= time_ns < f + count * period:
+                raise ValueError(
+                    f"event at {time_ns} ns falls in the quantum window "
+                    f"[{f}, {f + count * period}) ns"
+                )
+        self._singles.append((time_ns, kind, port, channel, detail))
 
     def append_train(
         self,
@@ -273,156 +253,92 @@ class EventLog:
         channel: str,
         detail: str,
     ) -> None:
-        if kind not in EVENT_KINDS:
+        """Append ``count`` identical events at times time0 + i·period_ns."""
+        if kind not in _RANK:
             raise ValueError(f"unknown event kind {kind!r}")
         time0, period_ns, count = (operator.index(v) for v in (time0, period_ns, count))
         if count <= 0 or period_ns <= 0:
             raise ValueError("a train needs positive count and period")
         _check_event(time0, time0 + period_ns * (count - 1), port, channel, detail)
-        self._segments.append(
-            _Segment(time0, period_ns, count, kind, port, channel, detail, self._next_seq)
-        )
-        self._next_seq += count
+        if self._window is None:
+            f = time0 - time0 % period_ns
+            inside = [t for t, *_ in self._singles if f <= t < f + count * period_ns]
+            if inside:
+                raise ValueError(
+                    f"event at {inside[0]} ns falls in the quantum window "
+                    f"[{f}, {f + count * period_ns}) ns"
+                )
+            self._window = (f, period_ns, count)
+        else:
+            f, period, n = self._window
+            if (period_ns, count) != (period, n) or not f <= time0 < f + period:
+                raise ValueError(
+                    f"a train of the quantum window has period {period} ns, count {n} "
+                    f"and its first line in [{f}, {f + period}) ns; got period "
+                    f"{period_ns} ns, count {count}, first line at {time0} ns"
+                )
+        self._trains.append((time0, kind, port, channel, detail))
 
     def __len__(self) -> int:
-        return len(self._singles) + sum(s.count for s in self._segments)
+        return len(self._singles) + len(self._trains) * (self._window[2] if self._window else 0)
 
-    def _merged(self) -> Iterator[tuple[np.ndarray, np.ndarray, range | None]]:
-        """The whole log in order; see :meth:`_merge`."""
-        return self._merge(self._segments, self._singles)
-
-    @staticmethod
-    def _merge(
-        segs: Sequence[_Segment], singles: Sequence[tuple[int, int, int, str, str, str, str]]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, range | None]]:
-        """The events of ``segs`` and ``singles`` in log order, in blocks of
-        at most about ``_WINDOW_LINES`` lines.
+    def _merge(self, kind: str | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, range | None]]:
+        """The events of ``kind``, or all events, in log order, in blocks of
+        at most max(``_WINDOW_LINES``, trains) lines.
 
         A block is (times, owners, run): ``times`` an (m, P) array read row
-        by row, ``owners`` the P owners of its columns.  An owner below
-        ``len(segs)`` indexes ``segs``; any other owner, less that count,
-        indexes ``singles``.  ``run`` is None, or the starts of whole
-        decades [H·D, (H+1)·D), H >= 1, as ``range(H0·D, H1·D, D)``: the
-        block is then decade H0, and decade H is the block plus (H - H0)·D.
+        by row, ``owners`` the P owners of its columns.  An owner below the
+        number of trains indexes the trains; any other owner, less that
+        number, indexes the single events.  ``run`` is None, or the starts
+        of whole decades [H·D, (H+1)·D), H >= 1, as ``range(H0·D, H1·D, D)``:
+        the block is then decade H0, and decade H is the block plus
+        (H - H0)·D.
 
-        The log is cut into time intervals at every segment's first and
-        after its last line and around every single.  In an interval where
-        the active segments share one period, no single falls, and whole
-        frames hold at least the cap's worth of lines, a frame of one period
-        holds one line of each segment, always in one order, so a lexsort
-        of the first frame orders them all: each row of a block is one
-        frame, the one above plus the period, and a block holds at most the
-        cap.  Where the period divides a power of ten, D is the largest such
-        power whose D/period frames fit in the cap; frames then start at
-        multiples of the period, blocks end at multiples of D, and the whole
-        decades at or above D go out as one run.  Elsewhere, blocks are one-row windows:
-        each segment's lines in a window form an index range found by
-        arithmetic, the singles a slice of their sorted times, and one
-        lexsort orders the lot.  A window holds fewer lines than the cap
-        plus the most it has at one instant.
+        The single events before the window come first, then the window,
+        then the single events after it; the singles go in one-row blocks.
+        Each row of a window block is one frame, the one above plus the
+        period, and a lexsort of the first frame orders them all.  Where the
+        period divides a power of ten, D is the largest such power whose
+        D/period frames fit in the cap; blocks then end at multiples of D,
+        and the whole decades at or above D go out as one run.  Elsewhere a
+        block is as many whole frames as fit in the cap, at least one.
         """
-        n_seg = len(segs)
-        t0, period, count, rank, seq0 = np.array(
-            [(s.time0, s.period_ns, s.count, _RANK[s.kind], s.seq0) for s in segs],
-            dtype=np.int64,
-        ).reshape(-1, 5).T
-        keys = np.array([x[:3] for x in singles], dtype=np.int64).reshape(-1, 3)
-        by_key = np.lexsort(keys.T[::-1])
-        st, sr, sq = keys[by_key].T
-        if not count.sum() + len(singles):
-            return
-
-        def below(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Lines before each time in ``t``: per segment (a row each) and of the singles."""
-            return np.clip(-((t0 - t[:, None]) // period), 0, count), np.searchsorted(st, t)
-
-        def windows(t_lo: int, t_hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            """The lines in [t_lo, t_hi) as one-row blocks.  For each multiple
-            of the cap past the lines before ``t_lo``, one vectorized bisection
-            finds the latest time with at most that many lines before it."""
-            seg, s = below(np.array([t_lo, t_hi]))
-            (first, stop), seg_lo, s_lo = (seg.sum(axis=1) + s).tolist(), seg[0], int(s[0])
-            if first == stop:
-                return
-            step = _WINDOW_LINES * _ENDS_PER_BISECTION
-            for batch in range(first + _WINDOW_LINES, stop + step, step):
-                limit = np.arange(batch, batch + step, _WINDOW_LINES)
-                lo, hi = np.full(limit.size, t_lo), np.full(limit.size, t_hi)
-                while (lo < hi).any():
-                    mid = (lo + hi + 1) // 2
-                    seg, s = below(mid)
-                    fits = seg.sum(axis=1) + s <= limit
-                    lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid - 1)
-                for end in lo.tolist():
-                    seg_hi, s_hi = (x[0] for x in below(np.array([end])))
-                    n = seg_hi - seg_lo
-                    owner = np.repeat(np.arange(n_seg), n)
-                    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n - seg_lo, n)
-                    times = np.concatenate([t0[owner] + period[owner] * k, st[s_lo:s_hi]])
-                    order = np.lexsort((
-                        np.concatenate([seq0[owner] + k, sq[s_lo:s_hi]]),
-                        np.concatenate([rank[owner], sr[s_lo:s_hi]]),
-                        times,
-                    ))
-                    owners = np.concatenate([owner, n_seg + by_key[s_lo:s_hi]])
-                    if order.size:
-                        yield times[order][None, :], owners[order], None
-                    seg_lo, s_lo = seg_hi, s_hi
-                    if end == t_hi:
-                        return
-
-        # Intervals [cut[i], cut[i + 1]), some empty: inside one, each segment
-        # is active throughout or not at all, and a single is alone at its
-        # instant.
-        end = t0 + period * (count - 1) + 1
-        cut = np.sort(np.concatenate([t0, end, st, st + 1]))
-        first_iv, stop_iv = np.searchsorted(cut, t0), np.searchsorted(cut, end)
-        n_periods = np.zeros(cut.size - 1, dtype=np.int64)
-        n_active, frame_ns = n_periods.copy(), np.ones_like(n_periods)
-        for p in sorted(set(period.tolist())):
-            on = period == p
-            active = np.cumsum(
-                np.bincount(first_iv[on], minlength=cut.size)
-                - np.bincount(stop_iv[on], minlength=cut.size)
-            )[:-1]
-            n_periods += active > 0
-            n_active += active
-            frame_ns[active > 0] = p
-        frames = np.diff(cut) // frame_ns
-        periodic = (
-            (n_periods == 1) & (n_active <= _WINDOW_LINES)
-            & (np.minimum(frames, _WINDOW_LINES) * n_active >= _WINDOW_LINES)
-            & (np.diff(np.searchsorted(st, cut)) == 0)
+        cap = _WINDOW_LINES
+        n_trains = len(self._trains)
+        keys = sorted(
+            (t, _RANK[k], n_trains + i) for i, (t, k, *_) in enumerate(self._singles)
+            if kind in (None, k)
         )
-        done = int(cut[0])
-        for i in np.flatnonzero(periodic).tolist():
-            a, e, p = int(cut[i]), int(cut[i + 1]), int(frame_ns[i])
-            act = np.flatnonzero((first_iv <= i) & (i < stop_iv))
+        s_time, _, s_owner = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        f, period, count = self._window or (0, 1, 0)
+        split = int(np.searchsorted(s_time, f))
+
+        def singles(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray, None]]:
+            for i in range(lo, hi, cap):
+                yield s_time[None, i:min(i + cap, hi)], s_owner[i:min(i + cap, hi)], None
+
+        yield from singles(0, split)
+        keep = [j for j, (_, k, *_) in enumerate(self._trains) if kind in (None, k)]
+        if keep:
+            t0 = np.array([self._trains[j][0] for j in keep], dtype=np.int64)
+            rank = np.array([_RANK[self._trains[j][1]] for j in keep])
+            order = np.lexsort((rank, t0))  # stable: ties keep append order
+            first, owners = t0[order], np.array(keep)[order]
             decade = max((d for d in (10**j for j in range(19))
-                          if d % p == 0 and d // p * act.size <= _WINDOW_LINES), default=0)
-            rows = decade // p or _WINDOW_LINES // act.size
-            span, base = rows * p, 0 if decade else a  # blocks end at base + j·span
-            f0, f1 = a + (base - a) % p, e - (e - base) % p  # the whole frames in [a, e)
-            if f0 >= f1:
-                continue
-            yield from windows(done, f0)
-            k = -((t0[act] - f0) // p)  # each segment's first line at or after f0
-            times = t0[act] + p * k
-            order = np.lexsort((seq0[act] + k, rank[act], times))
-            first, owners = times[order], act[order]
+                          if d % period == 0 and d // period * len(keep) <= cap), default=0)
+            span = decade or max(cap // len(keep), 1) * period  # blocks end at grid + j·span
+            grid, end = (f - f % decade if decade else f), f + count * period
             # the whole decades [H·D, (H+1)·D) with H >= 1 go out as one run
-            lo, hi = (max(-(-f0 // decade), 1) * decade, f1 // decade * decade) if decade else (f1, f1)
+            lo, hi = (max(-(-f // decade), 1) * decade, end // decade * decade) if decade else (end, end)
             if lo >= hi:
-                lo = hi = f1
-            edges = [f0, *range(f0 - (f0 - base) % span + span, lo, span), lo]
-            edges += [hi, *range(hi + span, f1, span), f1]
+                lo = hi = end
+            edges = [f, *range(grid + span, lo, span), lo, hi, *range(hi + span, end, span), end]
             for r0, r1 in itertools.pairwise(edges):
                 if r0 < r1:
                     run = range(lo, hi, decade) if (r0, r1) == (lo, hi) else None
                     r1 = r0 + decade if run else r1
-                    yield first + p * np.arange((r0 - f0) // p, (r1 - f0) // p)[:, None], owners, run
-            done = f1
-        yield from windows(done, int(cut[-1]))
+                    yield first + period * np.arange((r0 - f) // period, (r1 - f) // period)[:, None], owners, run
+        yield from singles(split, s_time.size)
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
@@ -430,16 +346,13 @@ class EventLog:
         decade of each digit count; each later decade is the one before with
         the digits of H that changed rewritten."""
         # each owner's line less its time, newline included
-        fields = itertools.chain(
-            ((s.kind, s.port, s.channel, s.detail) for s in self._segments),
-            (x[3:] for x in self._singles),
-        )
         suffixes = np.array(
-            [f" {k} {p} {c} {d}".rstrip().encode() + b"\n" for k, p, c, d in fields],
+            [f" {k} {p} {c} {d}".rstrip().encode() + b"\n"
+             for _, k, p, c, d in itertools.chain(self._trains, self._singles)],
             dtype=object,
         )
         suffix_len = np.array([len(s) for s in suffixes], dtype=np.int64)
-        for times, owners, run in self._merged():
+        for times, owners, run in self._merge():
             if run is None:
                 yield from _write_block(times, owners, suffixes, suffix_len)
                 continue
@@ -479,17 +392,17 @@ class EventLog:
     def guard_violations(self, guard_ns: int) -> list[tuple[int, str, int, str]]:
         """Consecutive pulse arrivals on different channels closer than the guard.
 
-        The arrivals alone are walked in log order, (time, sequence number),
-        one block at a time; each is reported as (time, channel, next
-        time, next channel).  In a run of decades, each later decade's
-        violations are the first's, moved by the decades between, after the
-        pair that crosses into it from the decade before.
+        The arrivals alone are walked in log order through the blocks of
+        :meth:`_merge`; each is reported as (time, channel, next time, next
+        channel).  In a run of decades, each later decade's violations are
+        the first's, moved by the decades between, after the pair that
+        crosses into it from the decade before.
         """
-        segs = [s for s in self._segments if s.kind == "pulse-arrival"]
-        singles = [x for x in self._singles if x[3] == "pulse-arrival"]
-        by_owner = [*(s.channel for s in segs), *(x[5] for x in singles)]
         labels: dict[str, int] = {}
-        channel = np.array([labels.setdefault(c, len(labels)) for c in by_owner], dtype=np.int64)
+        channel = np.array(
+            [labels.setdefault(x[3], len(labels)) for x in itertools.chain(self._trains, self._singles)],
+            dtype=np.int64,
+        )
         names = list(labels)
         found: list[tuple[int, str, int, str]] = []
 
@@ -501,7 +414,7 @@ class EventLog:
                 found.extend(zip((t[i] + s).tolist(), c1, (t[i + 1] + s).tolist(), c2))
 
         last_t, last_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        for times, owners, run in self._merge(segs, singles):
+        for times, owners, run in self._merge("pulse-arrival"):
             t = np.concatenate([last_t, times.ravel()])
             c = np.concatenate([last_c, np.tile(channel[owners], len(times))])
             extend(t, c, [0])
@@ -525,7 +438,9 @@ class NetworkSpec:
     a client with its own detector and a per-link eATT on its path.
     The frame period is 10⁹ / source rep rate, which must be a whole
     number of nanoseconds; the router's channels, in index order, sit
-    0, guard_ns, 2·guard_ns, ... into it.
+    0, guard_ns, 2·guard_ns, ... into it.  Each classical message moves
+    the clock on by ``classical_delay_ns`` >= 0, so messages never fall
+    back into the quantum window.
     """
 
     router: RouterSpec
@@ -541,7 +456,9 @@ class NetworkSpec:
         n = a.n_ports
         if not 0 <= self.server < n:
             raise ValueError(f"server port {self.server} outside the router")
-        clients = tuple(p for p in range(n) if p != self.server)
+        clients = self.clients
+        if self.classical_delay_ns < 0:
+            raise ValueError(f"classical_delay_ns must be >= 0, got {self.classical_delay_ns}")
 
         period = 1e9 / self.source.rep_rate_hz
         if abs(period - round(period)) > 1e-9:
@@ -647,7 +564,7 @@ class Network:
         }
         self._session_rng = np.random.default_rng(children[-1])
         self._now = 0
-        self._window: tuple[int, int] | None = None  # (start_ns, n_frames)
+        self._window_ns: int | None = None  # the quantum window's start
 
     @property
     def n_ports(self) -> int:
@@ -667,7 +584,7 @@ class Network:
         labels = self._labels
         port = "-" if msg.sender is None else labels[msg.sender]
         link = "-" if msg.link is None else f"{labels[msg.link[0]]}-{labels[msg.link[1]]}"
-        self.events._append(
+        self.events.append(
             msg.time_ns, "classical-message", port, "-",
             f"kind={msg.kind} link={link} seq={msg.seq}",
         )
@@ -694,26 +611,15 @@ class Network:
             offset_ns=self.spec.offsets_ns[channel.index],
         )
 
-    def _window_start(self, n_frames: int) -> int:
-        period = self.spec.frame_period_ns
-        if self._window is not None:
-            start, frames = self._window
-            if frames != n_frames:
-                raise ValueError(
-                    "all trains of one quantum window must share n_frames"
-                )
-            return start
-        start = (self._now // period + 1) * period
-        self._window = (start, n_frames)
-        self._now = start + n_frames * period
-        return start
-
     def transmit_train(self, server: int, client: int, n_frames: int) -> ClickRecord:
         """Send ``n_frames`` pulses to ``client``; log the pulse and gate
         trains and return the frames that clicked."""
         params = self.link_parameters(server, client)
         period = self.spec.frame_period_ns
-        start = self._window_start(n_frames) + params.offset_ns
+        if self._window_ns is None:  # the first train opens the window a frame after the clock
+            self._window_ns = (self._now // period + 1) * period
+            self._now = self._window_ns + n_frames * period
+        start = self._window_ns + params.offset_ns
         clicks = sample_clicks(
             n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )

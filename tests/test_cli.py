@@ -227,6 +227,8 @@ class TestSimulate:
             ("sweep", "sweep: {start_db: 0.0, stop_db: 10.0, step_db: .nan}", "sweep.step_db"),
             ("simulate", "network: {guard_ns: 0}", "network: guard_ns must be positive, got 0"),
             ("simulate", "network: {guard_ns: -5}", "network: guard_ns must be positive, got -5"),
+            ("simulate", "network: {classical_delay_ns: -7}",
+             "network: classical_delay_ns must be >= 0, got -7"),
             ("simulate", "network: {eatt_db: {1: 0.0, 3: 0.0}}",
              "network: eatt_db must cover exactly the client ports (1, 2, 3), got [1, 3]"),
         ],

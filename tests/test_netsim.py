@@ -167,6 +167,38 @@ def window_logs(draw):
     return log
 
 
+DECADE_PERIODS = (1, 2, 4, 5, 10, 20, 25, 50, 100)
+
+
+@st.composite
+def decade_logs(draw):
+    """A quantum window whose period divides a power of ten D, and a window
+    cap under which its blocks are cut at multiples of D: it spans up to a
+    dozen decades and may start below D or below zero, or cross a power of
+    ten in its leading digits, with singles just before or after it."""
+    period = draw(st.sampled_from(DECADE_PERIODS))
+    k = draw(st.integers(1, min(3, period)))
+    rows = next(10**j for j in range(3) if 10**j % period == 0) // period
+    cap = draw(st.integers(rows * 2 * k, 20 * rows * 2 * k - 1))
+    span = period * draw(st.integers(1, 12 * rows))
+    decade = rows * period
+    start = draw(st.one_of(
+        st.integers(-2 * decade, decade),
+        st.builds(lambda m, d: 10**m * decade - d, st.integers(1, 3), st.integers(0, 3 * decade)),
+        st.integers(0, LIMIT - 1 - span),
+    ))
+    f = start - start % period
+    offsets = draw(st.lists(st.integers(0, period - 1), min_size=k, max_size=k, unique=True))
+    log = EventLog()
+    for off in offsets:
+        for kind in ("pulse-arrival", "gate-open"):
+            log.append_train(f + off, period, span // period, kind, "A", f"λ{off}", "")
+    where = st.one_of(st.integers(f - period, f - 1), st.integers(f + span, f + span + period))
+    for _ in range(draw(st.integers(0, 2))):
+        log.append(draw(where), draw(st.sampled_from(EVENT_KINDS)), "B", draw(FIELD), "")
+    return log, cap
+
+
 def assert_matches_reference(log, caps, guards):
     """Under each window cap, the renders, the digest and the guard checks
     of ``log`` equal the references; every block holds at most the cap, or
@@ -247,6 +279,12 @@ class TestEventLog:
     @given(log=window_logs(), cap=CAP, guard=st.integers(1, 101))
     def test_quantum_window_render_matches_reference(self, log, cap, guard):
         assert_matches_reference(log, {cap, netsim._WINDOW_LINES}, (guard,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_and_cap=decade_logs(), guard=st.integers(1, 101))
+    def test_decade_runs_match_reference(self, log_and_cap, guard):
+        log, cap = log_and_cap
+        assert_matches_reference(log, (cap,), (guard,))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -380,6 +418,14 @@ class TestEventLog:
         assert len(bad) == 5  # one 50 ns cross-channel gap per frame
         assert bad[0] == (1000, "λ1", 1050, "λ2")
         assert not log.guard_violations(50)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=window_logs(), window=st.integers(1, 9), guard=st.integers(1, 101))
+    def test_guard_violations_match_dense_reference(self, log, window, guard):
+        expected = reference_guard_violations(log, guard)
+        with mock.patch.object(netsim, "_WINDOW_LINES", window):
+            assert log.guard_violations(guard) == expected
+        assert log.guard_violations(guard) == expected
 
     def test_same_channel_not_a_violation(self):
         log = EventLog()

@@ -457,6 +457,10 @@ class NetworkSpec:
         if not 0 <= self.server < n:
             raise ValueError(f"server port {self.server} outside the router")
         clients = self.clients
+        for name, bound in (("guard_ns", "> 0"), ("classical_delay_ns", ">= 0")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
         if self.classical_delay_ns < 0:
             raise ValueError(f"classical_delay_ns must be >= 0, got {self.classical_delay_ns}")
 

@@ -205,6 +205,16 @@ class ClickRecord:
         return self.frames.size
 
 
+def _trusted(cls, *values):
+    """``cls(*values)`` for values known to be valid: unchecked, uncopied, arrays frozen."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _distinct_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """``k`` distinct integers drawn uniformly from [0, n), sorted.
 
@@ -220,8 +230,13 @@ def _distinct_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     picked = np.empty(0, dtype=np.int64)
     while picked.size < k:
         # sort and drop repeats by hand: np.unique hashes first and took ~20x longer
-        picked = np.sort(np.concatenate([picked, rng.integers(0, n, size=k - picked.size)]))
-        picked = picked[np.insert(np.diff(picked) != 0, 0, True)]
+        new = np.sort(rng.integers(0, n, size=k - picked.size))
+        new = new[np.insert(np.diff(new) != 0, 0, True)]
+        if picked.size:  # merge the top-up's integers not yet picked
+            at = np.searchsorted(picked, new)
+            fresh = picked[np.minimum(at, picked.size - 1)] != new
+            new = np.insert(picked, at[fresh], new[fresh])
+        picked = new
     return picked
 
 
@@ -263,7 +278,8 @@ def sample_clicks(
     flip = (rng.random(k) < e_opt).astype(np.uint8)
     noise = rng.integers(0, 2, size=k, dtype=np.uint8)
     rx_bits = np.where(signal & (tx_bases == rx_bases), tx_bits ^ flip, noise)
-    return ClickRecord(n_frames, frames, tx_bases, tx_bits, rx_bases, rx_bits)
+    # frames are distinct, sorted and in range, every other array holds bits
+    return _trusted(ClickRecord, n_frames, frames, tx_bases, tx_bits, rx_bases, rx_bits)
 
 
 def attenuation_to_length(

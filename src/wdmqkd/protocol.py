@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .photonics import ClickRecord
+from .photonics import ClickRecord, _trusted
 from .router import ChannelId
 
 __all__ = [
@@ -93,15 +93,6 @@ class SessionAbortError(SessionError):
         self.diagnostics = diagnostics
 
 
-def _bit_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError(f"{name} must contain only bits")
-    return arr
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
@@ -114,15 +105,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KeyBlock:
-    """Raw key bits plus the frame index each bit came from."""
+    """Raw key bits plus the frame index each bit came from.
+
+    The constructor checks and copies; derived blocks share read-only arrays."""
 
     bits: np.ndarray
     frames: np.ndarray
     link: tuple[int, int] | None = None  # (server port, client port)
 
     def __post_init__(self) -> None:
-        bits = _bit_array(self.bits, "bits")
+        bits = np.asarray(self.bits, dtype=np.uint8)
         frames = np.asarray(self.frames, dtype=np.int64)
+        if bits.ndim != 1:
+            raise ValueError("bits must be one-dimensional")
+        if bits.size and bits.max() > 1:
+            raise ValueError("bits must contain only bits")
         if bits.shape != frames.shape:
             raise ValueError("bits and frames must have equal length")
         if frames.size and (frames.min() < 0 or np.any(np.diff(frames) <= 0)):
@@ -138,14 +135,16 @@ class KeyBlock:
 
     def take(self, idx: np.ndarray) -> "KeyBlock":
         idx = np.asarray(idx, dtype=np.int64)
-        return KeyBlock(self.bits[idx], self.frames[idx], self.link)
+        if idx.ndim != 1 or (idx.size and (idx[0] < 0 or np.any(np.diff(idx) <= 0))):
+            raise ValueError("indices must be nonnegative and strictly increasing")
+        return _trusted(KeyBlock, self.bits[idx], self.frames[idx], self.link)
 
     def truncate(self, length: int) -> "KeyBlock":
         if not 0 <= length <= len(self):
             raise LengthMismatchError(
                 f"cannot truncate a {len(self)}-bit block to {length} bits"
             )
-        return KeyBlock(self.bits[:length], self.frames[:length], self.link)
+        return _trusted(KeyBlock, self.bits[:length], self.frames[:length], self.link)
 
     def with_bits(self, bits: np.ndarray) -> "KeyBlock":
         return KeyBlock(bits, self.frames, self.link)
@@ -159,11 +158,11 @@ def sift(
     An empty result is legal; the session layer decides whether to treat
     it as fatal.
     """
-    keep = clicks.tx_bases == clicks.rx_bases
+    keep = np.flatnonzero(clicks.tx_bases == clicks.rx_bases)
     frames = clicks.frames[keep]
     return (
-        KeyBlock(clicks.tx_bits[keep], frames, link),
-        KeyBlock(clicks.rx_bits[keep], frames, link),
+        _trusted(KeyBlock, clicks.tx_bits[keep], frames, link),
+        _trusted(KeyBlock, clicks.rx_bits[keep], frames, link),
     )
 
 
@@ -207,13 +206,14 @@ def estimate_qber(
     keep = np.ones(n, dtype=bool)
     keep[idx] = False
     keep_idx = np.flatnonzero(keep)
+    frames = a.frames[keep_idx]
     return QberEstimate(
         estimate=mismatched / k,
         n_sampled=k,
         n_mismatched=mismatched,
         sample_indices=_frozen(idx.astype(np.int64)),
-        remaining_a=a.take(keep_idx),
-        remaining_b=b.take(keep_idx),
+        remaining_a=_trusted(KeyBlock, a.bits[keep_idx], frames, a.link),
+        remaining_b=_trusted(KeyBlock, b.bits[keep_idx], frames, b.link),
     )
 
 
@@ -494,7 +494,7 @@ def reconcile(
         raise ReconciliationError(
             f"final check failed on {mismatched} of {final_check_bits} subset parities"
         )
-    return a, b.with_bits(ab ^ err), leaked
+    return a, _trusted(KeyBlock, ab ^ err, b.frames, b.link), leaked
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +533,7 @@ def compute_flip_mask(reference: KeyBlock, other: KeyBlock) -> FlipMask:
         raise LengthMismatchError(
             f"blocks differ in length: {len(reference)} vs {len(other)}"
         )
-    diff = np.flatnonzero(reference.bits ^ other.bits).astype(np.int64)
-    return FlipMask(length=len(reference), positions=diff)
+    return _trusted(FlipMask, len(reference), np.flatnonzero(reference.bits ^ other.bits))
 
 
 def apply_flip_mask(k: KeyBlock, m: FlipMask) -> KeyBlock:
@@ -545,7 +544,7 @@ def apply_flip_mask(k: KeyBlock, m: FlipMask) -> KeyBlock:
         )
     bits = k.bits.copy()
     bits[m.positions] ^= 1
-    return k.with_bits(bits)
+    return _trusted(KeyBlock, bits, k.frames, k.link)
 
 
 # ---------------------------------------------------------------------------

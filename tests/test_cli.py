@@ -1,6 +1,7 @@
 """Exit codes, output artifacts, and determinism of the command-line layer."""
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -351,6 +352,14 @@ class TestSweep:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
         assert capsys.readouterr().out.count("no QBER (reconcile-failed)") == 3
+
+    def test_shipped_sweep_pinned(self, tmp_path, capsys):
+        # seed 7, 1M frames, 0-25 dB: a new digest means a changed seed -> output mapping
+        csv_path = tmp_path / "s.csv"
+        args = ["sweep", "--config", str(SHIPPED_CONFIG), "--seed", "7", "--out", str(csv_path)]
+        assert main(args) == 0
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert digest == "9ac625f85c63cd5c0260736f009aa2a87750def53764cc0179f6087644d14526"
 
     def test_rerun_byte_identical(self, config_path, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -25,8 +25,14 @@ from wdmqkd.netsim import (
     sweep_attenuation,
     sweep_rows_to_csv,
 )
-from wdmqkd.photonics import DetectorModel, SourceModel, expected_qber
-from wdmqkd.protocol import InsufficientDetectionsError, SessionAbortError, SessionConfig, run_session
+from wdmqkd.photonics import ClickRecord, DetectorModel, SourceModel, expected_qber
+from wdmqkd.protocol import (
+    InsufficientDetectionsError,
+    KeyBlock,
+    SessionAbortError,
+    SessionConfig,
+    run_session,
+)
 from wdmqkd.router import build_assignment, path_loss_db, uniform_router_spec
 
 
@@ -483,6 +489,23 @@ class TestNetworkSpec:
             make_spec(classical_delay_ns=-7)
         assert make_spec(classical_delay_ns=0).classical_delay_ns == 0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("classical_delay_ns", 0.5, "classical_delay_ns must be an integer >= 0, got 0.5"),
+        ("classical_delay_ns", 7.0, "classical_delay_ns must be an integer >= 0, got 7.0"),
+        ("classical_delay_ns", True, "classical_delay_ns must be an integer >= 0, got True"),
+        ("guard_ns", 50.5, "guard_ns must be an integer > 0, got 50.5"),
+        ("guard_ns", 100.0, "guard_ns must be an integer > 0, got 100.0"),
+        ("guard_ns", False, "guard_ns must be an integer > 0, got False"),
+    ])
+    def test_non_integer_times_rejected(self, field, value, message):
+        # a float time would reach the event log and fail there as a TypeError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(default_fourport_network(), **{field: value})
+
+    def test_numpy_integer_times_accepted(self):
+        spec = replace(default_fourport_network(), guard_ns=np.int64(100), classical_delay_ns=np.int64(7))
+        run_network(spec, SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1))
+
     def test_uniform_eatt_replacement(self):
         spec = default_fourport_network().with_uniform_eatt(7.5)
         assert spec.eatt_db == {1: 7.5, 2: 7.5, 3: 7.5}
@@ -606,6 +629,23 @@ class TestNetwork:
         with pytest.raises(error) if error else contextlib.nullcontext():
             run_session(cfg, net)
         assert_matches_reference(net.events, (netsim._WINDOW_LINES,), (spec.guard_ns, 1000))
+
+    def test_session_builds_no_block_through_the_public_constructors(self, monkeypatch):
+        # every block and click record of a session is derived from checked
+        # data, so none of them is checked and copied again
+        calls = []
+        for cls in (KeyBlock, ClickRecord):
+            check = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, check=check: calls.append(self) or check(self)
+            )
+        KeyBlock(np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.int64))
+        assert len(calls) == 1  # the count sees a public construction
+        calls.clear()
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=200_000, seed=7)
+        run = run_network(default_fourport_network(), cfg)
+        assert run.result.key_length > 0
+        assert calls == []
 
     def test_window_requires_equal_train_lengths(self):
         net = Network(default_fourport_network(), seed=1)

@@ -29,6 +29,20 @@ probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal
 errs = st.floats(min_value=0.0, max_value=0.499, allow_nan=False, allow_subnormal=False)
 
 
+def reference_distinct_sorted(n, k, rng):
+    """``_distinct_sorted`` as it was before top-ups merged into the sorted
+    pick: each round re-sorts the whole pick with the new draws."""
+    if 2 * k > n:
+        out = reference_distinct_sorted(n, n - k, rng)
+        j = np.arange(k, dtype=np.int64)
+        return j + np.searchsorted(out - np.arange(out.size), j, side="right")
+    picked = np.empty(0, dtype=np.int64)
+    while picked.size < k:
+        picked = np.sort(np.concatenate([picked, rng.integers(0, n, size=k - picked.size)]))
+        picked = picked[np.insert(np.diff(picked) != 0, 0, True)]
+    return picked
+
+
 class TestTransmittance:
     def test_identity_at_zero(self):
         assert transmittance(0.0) == 1.0
@@ -189,6 +203,19 @@ class TestSimulateGate:
         r = sample_clicks(10**12, 1e-9, 0.0, 0.0, np.random.default_rng(1))
         assert time.perf_counter() - t0 < 1.0
         assert 0 < len(r) < 2000 and r.frames[-1] < 10**12
+
+    @pytest.mark.parametrize("n, k", [
+        (8_000_000, 600), (8_000_000, 5_500), (8_000_000, 20_000), (8_000_000, 54_000),
+        (100_000, 20_000), (1_000, 0), (1_000, 700), (1_000, 1_000), (10, 5),
+    ])
+    def test_distinct_sorted_matches_reference(self, n, k):
+        # same integers and same draws from the generator, seed by seed
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = _distinct_sorted(n, k, rng)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, reference_distinct_sorted(n, k, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("k", [2, 5])  # the drawn and the left-out branch
     def test_click_frames_uniform_over_subsets(self, k):

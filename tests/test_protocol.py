@@ -277,8 +277,115 @@ class TestTrains:
             record([0, 1], [0, 1], [0], [0, 1], [0, 1])
         with pytest.raises(ValueError):  # frames distinct and sorted
             record([1, 1], [0, 0], [0, 0], [0, 0], [0, 0])
+        with pytest.raises(ValueError, match="frames must be distinct, sorted"):
+            record([3, 1], [0, 0], [0, 0], [0, 0], [0, 0])
+        with pytest.raises(ValueError, match="rx_bits must hold one bit per clicked frame"):
+            record([0, 1], [0, 0], [0, 0], [0, 0], [0, 2])
         with pytest.raises(ValueError):  # frames inside the train
             record([4], [0], [0], [0], [0])
+
+
+class TestKeyBlock:
+    """The public constructor and methods check what they are given."""
+
+    def block(self):
+        return KeyBlock(np.array([0, 1, 1, 0], dtype=np.uint8), np.array([2, 5, 7, 9]), (0, 1))
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="bits must contain only bits"):
+            KeyBlock([0, 2], [1, 2])
+        with pytest.raises(ValueError, match="bits must be one-dimensional"):
+            KeyBlock([[0, 1]], [[1, 2]])
+        with pytest.raises(ValueError, match="equal length"):
+            KeyBlock([0, 1], [1])
+        for frames in ([2, 1], [1, 1], [-1, 2]):
+            with pytest.raises(ValueError, match="frames must be nonnegative and strictly increasing"):
+                KeyBlock([0, 1], frames)
+
+    def test_constructor_copies_and_freezes(self):
+        bits, frames = np.array([0, 1], dtype=np.uint8), np.array([3, 4])
+        k = KeyBlock(bits, frames)
+        bits[0], frames[0] = 1, 0
+        assert k.bits.tolist() == [0, 1] and k.frames.tolist() == [3, 4]
+        assert not k.bits.flags.writeable and not k.frames.flags.writeable
+
+    @pytest.mark.parametrize("idx", [[3, 1], [1, 1], [-1], [0, -1], [[0, 1]]],
+                             ids=["unsorted", "repeated", "negative", "negative-last", "2-d"])
+    def test_take_rejects_bad_indices(self, idx):
+        with pytest.raises(ValueError, match="nonnegative and strictly increasing"):
+            self.block().take(idx)
+
+    def test_take(self):
+        k = self.block().take([1, 3])
+        assert k.bits.tolist() == [1, 0] and k.frames.tolist() == [5, 9] and k.link == (0, 1)
+        assert len(self.block().take([])) == 0
+        with pytest.raises(IndexError):
+            self.block().take([4])
+
+    def test_with_bits_checks(self):
+        with pytest.raises(ValueError, match="only bits"):
+            self.block().with_bits([0, 2, 0, 1])
+        with pytest.raises(ValueError, match="equal length"):
+            self.block().with_bits([0, 1])
+        assert self.block().with_bits([1, 1, 1, 1]).bits.tolist() == [1, 1, 1, 1]
+
+
+def assert_derived(obj):
+    """``obj`` holds read-only arrays of the public constructor's dtypes,
+    and the public constructor takes them back unchanged."""
+    if isinstance(obj, KeyBlock):
+        arrays = (obj.bits, obj.frames)
+        again = KeyBlock(obj.bits, obj.frames, obj.link)
+        rebuilt = (again.bits, again.frames)
+    elif isinstance(obj, FlipMask):
+        arrays, rebuilt = (obj.positions,), (FlipMask(obj.length, obj.positions).positions,)
+    else:
+        names = ("frames", "tx_bases", "tx_bits", "rx_bases", "rx_bits")
+        arrays = tuple(getattr(obj, n) for n in names)
+        again = ClickRecord(obj.n_frames, *arrays)
+        rebuilt = tuple(getattr(again, n) for n in names)
+    for arr, back in zip(arrays, rebuilt):
+        assert not arr.flags.writeable
+        assert arr.dtype == back.dtype and np.array_equal(arr, back)
+
+
+class TestDerivedBlocks:
+    @given(
+        n_frames=st.integers(1, 3000),
+        p_sig=st.floats(0.0, 1.0),
+        p_dark=st.floats(0.0, 0.2),
+        e_opt=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+        cut=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_derived_blocks_are_frozen_and_valid(self, n_frames, p_sig, p_dark, e_opt, seed, cut):
+        rng = np.random.default_rng(seed)
+        clicks = sample_clicks(n_frames, p_sig, p_dark, e_opt, rng)
+        assert_derived(clicks)
+        a, b = sift(clicks, link=(0, 1))
+        assert_derived(a)
+        assert_derived(b)
+        if len(a) == 0:
+            return
+        est = estimate_qber(a, b, 0.25, rng)
+        assert_derived(est.remaining_a)
+        assert_derived(est.remaining_b)
+        if len(est.remaining_a) == 0:
+            return
+        try:
+            ra, rb, _ = reconcile(est.remaining_a, est.remaining_b, 0.05, Transcript(), rng)
+        except ReconciliationError:
+            ra, rb = est.remaining_a, est.remaining_b
+        assert_derived(rb)
+        length = int(cut * len(ra))
+        ta, tb = ra.truncate(length), rb.truncate(length)
+        assert_derived(ta)
+        assert_derived(tb)
+        mask = compute_flip_mask(ta, est.remaining_b.truncate(length))
+        assert_derived(mask)
+        assert_derived(apply_flip_mask(tb, mask))
+        assert_derived(a.take(np.flatnonzero(a.bits)))
 
 
 class TestSift:

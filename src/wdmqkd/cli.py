@@ -236,10 +236,13 @@ def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
     _check_keys(data, frozenset(_field_parsers(NetworkSpec)), "network")
     router = _build_router(data.get("router"), base_dir)
     server = _as_int(data.get("server", 0), "network.server")
+    n_ports = router.assignment.n_ports
+    if not 0 <= server < n_ports:  # before the detectors, which are built for the other ports
+        raise ConfigError(f"network.server must be a router port, 0..{n_ports - 1}, got {server}")
     source = _build(
         SourceModel, _section(data.get("source"), "network.source"), "network.source"
     )
-    clients = tuple(p for p in range(router.assignment.n_ports) if p != server)
+    clients = tuple(p for p in range(n_ports) if p != server)
     return _build(
         NetworkSpec, data, "network",
         router=router,

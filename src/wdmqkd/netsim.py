@@ -9,16 +9,17 @@ in an event log that is totally ordered and reproducible from the seed.
 
 The log holds what a Network writes: classical messages before and after
 one quantum window, and in the window pulse and gate trains that share
-one period and one count and start in the window's first frame.  The
-trains are stored as arithmetic sequences and expand to lines only when
-rendered.  Rendering walks the log in blocks of bounded size: the
-messages in one-row blocks, the window in runs of whole frames, each
-frame the one before plus the period, so one lexsort of the first frame
-orders them all.  One writer turns every block into bytes: it tiles one
-row's bytes, every line's text after room for its time, and writes the
-decimal times into the room with numpy.  Where the period divides a
-power of ten D, a block [H·D, (H+1)·D) with H >= 1 is the one before
-with the leading digits str(H) of its times rewritten.
+one period and one count and start in the window's first frame.  Times
+are >= 0.  The trains are stored as arithmetic sequences and expand to
+lines only when rendered.  Rendering walks the window in runs of whole
+frames, each frame the one before plus the period, so one lexsort of the
+first frame orders them all.  One writer turns every run into bytes: it
+tiles one row's bytes, every line's text after room for its time, and
+writes the decimal times into the room with numpy.  Where the period
+divides a power of ten D, a block [H·D, (H+1)·D) with H >= 1 is the one
+before with the leading digits str(H) of its times rewritten.  The guard
+check reads the pulse trains' first lines alone: every frame repeats the
+first.
 """
 
 from __future__ import annotations
@@ -81,16 +82,16 @@ class SchedulingInfeasibleError(ValueError):
 
 DEFAULT_GUARD_NS = 100
 
-EVENT_KINDS = ("pulse-arrival", "gate-open", "classical-message")
-_RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
+# the kinds of train, in their order at equal times; messages come last
+_TRAIN_KINDS = ("pulse-arrival", "gate-open")
 
 # Lines per rendering block, or one frame where a frame holds more: bounds
 # the memory a render takes, whatever the length of the log.  2**15
 # rendered a 1.5M-line log no faster and raised the peak RSS of its digest
 # plus guard check by 3 MB.
 _WINDOW_LINES = 1 << 13
-# Event times lie in [-2**61, 2**61), so sums and differences of two times
-# fit in int64.
+# Event times lie in [0, 2**61), so sums and differences of two times fit
+# in int64.
 _TIME_LIMIT = 1 << 61
 
 
@@ -128,25 +129,21 @@ def assign_time_offsets(
 
 def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
     """Reject events the log cannot order in int64 or render as one line."""
-    if not -_TIME_LIMIT <= first_ns <= last_ns < _TIME_LIMIT:
-        raise OverflowError(f"event times {first_ns}..{last_ns} ns outside ±2**61 ns")
+    if not 0 <= first_ns <= last_ns < _TIME_LIMIT:
+        raise OverflowError(f"event times {first_ns}..{last_ns} ns outside [0, 2**61) ns")
     if "\n" in "".join(fields):
         raise ValueError(f"event fields must not hold a newline: {fields!r}")
 
 
-# Decimal classes of a time: searchsorted(_TIME_CLASSES, t, "right") is
-# 0..18 for negative times of 19..1 digits, 19..37 for times >= 0 of 1..19.
-_TIME_CLASSES = np.array(
-    [-(10**k - 1) for k in range(18, 0, -1)] + [0] + [10**k for k in range(1, 19)],
-    dtype=np.int64,
-)
-_CLASS_NEGATIVE = np.arange(38) < 19
-_CLASS_DIGITS = np.abs(np.arange(38) - 18) + _CLASS_NEGATIVE
-# Room for a time of each class: its sign, then zeros for the digits.
-_CLASS_ROOM = np.array(
-    [b"-" * bool(neg) + b"0" * int(n) for n, neg in zip(_CLASS_DIGITS, _CLASS_NEGATIVE)],
-    dtype=object,
-)
+def _check_outside(times: Iterable[int], f: int, end: int) -> None:
+    """Reject a message inside the quantum window [f, end)."""
+    for t in times:
+        if f <= t < end:
+            raise ValueError(f"event at {t} ns falls in the quantum window [{f}, {end}) ns")
+
+
+# searchsorted(_POWERS, t, "right") + 1 is the digit count of a time t >= 0
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _digit_planes(values: np.ndarray, n_digits: int) -> np.ndarray:
@@ -169,30 +166,32 @@ def _digit_planes(values: np.ndarray, n_digits: int) -> np.ndarray:
 
 
 def _write_block(
-    times: np.ndarray, owners: np.ndarray, suffixes: np.ndarray, suffix_len: np.ndarray
+    times: np.ndarray, suffixes: np.ndarray, suffix_len: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """The lines of one (times, owners) block as UTF-8 bytes, one uint8
-    array per run of rows whose times keep their sign and digit count.
+    """The lines of an (m, P) block of times, read row by row, as UTF-8
+    bytes: one uint8 array per run of rows whose times keep their digit
+    count.  Column j's lines end in ``suffixes[j]``, ``suffix_len[j]``
+    bytes long.
 
-    A run tiles one row's bytes, each owner's suffix after room for its
-    time, then writes the digits of the times.  Times rise down each
-    column of a block, so a block whose first and last rows agree in sign
-    and digit count is one run."""
-    cls = np.searchsorted(_TIME_CLASSES, times[[0, -1]] if len(times) > 1 else times, "right")
-    if (cls[0] != cls[-1]).any():
-        cls = np.searchsorted(_TIME_CLASSES, times, side="right")
-    cuts = (np.flatnonzero((cls[1:] != cls[:-1]).any(axis=1)) + 1).tolist()
-    pieces = np.empty(2 * owners.size, dtype=object)
-    pieces[1::2] = suffixes[owners]
+    A run tiles one row's bytes, each suffix after room for its time, then
+    writes the digits of the times.  Times rise down each column of a
+    block, so a block whose first and last rows agree in digit count is
+    one run."""
+    digits = np.searchsorted(_POWERS, times[[0, -1]], "right") + 1
+    if (digits[0] != digits[1]).any():
+        digits = np.searchsorted(_POWERS, times, "right") + 1
+    cuts = (np.flatnonzero((digits[1:] != digits[:-1]).any(axis=1)) + 1).tolist()
+    pieces = np.empty(2 * suffixes.size, dtype=object)
+    pieces[1::2] = suffixes
     for r0, r1 in zip([0, *cuts], [*cuts, len(times)]):
-        digits, negative = _CLASS_DIGITS[cls[r0]], _CLASS_NEGATIVE[cls[r0]]
-        pieces[0::2] = _CLASS_ROOM[cls[r0]]
+        width = digits[r0]
+        pieces[0::2] = [b"0" * n for n in width.tolist()]  # room for each time
         out = np.tile(np.frombuffer(b"".join(pieces.tolist()), dtype=np.uint8), (r1 - r0, 1))
-        size = digits + negative + suffix_len[owners]
-        lead = np.cumsum(size) - size + negative
-        values = np.abs(times[r0:r1].T)
-        for n in np.flatnonzero(np.bincount(digits)).tolist():
-            cols = np.flatnonzero(digits == n)
+        size = width + suffix_len
+        lead = np.cumsum(size) - size
+        values = times[r0:r1].T
+        for n in np.flatnonzero(np.bincount(width)).tolist():
+            cols = np.flatnonzero(width == n)
             planes = _digit_planes(values[cols], n)  # (n, columns, rows)
             # copy along the shorter axis: a column's digits at once, or
             # one digit of every column
@@ -207,67 +206,49 @@ def _write_block(
 
 class EventLog:
     """Totally ordered event log of classical messages around one quantum
-    window of periodic trains.
+    window of pulse and gate trains.
 
     Order is (time, kind rank, append order).  Times are integer
-    nanoseconds in [-2**61, 2**61), and no field may hold a newline, so
-    every event renders as exactly one line.
+    nanoseconds in [0, 2**61), and no field may hold a newline, so every
+    event renders as exactly one line.
 
     The first train sets the window (f, period, count): f is its first
     time rounded down to a multiple of its period, and the window spans
     [f, f + count·period).  Every later train must share the period and
     the count and start in the window's first frame [f, f + period), so
     each frame holds one line of every train, always in one order.  No
-    single event may fall inside the window.  An append that breaks the
-    rule raises ValueError and leaves the log as it was.
+    message may fall inside the window.  An append that breaks the rule
+    raises ValueError and leaves the log as it was.
     """
 
     def __init__(self) -> None:
         # (time_ns, kind, port, channel, detail); a train's time is its first line's
         self._trains: list[tuple[int, str, str, str, str]] = []
-        self._singles: list[tuple[int, str, str, str, str]] = []
+        self._messages: list[tuple[int, str, str]] = []  # (time_ns, port, detail)
         self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
 
-    def append(self, time_ns: int, kind: str, port: str, channel: str, detail: str) -> None:
-        """Append one event, outside the quantum window."""
-        if kind not in _RANK:
-            raise ValueError(f"unknown event kind {kind!r}")
+    def append(self, time_ns: int, port: str, detail: str) -> None:
+        """Append one classical message, outside the quantum window."""
         time_ns = operator.index(time_ns)
-        _check_event(time_ns, time_ns, port, channel, detail)
+        _check_event(time_ns, time_ns, port, detail)
         if self._window is not None:
             f, period, count = self._window
-            if f <= time_ns < f + count * period:
-                raise ValueError(
-                    f"event at {time_ns} ns falls in the quantum window "
-                    f"[{f}, {f + count * period}) ns"
-                )
-        self._singles.append((time_ns, kind, port, channel, detail))
+            _check_outside([time_ns], f, f + count * period)
+        self._messages.append((time_ns, port, detail))
 
-    def append_train(
-        self,
-        time0: int,
-        period_ns: int,
-        count: int,
-        kind: str,
-        port: str,
-        channel: str,
-        detail: str,
-    ) -> None:
-        """Append ``count`` identical events at times time0 + i·period_ns."""
-        if kind not in _RANK:
-            raise ValueError(f"unknown event kind {kind!r}")
+    def append_train(self, time0: int, period_ns: int, count: int,
+                     kind: str, port: str, channel: str, detail: str) -> None:
+        """Append ``count`` identical pulse-arrival or gate-open events at
+        times time0 + i·period_ns."""
+        if kind not in _TRAIN_KINDS:
+            raise ValueError(f"a train is of kind pulse-arrival or gate-open, got {kind!r}")
         time0, period_ns, count = (operator.index(v) for v in (time0, period_ns, count))
         if count <= 0 or period_ns <= 0:
             raise ValueError("a train needs positive count and period")
         _check_event(time0, time0 + period_ns * (count - 1), port, channel, detail)
         if self._window is None:
             f = time0 - time0 % period_ns
-            inside = [t for t, *_ in self._singles if f <= t < f + count * period_ns]
-            if inside:
-                raise ValueError(
-                    f"event at {inside[0]} ns falls in the quantum window "
-                    f"[{f}, {f + count * period_ns}) ns"
-                )
+            _check_outside((t for t, _, _ in self._messages), f, f + count * period_ns)
             self._window = (f, period_ns, count)
         else:
             f, period, n = self._window
@@ -280,96 +261,81 @@ class EventLog:
         self._trains.append((time0, kind, port, channel, detail))
 
     def __len__(self) -> int:
-        return len(self._singles) + len(self._trains) * (self._window[2] if self._window else 0)
+        return len(self._messages) + len(self._trains) * (self._window[2] if self._window else 0)
 
-    def _merge(self, kind: str | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, range | None]]:
-        """The events of ``kind``, or all events, in log order, in blocks of
-        at most max(``_WINDOW_LINES``, trains) lines.
+    def _chunks(self) -> Iterator[np.ndarray]:
+        """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
+        of at most ``_WINDOW_LINES`` lines, or one frame where a frame holds
+        more: the messages before the window, the window, then the messages
+        after it.
 
-        A block is (times, owners, run): ``times`` an (m, P) array read row
-        by row, ``owners`` the P owners of its columns.  An owner below the
-        number of trains indexes the trains; any other owner, less that
-        number, indexes the single events.  ``run`` is None, or the starts
-        of whole decades [H·D, (H+1)·D), H >= 1, as ``range(H0·D, H1·D, D)``:
-        the block is then decade H0, and decade H is the block plus
-        (H - H0)·D.
-
-        The single events before the window come first, then the window,
-        then the single events after it; the singles go in one-row blocks.
-        Each row of a window block is one frame, the one above plus the
-        period, and a lexsort of the first frame orders them all.  Where the
-        period divides a power of ten, D is the largest such power whose
-        D/period frames fit in the cap; blocks then end at multiples of D,
-        and the whole decades at or above D go out as one run.  Elsewhere a
-        block is as many whole frames as fit in the cap, at least one.
+        Each block of the window is a run of whole frames, each the one
+        above plus the period, so a lexsort of the first frame orders them
+        all.  Where the period divides a power of ten, D is the largest
+        such power whose D/period frames fit in the cap, and blocks end at
+        multiples of D.  A time in a whole decade [H·D, (H+1)·D) with H >= 1
+        is str(H), then digits that every decade repeats: the first such
+        decade of each digit count is written in full, and each later one
+        is the decade before with the digits of H that changed rewritten.
+        Elsewhere a block is as many whole frames as fit in the cap, at
+        least one.
         """
         cap = _WINDOW_LINES
-        n_trains = len(self._trains)
-        keys = sorted(
-            (t, _RANK[k], n_trains + i) for i, (t, k, *_) in enumerate(self._singles)
-            if kind in (None, k)
-        )
-        s_time, _, s_owner = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-        f, period, count = self._window or (0, 1, 0)
-        split = int(np.searchsorted(s_time, f))
+        messages = sorted(self._messages, key=operator.itemgetter(0))  # ties keep append order
+        f, period, count = self._window or (_TIME_LIMIT, 1, 0)
+        split = sum(t < f for t, _, _ in messages)
 
-        def singles(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray, None]]:
+        def message_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
             for i in range(lo, hi, cap):
-                yield s_time[None, i:min(i + cap, hi)], s_owner[i:min(i + cap, hi)], None
+                text = "".join(
+                    f"{t} classical-message {port} - {detail}".rstrip() + "\n"
+                    for t, port, detail in messages[i:min(i + cap, hi)]
+                )
+                yield np.frombuffer(text.encode(), dtype=np.uint8)
 
-        yield from singles(0, split)
-        keep = [j for j, (_, k, *_) in enumerate(self._trains) if kind in (None, k)]
-        if keep:
-            t0 = np.array([self._trains[j][0] for j in keep], dtype=np.int64)
-            rank = np.array([_RANK[self._trains[j][1]] for j in keep])
-            order = np.lexsort((rank, t0))  # stable: ties keep append order
-            first, owners = t0[order], np.array(keep)[order]
+        yield from message_chunks(0, split)
+        if self._trains:
+            t0 = np.array([t for t, *_ in self._trains], dtype=np.int64)
+            order = np.lexsort(([_TRAIN_KINDS.index(k) for _, k, *_ in self._trains], t0))
+            first = t0[order]  # stable: ties keep append order
+            # each train's line less its time, newline included
+            suffixes = np.array(
+                [f" {k} {p} {c} {d}".rstrip().encode() + b"\n" for _, k, p, c, d in self._trains],
+                dtype=object,
+            )[order]
+            suffix_len = np.array([len(s) for s in suffixes], dtype=np.int64)
+
+            def frames(r0: int, r1: int) -> np.ndarray:
+                """The block of the frames that start in [r0, r1)."""
+                return first + period * np.arange((r0 - f) // period, (r1 - f) // period)[:, None]
+
             decade = max((d for d in (10**j for j in range(19))
-                          if d % period == 0 and d // period * len(keep) <= cap), default=0)
-            span = decade or max(cap // len(keep), 1) * period  # blocks end at grid + j·span
+                          if d % period == 0 and d // period * first.size <= cap), default=0)
+            span = decade or max(cap // first.size, 1) * period  # blocks end at grid + j·span
             grid, end = (f - f % decade if decade else f), f + count * period
-            # the whole decades [H·D, (H+1)·D) with H >= 1 go out as one run
+            # the whole decades [H·D, (H+1)·D) with H >= 1
             lo, hi = (max(-(-f // decade), 1) * decade, end // decade * decade) if decade else (end, end)
             if lo >= hi:
                 lo = hi = end
             edges = [f, *range(grid + span, lo, span), lo, hi, *range(hi + span, end, span), end]
-            for r0, r1 in itertools.pairwise(edges):
-                if r0 < r1:
-                    run = range(lo, hi, decade) if (r0, r1) == (lo, hi) else None
-                    r1 = r0 + decade if run else r1
-                    yield first + period * np.arange((r0 - f) // period, (r1 - f) // period)[:, None], owners, run
-        yield from singles(split, s_time.size)
-
-    def _chunks(self) -> Iterator[np.ndarray]:
-        """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
-        of at most about one block each.  A run of decades renders its first
-        decade of each digit count; each later decade is the one before with
-        the digits of H that changed rewritten."""
-        # each owner's line less its time, newline included
-        suffixes = np.array(
-            [f" {k} {p} {c} {d}".rstrip().encode() + b"\n"
-             for _, k, p, c, d in itertools.chain(self._trains, self._singles)],
-            dtype=object,
-        )
-        suffix_len = np.array([len(s) for s in suffixes], dtype=np.int64)
-        for times, owners, run in self._merge():
-            if run is None:
-                yield from _write_block(times, owners, suffixes, suffix_len)
-                continue
-            # a time in decade H is str(H), then digits that every decade repeats
-            width = 0
-            for start in run:
-                stamp = np.frombuffer(str(start // run.step).encode(), dtype=np.uint8)
-                if stamp.size != width:
-                    [block] = _write_block(times + (start - run.start), owners, suffixes, suffix_len)
-                    width, size = stamp.size, stamp.size + len(str(run.step)) - 1 + suffix_len[owners]
-                    leads = np.cumsum(size) - size
-                else:  # the decade before, with the digits of H that changed rewritten
-                    block = block.copy()
-                    for i in np.flatnonzero(stamp != last):
-                        block.reshape(len(times), -1)[:, leads + i] = stamp[i]
-                yield block
-                last = stamp
+            for r0, r1 in itertools.pairwise(dict.fromkeys(edges)):  # edges rise
+                if (r0, r1) != (lo, hi):
+                    yield from _write_block(frames(r0, r1), suffixes, suffix_len)
+                    continue
+                times, width = frames(lo, lo + decade), 0
+                for start in range(lo, hi, decade):
+                    stamp = np.frombuffer(str(start // decade).encode(), dtype=np.uint8)
+                    if stamp.size != width:
+                        [block] = _write_block(times + (start - lo), suffixes, suffix_len)
+                        width, size = stamp.size, stamp.size + len(str(decade)) - 1 + suffix_len
+                        leads = np.cumsum(size) - size
+                    else:  # the decade before, with the digits of H that changed rewritten
+                        block = block.copy()
+                        for i in np.flatnonzero(stamp != last):
+                            block.reshape(len(times), -1)[:, leads + i] = stamp[i]
+                    yield block
+                    last = stamp
+        yield from message_chunks(split, len(messages))
 
     def render_lines(self) -> Iterator[str]:
         for chunk in self._chunks():
@@ -390,39 +356,31 @@ class EventLog:
         return h.hexdigest()
 
     def guard_violations(self, guard_ns: int) -> list[tuple[int, str, int, str]]:
-        """Consecutive pulse arrivals on different channels closer than the guard.
+        """Consecutive pulse arrivals on different channels closer than the
+        guard, in log order, each as (time, channel, next time, next channel).
 
-        The arrivals alone are walked in log order through the blocks of
-        :meth:`_merge`; each is reported as (time, channel, next time, next
-        channel).  In a run of decades, each later decade's violations are
-        the first's, moved by the decades between, after the pair that
-        crosses into it from the decade before.
+        The pulse trains' first lines, sorted by (time, append order), are
+        the first frame's arrivals.  Each is followed by the next, and the
+        last by the first one period on, in every frame.  So the first
+        frame's violations repeat once a frame, one period apart, less the
+        pair that would cross out of the last frame.
         """
-        labels: dict[str, int] = {}
-        channel = np.array(
-            [labels.setdefault(x[3], len(labels)) for x in itertools.chain(self._trains, self._singles)],
-            dtype=np.int64,
+        f, period, count = self._window or (0, 1, 0)
+        pulses = sorted(
+            ((t, c) for t, kind, _, c, _ in self._trains if kind == "pulse-arrival"),
+            key=operator.itemgetter(0),
         )
-        names = list(labels)
-        found: list[tuple[int, str, int, str]] = []
-
-        def extend(t: np.ndarray, c: np.ndarray, shifts: Iterable[int]) -> None:
-            """Add the violations among ``t``, moved by each of ``shifts`` in turn."""
-            i = np.flatnonzero((np.diff(t) < guard_ns) & (c[1:] != c[:-1]))
-            c1, c2 = ([names[x] for x in c[j].tolist()] for j in (i, i + 1))
-            for s in shifts:
-                found.extend(zip((t[i] + s).tolist(), c1, (t[i + 1] + s).tolist(), c2))
-
-        last_t, last_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        for times, owners, run in self._merge("pulse-arrival"):
-            t = np.concatenate([last_t, times.ravel()])
-            c = np.concatenate([last_c, np.tile(channel[owners], len(times))])
-            extend(t, c, [0])
-            last_t, last_c = t[-1:], c[-1:]
-            if run:  # each later decade repeats the first, after the last line of the one before
-                extend(np.append(t[-1] - run.step, times), np.append(c[-1], c[-times.size:]),
-                       range(run.step, len(run) * run.step, run.step))
-                last_t = last_t + (run.stop - run.step - run.start)
+        after = pulses[1:] + [(t + period, c) for t, c in pulses[:1]]
+        bad = [(t1, c1, t2 - t1, c2) for (t1, c1), (t2, c2) in zip(pulses, after)
+               if t2 - t1 < guard_ns and c1 != c2]
+        if not bad:
+            return []
+        first, c1, gap, c2 = zip(*bad)
+        starts = (np.array(first) + period * np.arange(count)[:, None]).ravel()
+        ends = starts + np.tile(gap, count)
+        found = list(zip(starts.tolist(), c1 * count, ends.tolist(), c2 * count))
+        if found[-1][2] >= f + count * period:
+            found.pop()  # the last frame's last arrival has none after it
         return found
 
 
@@ -588,10 +546,7 @@ class Network:
         labels = self._labels
         port = "-" if msg.sender is None else labels[msg.sender]
         link = "-" if msg.link is None else f"{labels[msg.link[0]]}-{labels[msg.link[1]]}"
-        self.events.append(
-            msg.time_ns, "classical-message", port, "-",
-            f"kind={msg.kind} link={link} seq={msg.seq}",
-        )
+        self.events.append(msg.time_ns, port, f"kind={msg.kind} link={link} seq={msg.seq}")
 
     def link_parameters(self, server: int, client: int) -> LinkParameters:
         if server != self.spec.server:

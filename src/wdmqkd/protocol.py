@@ -586,6 +586,8 @@ class SessionConfig:
             raise ValueError("multicast needs at least two clients")
         if self.n_frames <= 0:
             raise ValueError(f"n_frames must be positive, got {self.n_frames}")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.sample_fraction < 1:
             raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction}")
         # zero forces an abort on any estimate, which is useful for drills
@@ -675,8 +677,7 @@ class _LinkState:
     sifted_a: KeyBlock | None = None
     sifted_b: KeyBlock | None = None
     estimate: QberEstimate | None = None
-    corrected_a: KeyBlock | None = None
-    corrected_b: KeyBlock | None = None
+    corrected_b: KeyBlock | None = None  # reconcile leaves a's block as it is
     leaked: int = 0
 
 
@@ -825,7 +826,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
         failure: ReconciliationError | None = None
         for _ in range(2):
             try:
-                a, b, _ = reconcile(
+                _, st.corrected_b, _ = reconcile(
                     est.remaining_a, est.remaining_b, sizing, transcript, rng=rng
                 )
                 break
@@ -833,18 +834,17 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 failure = err  # fresh permutations next attempt
         else:
             raise failure
-        st.corrected_a, st.corrected_b = a, b
         # no parity bit of this link is on the transcript before this stage
         st.leaked = transcript.parity_bit_count(link=(cfg.server, c))
 
     # E: truncate to the shortest link and publish flip masks
     final_length = min(len(links[c].corrected_b) for c in cfg.clients)
     reference = cfg.clients[0]
-    ref_block = links[reference].corrected_a.truncate(final_length)
+    ref_block = links[reference].estimate.remaining_a.truncate(final_length)
     client_keys: dict[int, np.ndarray] = {}
     for c in cfg.clients:
         st = links[c]
-        mask = compute_flip_mask(ref_block, st.corrected_a.truncate(final_length))
+        mask = compute_flip_mask(ref_block, st.estimate.remaining_a.truncate(final_length))
         transcript.append(
             "FlipMask", cfg.server, c, (cfg.server, c),
             {
@@ -878,16 +878,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
 
 def _link_report(cfg: SessionConfig, st: _LinkState, final_length: int) -> LinkReport:
     est = st.estimate
-    if st.corrected_b is not None:
-        # after convergence the residual errors are exactly the net flips
-        n_corrected = int(
-            np.count_nonzero(st.corrected_b.bits != st.estimate.remaining_b.bits)
-        )
-        errors = est.n_mismatched + n_corrected
-    else:
-        # aborted link: the key is discarded, so compare in full
-        n_corrected = 0
-        errors = int(np.count_nonzero(st.sifted_a.bits != st.sifted_b.bits))
+    errors = int(np.count_nonzero(st.sifted_a.bits != st.sifted_b.bits))
     return LinkReport(
         server=cfg.server,
         client=st.client,
@@ -896,12 +887,13 @@ def _link_report(cfg: SessionConfig, st: _LinkState, final_length: int) -> LinkR
         n_frames=cfg.n_frames,
         n_clicked=st.n_clicked,
         n_sifted=st.n_sifted,
-        n_sampled=est.n_sampled if est else 0,
-        sample_mismatches=est.n_mismatched if est else 0,
-        qber_estimate=est.estimate if est else float("nan"),
-        qber_measured=errors / st.n_sifted if st.n_sifted else float("nan"),
+        n_sampled=est.n_sampled,
+        sample_mismatches=est.n_mismatched,
+        qber_estimate=est.estimate,
+        qber_measured=errors / st.n_sifted,
         leaked_bits=st.leaked,
-        n_corrected=n_corrected,
+        # a completed link corrects every error the sample left in its key
+        n_corrected=errors - est.n_mismatched if st.corrected_b is not None else 0,
         final_length=final_length,
         p_sig=st.params.p_sig,
         p_dark=st.params.p_dark,

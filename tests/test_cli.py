@@ -244,6 +244,25 @@ class TestSimulate:
         if ".nan" in text or ".inf" in text:
             assert "nan" in err or "inf" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("text, flags, message", [
+        ("session: {seed: -5}\n", [], "error: session: seed must be >= 0, got -5\n"),
+        ("", ["--seed", "-1"],"error: seed must be >= 0, got -1\n"),
+    ], ids=["config", "flag"])
+    def test_negative_seed_named(self, tmp_path, capsys, command, text, flags, message):
+        cfg = write_config(tmp_path, text + "sweep: {start_db: 0, stop_db: 5, step_db: 5}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("server", [9, 4, -1])
+    def test_server_outside_the_router_named(self, tmp_path, capsys, server):
+        # detectors left out: the default ones fit only the default server
+        cfg = write_config(tmp_path, f"network: {{server: {server}}}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: network.server must be a router port, 0..3, got {server}\n"
+        )
+
     def test_low_frame_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: {n_frames: 500}\n")
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from wdmqkd import netsim
 from wdmqkd.netsim import (
-    EVENT_KINDS,
     EventLog,
     Network,
     NetworkSpec,
@@ -83,15 +82,15 @@ class TestAssignTimeOffsets:
 
 def reference_events(log):
     """Every event of ``log`` as (time, kind rank, append order, kind, port,
-    channel, detail), expanded line by line and sorted.  A single and a
+    channel, detail), expanded line by line and sorted.  A message and a
     train line never share a time, so append order within each list is
     the log's."""
     _, period, count = log._window or (0, 1, 0)
     events = [
-        (t0 + i * period, netsim._RANK[kind], j, kind, *fields)
+        (t0 + i * period, netsim._TRAIN_KINDS.index(kind), j, kind, *fields)
         for j, (t0, kind, *fields) in enumerate(log._trains) for i in range(count)
     ]
-    events += [(t, netsim._RANK[kind], j, kind, *fields) for j, (t, kind, *fields) in enumerate(log._singles)]
+    events += [(t, 2, j, "classical-message", port, "-", detail) for j, (t, port, detail) in enumerate(log._messages)]
     return sorted(events, key=lambda x: x[:3])
 
 
@@ -124,29 +123,28 @@ LIMIT = 2**61
 
 @st.composite
 def window_logs(draw):
-    """A log like the ones ``Network`` writes: k channels at distinct offsets
-    inside one frame, each a pulse train and a gate train of one count at
-    equal times appended in either order, and single events before and
-    after the window, appended before and after the trains.  The window may
-    straddle a power of ten or its negative, lie below zero, start at or
-    above 2**32, reach ±2**61, and span a dozen decades of D."""
+    """A log like the ones ``Network`` writes: k channels inside one frame,
+    each a pulse train and a gate train of one count at equal times
+    appended in either order, and messages before and after the window,
+    appended before and after the trains.  Offsets are distinct, as
+    ``Network`` writes them, or may repeat; channel labels may repeat.  The
+    window may straddle a power of ten, start at 0 or at or above 2**32,
+    reach 2**61, and span a dozen decades of D."""
     k = draw(st.integers(1, 3))
     period = draw(PERIOD.filter(lambda p: p >= k))
     count = draw(st.integers(1, 150))
     span = period * count
     start = draw(st.one_of(
-        st.integers(-300, 300),
-        st.builds(lambda p, d: p - d, POWER_OF_TEN, st.integers(0, span)),
-        st.builds(lambda p, d: -p - d, POWER_OF_TEN, st.integers(0, span)),
+        st.integers(0, 300),
+        st.builds(lambda p, d: max(p - d, 0), POWER_OF_TEN, st.integers(0, span)),
         st.integers(2**32 - span, 2**32 + 100),
-        st.integers(-LIMIT, -LIMIT + 2 * period),
         st.integers(LIMIT - span - 2 * period, LIMIT - span + period - 1),
-        st.integers(-LIMIT, LIMIT - span),
+        st.integers(0, LIMIT - span),
     ))
     f = start - start % period
-    lo_off, hi_off = max(0, -LIMIT - f), min(period, LIMIT - (count - 1) * period - f)
-    assume(hi_off - lo_off >= k)
-    offsets = draw(st.lists(st.integers(lo_off, hi_off - 1), min_size=k, max_size=k, unique=True))
+    hi_off = min(period, LIMIT - (count - 1) * period - f)
+    assume(hi_off >= k)
+    offsets = draw(st.lists(st.integers(0, hi_off - 1), min_size=k, max_size=k, unique=draw(st.booleans())))
     trains = []
     for off in offsets:
         channel = draw(FIELD)
@@ -156,20 +154,20 @@ def window_logs(draw):
         ]
         trains += pair[::draw(st.sampled_from([1, -1]))]  # either appended first
     end = f + span
-    where = [st.integers(max(f - 60, -LIMIT), f - 1)] if f > -LIMIT else []
+    where = [st.integers(max(f - 60, 0), f - 1)] if f > 0 else []
     where += [st.integers(end, min(end + 60, LIMIT - 1))] if end < LIMIT else []
-    singles = [
-        (draw(st.one_of(*where)), draw(st.sampled_from(EVENT_KINDS)), draw(FIELD), draw(FIELD), draw(FIELD))
-        for _ in range(draw(st.integers(0, 6)))
+    messages = [
+        (draw(st.one_of(*where)), draw(FIELD), draw(FIELD))
+        for _ in range(draw(st.integers(0, 6)) if where else 0)
     ]
-    n_before = draw(st.integers(0, len(singles)))
+    n_before = draw(st.integers(0, len(messages)))
     log = EventLog()
-    for event in singles[:n_before]:
-        log.append(*event)
+    for message in messages[:n_before]:
+        log.append(*message)
     for train in trains:
         log.append_train(*train)
-    for event in singles[n_before:]:
-        log.append(*event)
+    for message in messages[n_before:]:
+        log.append(*message)
     return log
 
 
@@ -180,8 +178,8 @@ DECADE_PERIODS = (1, 2, 4, 5, 10, 20, 25, 50, 100)
 def decade_logs(draw):
     """A quantum window whose period divides a power of ten D, and a window
     cap under which its blocks are cut at multiples of D: it spans up to a
-    dozen decades and may start below D or below zero, or cross a power of
-    ten in its leading digits, with singles just before or after it."""
+    dozen decades and may start at 0 or below D, or cross a power of ten in
+    its leading digits, with messages just before or after it."""
     period = draw(st.sampled_from(DECADE_PERIODS))
     k = draw(st.integers(1, min(3, period)))
     rows = next(10**j for j in range(3) if 10**j % period == 0) // period
@@ -189,7 +187,7 @@ def decade_logs(draw):
     span = period * draw(st.integers(1, 12 * rows))
     decade = rows * period
     start = draw(st.one_of(
-        st.integers(-2 * decade, decade),
+        st.integers(0, decade),
         st.builds(lambda m, d: 10**m * decade - d, st.integers(1, 3), st.integers(0, 3 * decade)),
         st.integers(0, LIMIT - 1 - span),
     ))
@@ -199,17 +197,17 @@ def decade_logs(draw):
     for off in offsets:
         for kind in ("pulse-arrival", "gate-open"):
             log.append_train(f + off, period, span // period, kind, "A", f"λ{off}", "")
-    where = st.one_of(st.integers(f - period, f - 1), st.integers(f + span, f + span + period))
+    where = [st.integers(f + span, min(f + span + period, LIMIT - 1))]
+    where += [st.integers(max(f - period, 0), f - 1)] if f > 0 else []
     for _ in range(draw(st.integers(0, 2))):
-        log.append(draw(where), draw(st.sampled_from(EVENT_KINDS)), "B", draw(FIELD), "")
+        log.append(draw(st.one_of(*where)), "B", draw(FIELD))
     return log, cap
 
 
 def assert_matches_reference(log, caps, guards):
     """Under each window cap, the renders, the digest and the guard checks
-    of ``log`` equal the references; every block holds at most the cap, or
-    one frame where a frame holds more, and a run's block lies in its first
-    decade."""
+    of ``log`` equal the references, and every chunk holds at most the cap,
+    or one frame where a frame holds more."""
     expected = list(reference_lines(log))
     text = "".join(line + "\n" for line in expected)
     violations = {guard: reference_guard_violations(log, guard) for guard in guards}
@@ -220,11 +218,8 @@ def assert_matches_reference(log, caps, guards):
             assert log.digest() == hashlib.sha256(text.encode()).hexdigest()
             for guard, found in violations.items():
                 assert log.guard_violations(guard) == found
-            for times, owners, run in log._merge():
-                assert times.shape[1] == owners.size
-                assert times.size <= max(cap, len(log._trains))
-                if run:
-                    assert run.start <= times.min() <= times.max() < run.start + run.step
+            for chunk in log._chunks():
+                assert np.count_nonzero(chunk == ord("\n")) <= max(cap, len(log._trains))
 
 
 def window_log(singles_before=(), singles_after=()):
@@ -232,23 +227,31 @@ def window_log(singles_before=(), singles_after=()):
     [1000, 6000), and classical messages at the given times around it."""
     log = EventLog()
     for t in singles_before:
-        log.append(t, "classical-message", "A", "-", "kind=KeyRequest")
+        log.append(t, "A", "kind=KeyRequest")
     log.append_train(1000, 1000, 5, "pulse-arrival", "A", "λ1", "dest=B")
     for t in singles_after:
-        log.append(t, "classical-message", "B", "-", "kind=BasisList")
+        log.append(t, "B", "kind=BasisList")
     return log
 
 
 class TestEventLog:
     def test_orders_by_time_then_kind_then_seq(self):
         log = EventLog()
-        log.append(50, "classical-message", "A", "-", "kind=KeyRequest")
-        log.append(50, "gate-open", "B", "λ1", "")
-        log.append(50, "pulse-arrival", "A", "λ1", "dest=B")
-        log.append(10, "classical-message", "B", "-", "kind=KeyRequest")
-        kinds = [line.split(" ")[1] for line in log.render_lines()]
-        assert kinds == [
-            "classical-message", "pulse-arrival", "gate-open", "classical-message",
+        log.append(300, "A", "kind=Abort")
+        log.append(50, "A", "kind=KeyRequest")
+        log.append_train(100, 100, 2, "gate-open", "B", "λ1", "")
+        log.append_train(100, 100, 2, "pulse-arrival", "A", "λ1", "dest=B")
+        log.append(10, "B", "kind=KeyRequest")
+        log.append(300, "B", "kind=Abort")
+        assert list(log.render_lines()) == [
+            "10 classical-message B - kind=KeyRequest",
+            "50 classical-message A - kind=KeyRequest",
+            "100 pulse-arrival A λ1 dest=B",
+            "100 gate-open B λ1",
+            "200 pulse-arrival A λ1 dest=B",
+            "200 gate-open B λ1",
+            "300 classical-message A - kind=Abort",
+            "300 classical-message B - kind=Abort",
         ]
 
     def test_train_expansion(self):
@@ -273,7 +276,7 @@ class TestEventLog:
     def test_digest_matches_render(self):
         log = EventLog()
         log.append_train(0, 10, 5, "pulse-arrival", "A", "λ1", "dest=D")
-        log.append(50, "classical-message", "D", "-", "kind=BasisList")
+        log.append(50, "D", "kind=BasisList")
         manual = hashlib.sha256()
         for line in log.render_lines():
             manual.update(line.encode())
@@ -295,22 +298,21 @@ class TestEventLog:
     @settings(max_examples=200, deadline=None)
     @given(
         columns=st.lists(
-            st.tuples(st.integers(-(2**61), 2**61 - 1), st.integers(0, 10**17), FIELD),
+            st.tuples(st.integers(0, 2**61 - 1), st.integers(0, 10**17), FIELD),
             min_size=1, max_size=5,
         ),
         rows=st.integers(1, 30),
     )
     def test_block_writer_matches_decimal_formatting(self, columns, rows):
-        """Columns that rise down the rows, crossing powers of ten and zero
-        at different rows, write as ``str`` would."""
+        """Columns that rise down the rows, crossing powers of ten at
+        different rows, write as ``str`` would."""
         times = np.array(
             [[min(t + i * step, 2**61 - 1) for t, step, _ in columns] for i in range(rows)],
             dtype=np.int64,
         )
         suffixes = np.array([f" {f}\n".encode() for *_, f in columns], dtype=object)
         suffix_len = np.array([len(x) for x in suffixes])
-        owners = np.arange(len(columns))
-        written = b"".join(netsim._write_block(times, owners, suffixes, suffix_len))
+        written = b"".join(netsim._write_block(times, suffixes, suffix_len))
         assert written.decode() == "".join(
             f"{t} {f}\n" for row in times.tolist() for t, (*_, f) in zip(row, columns)
         )
@@ -327,39 +329,38 @@ class TestEventLog:
         log = EventLog()
         log.append_train(1000, 1000, 10**6, "pulse-arrival", "A", "λ1", "dest=B")
         windows = []
-        merge = EventLog._merge
+        write = netsim._write_block
 
-        def counting(self, kind=None):
-            for times, owners, run in merge(self, kind):
-                windows.append(times.size)
-                yield times, owners, run
+        def counting(times, *args):
+            windows.append(times.size)
+            return write(times, *args)
 
-        monkeypatch.setattr(EventLog, "_merge", counting)
+        monkeypatch.setattr(netsim, "_write_block", counting)
         text = log.render_text(max_lines=5)
         assert text == "".join(f"{t} pulse-arrival A λ1 dest=B\n" for t in range(1000, 6000, 1000))
         assert windows == [999]  # the frames before the first decade boundary, 10**6 ns
         assert log.render_text(max_lines=0) == ""
 
     def test_single_inside_unit_period_stretch(self):
-        """A single inside a window of 1 ns frames is refused; one at the
+        """A message inside a window of 1 ns frames is refused; one at the
         window's end renders after its last frame."""
         log = EventLog()
         log.append_train(0, 1, 10, "gate-open", "B", "λ1", "")
         with pytest.raises(ValueError, match=r"event at 5 ns falls in the quantum window \[0, 10\) ns"):
-            log.append(5, "pulse-arrival", "A", "λ1", "dest=B")
-        log.append(10, "pulse-arrival", "A", "λ1", "dest=B")
+            log.append(5, "A", "kind=Abort")
+        log.append(10, "A", "kind=Abort")
         for cap in (1, 2, 3):
             with mock.patch.object(netsim, "_WINDOW_LINES", cap):
                 assert list(log.render_lines()) == list(reference_lines(log))
-        assert list(log.render_lines())[-2:] == ["9 gate-open B λ1", "10 pulse-arrival A λ1 dest=B"]
+        assert list(log.render_lines())[-2:] == ["9 gate-open B λ1", "10 classical-message A - kind=Abort"]
 
     @pytest.mark.parametrize("append", [
         lambda log: log.append_train(1000, 500, 5, "gate-open", "B", "λ1", ""),
         lambda log: log.append_train(1000, 1000, 4, "gate-open", "B", "λ1", ""),
         lambda log: log.append_train(2000, 1000, 5, "gate-open", "B", "λ1", ""),
         lambda log: log.append_train(999, 1000, 5, "gate-open", "B", "λ1", ""),
-        lambda log: log.append(1000, "classical-message", "B", "-", "kind=Abort"),
-        lambda log: log.append(5999, "classical-message", "B", "-", "kind=Abort"),
+        lambda log: log.append(1000, "B", "kind=Abort"),
+        lambda log: log.append(5999, "B", "kind=Abort"),
     ], ids=["period", "count", "later-frame", "earlier-frame", "single-at-start", "single-at-end"])
     def test_rejects_what_breaks_the_window(self, append):
         log = window_log(singles_before=[999], singles_after=[6000])
@@ -371,7 +372,7 @@ class TestEventLog:
     @pytest.mark.parametrize("single, time0", [(1500, 1000), (1000, 1200), (5999, 1000)])
     def test_rejects_first_train_around_a_single(self, single, time0):
         log = EventLog()
-        log.append(single, "classical-message", "A", "-", "kind=TrainAnnounce")
+        log.append(single, "A", "kind=TrainAnnounce")
         with pytest.raises(ValueError, match=f"event at {single} ns falls in the quantum window"):
             log.append_train(time0, 1000, 5, "pulse-arrival", "A", "λ1", "")
         assert (len(log), log.render_text()) == (1, f"{single} classical-message A - kind=TrainAnnounce\n")
@@ -383,25 +384,26 @@ class TestEventLog:
         log = EventLog()
         for fields in (("A\nB", "λ1", ""), ("A", "λ\n1", ""), ("A", "λ1", "x\n")):
             with pytest.raises(ValueError):
-                log.append(0, "gate-open", *fields)
-            with pytest.raises(ValueError):
                 log.append_train(0, 10, 2, "gate-open", *fields)
+        for fields in (("A\nB", ""), ("A", "x\n")):
+            with pytest.raises(ValueError):
+                log.append(0, *fields)
         assert len(log) == 0
 
     def test_extreme_times_render_in_order(self):
         log = EventLog()
-        log.append(-(2**61), "classical-message", "A", "-", "kind=KeyRequest")
+        log.append(0, "A", "kind=KeyRequest")
         log.append_train(2**61 - 7, 3, 2, "gate-open", "B", "λ2", "")  # window [2**61 - 8, 2**61 - 2)
         log.append_train(2**61 - 8, 3, 2, "pulse-arrival", "A", "λ1", "dest=B")
-        log.append(2**61 - 1, "pulse-arrival", "A", "λ1", "dest=C")
-        log.append(2**61 - 2, "gate-open", "B", "λ2", "")
+        log.append(2**61 - 1, "C", "kind=Abort")
+        log.append(2**61 - 2, "B", "kind=Abort")
         expected = list(reference_lines(log))
         with mock.patch.object(netsim, "_WINDOW_LINES", 2):
             assert list(log.render_lines()) == expected
-        assert expected[0] == f"{-(2**61)} classical-message A - kind=KeyRequest"
+        assert expected[0] == "0 classical-message A - kind=KeyRequest"
         assert expected[-3:] == [
-            f"{2**61 - 4} gate-open B λ2", f"{2**61 - 2} gate-open B λ2",
-            f"{2**61 - 1} pulse-arrival A λ1 dest=C",
+            f"{2**61 - 4} gate-open B λ2", f"{2**61 - 2} classical-message B - kind=Abort",
+            f"{2**61 - 1} classical-message C - kind=Abort",
         ]
 
     def test_rejects_non_integer_or_out_of_range_times(self):
@@ -409,12 +411,20 @@ class TestEventLog:
         with pytest.raises(TypeError):
             log.append_train(0.5, 10, 2, "gate-open", "A", "λ1", "")
         with pytest.raises(TypeError):
-            log.append(1.5, "gate-open", "A", "λ1", "")
+            log.append(1.5, "A", "kind=Abort")
         with pytest.raises(OverflowError):
             log.append_train(2**60, 2**59, 3, "gate-open", "A", "λ1", "")
         with pytest.raises(OverflowError):
-            log.append(-(2**61) - 1, "gate-open", "A", "λ1", "")
+            log.append(2**61, "A", "kind=Abort")
         assert len(log) == 0
+
+    def test_rejects_negative_times(self):
+        log = EventLog()
+        with pytest.raises(OverflowError, match=r"event times -1\.\.-1 ns outside \[0, 2\*\*61\) ns"):
+            log.append(-1, "A", "kind=Abort")
+        with pytest.raises(OverflowError, match=r"event times -10\.\.0 ns outside"):
+            log.append_train(-10, 10, 2, "pulse-arrival", "A", "λ1", "")
+        assert (len(log), log.render_text()) == (0, "")
 
     def test_guard_violations_detected(self):
         log = EventLog()
@@ -426,12 +436,9 @@ class TestEventLog:
         assert not log.guard_violations(50)
 
     @settings(max_examples=200, deadline=None)
-    @given(log=window_logs(), window=st.integers(1, 9), guard=st.integers(1, 101))
-    def test_guard_violations_match_dense_reference(self, log, window, guard):
-        expected = reference_guard_violations(log, guard)
-        with mock.patch.object(netsim, "_WINDOW_LINES", window):
-            assert log.guard_violations(guard) == expected
-        assert log.guard_violations(guard) == expected
+    @given(log=window_logs(), guard=st.integers(1, 1001))
+    def test_guard_violations_match_dense_reference(self, log, guard):
+        assert log.guard_violations(guard) == reference_guard_violations(log, guard)
 
     def test_same_channel_not_a_violation(self):
         log = EventLog()
@@ -439,10 +446,44 @@ class TestEventLog:
         assert not log.guard_violations(100)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EventLog().append(0, "detector-click", "A", "λ1", "")
-        with pytest.raises(ValueError):
-            EventLog().append_train(0, 10, 2, "detector-click", "A", "λ1", "")
+        # a train is pulses or gates; a message has no kind to give
+        log = EventLog()
+        for kind in ("classical-message", "detector-click"):
+            with pytest.raises(ValueError, match=f"got '{kind}'"):
+                log.append_train(0, 10, 2, kind, "A", "λ1", "")
+        assert len(log) == 0
+
+    @pytest.mark.parametrize("trains, count, guard, expected", [
+        # one frame: the pair that wraps into the next frame is not there
+        ([(0, "λ1"), (950, "λ2")], 1, 100, []),
+        # pulses at one time on two channels, in append order
+        ([(100, "λ2"), (100, "λ1")], 2, 1, [(100, "λ2", 100, "λ1"), (1100, "λ2", 1100, "λ1")]),
+        # one channel label on two trains
+        ([(0, "λ1"), (10, "λ1")], 2, 100, []),
+        # a guard of the period or more: every pair, the wrap-around ones too
+        ([(0, "λ1"), (500, "λ2")], 2, 1000,
+         [(0, "λ1", 500, "λ2"), (500, "λ2", 1000, "λ1"), (1000, "λ1", 1500, "λ2")]),
+    ], ids=["one-frame", "equal-times", "one-label", "guard-over-period"])
+    def test_guard_violation_cases(self, trains, count, guard, expected):
+        log = EventLog()
+        for t, channel in trains:
+            log.append_train(t, 1000, count, "pulse-arrival", "A", channel, "")
+        assert log.guard_violations(guard) == expected == reference_guard_violations(log, guard)
+
+    def test_gate_trains_are_not_checked(self):
+        log = EventLog()
+        log.append_train(0, 1000, 3, "gate-open", "B", "λ1", "")
+        log.append_train(10, 1000, 3, "gate-open", "C", "λ2", "")
+        assert log.guard_violations(100) == []
+
+    def test_guard_check_does_not_walk_the_frames(self):
+        # 10**12 frames: a check that visits each frame, or each decade of
+        # frames, would take hours
+        log = EventLog()
+        log.append_train(1000, 1000, 10**12, "pulse-arrival", "A", "λ1", "dest=B")
+        log.append_train(1500, 1000, 10**12, "pulse-arrival", "A", "λ2", "dest=C")
+        assert len(log) == 2 * 10**12
+        assert log.guard_violations(100) == []
 
 
 class TestNetworkSpec:

@@ -723,6 +723,12 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(server=0, clients=(1,), qber_abort_threshold=0.6)
 
+    def test_negative_seed_rejected(self):
+        # numpy's own error would name no field
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+            SessionConfig(server=0, clients=(1,), seed=-5)
+        assert SessionConfig(server=0, clients=(1,), seed=0).seed == 0
+
     def test_clients_sorted_and_deduplicated(self):
         cfg = SessionConfig(server=0, clients=(3, 1, 2), mode="multicast")
         assert cfg.clients == (1, 2, 3)

@@ -7,11 +7,15 @@ transmissions whose loss is the measured router path plus a configurable
 eATT.  Every pulse arrival, detection gate, and classical message lands
 in an event log that is totally ordered and reproducible from the seed.
 
-The log holds what a Network writes: classical messages before and after
-one quantum window, and in the window pulse and gate trains that share
-one period and one count and start in the window's first frame.  Times
-are >= 0.  The trains are stored as arithmetic sequences and expand to
-lines only when rendered.  Rendering walks the window in runs of whole
+The log holds what a Network writes: one quantum window of pulse and gate
+trains that share one period and one count and start in the window's
+first frame, and the session transcripts the Network hands out, whose
+messages it renders around the window.  The transcript is the one record
+of classical traffic: the log keeps no copy of a message and renders its
+line from the message's fields.  The Network's clock only moves forward
+and jumps past the window when the first train opens it, so no message
+falls inside the window.  Train times lie in [0, 2**61).  The trains are
+stored as arithmetic sequences and expand to lines only when rendered.  Rendering walks the window in runs of whole
 frames, each frame the one before plus the period, so one lexsort of the
 first frame orders them all.  One writer turns every run into bytes: it
 tiles one row's bytes, every line's text after room for its time, and
@@ -57,6 +61,7 @@ from .protocol import (
     SessionAbortError,
     SessionConfig,
     SessionResult,
+    Transcript,
     run_session,
 )
 from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db
@@ -90,7 +95,7 @@ _TRAIN_KINDS = ("pulse-arrival", "gate-open")
 # rendered a 1.5M-line log no faster and raised the peak RSS of its digest
 # plus guard check by 3 MB.
 _WINDOW_LINES = 1 << 13
-# Event times lie in [0, 2**61), so sums and differences of two times fit
+# Train times lie in [0, 2**61), so sums and differences of two times fit
 # in int64.
 _TIME_LIMIT = 1 << 61
 
@@ -128,18 +133,11 @@ def assign_time_offsets(
 
 
 def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
-    """Reject events the log cannot order in int64 or render as one line."""
+    """Reject trains the log cannot order in int64 or render as lines."""
     if not 0 <= first_ns <= last_ns < _TIME_LIMIT:
         raise OverflowError(f"event times {first_ns}..{last_ns} ns outside [0, 2**61) ns")
     if "\n" in "".join(fields):
         raise ValueError(f"event fields must not hold a newline: {fields!r}")
-
-
-def _check_outside(times: Iterable[int], f: int, end: int) -> None:
-    """Reject a message inside the quantum window [f, end)."""
-    for t in times:
-        if f <= t < end:
-            raise ValueError(f"event at {t} ns falls in the quantum window [{f}, {end}) ns")
 
 
 # searchsorted(_POWERS, t, "right") + 1 is the digit count of a time t >= 0
@@ -205,36 +203,41 @@ def _write_block(
 
 
 class EventLog:
-    """Totally ordered event log of classical messages around one quantum
-    window of pulse and gate trains.
+    """Totally ordered event log of one quantum window of pulse and gate
+    trains and the classical messages of the transcripts it records.
 
-    Order is (time, kind rank, append order).  Times are integer
-    nanoseconds in [0, 2**61), and no field may hold a newline, so every
-    event renders as exactly one line.
+    Order is (time, kind rank, append order); messages keep their send
+    order.  Train times are integer nanoseconds in [0, 2**61), and no train
+    field may hold a newline, so every event renders as exactly one line.
+    ``labels`` name the ports, by index, on message lines.
 
     The first train sets the window (f, period, count): f is its first
     time rounded down to a multiple of its period, and the window spans
     [f, f + count·period).  Every later train must share the period and
     the count and start in the window's first frame [f, f + period), so
-    each frame holds one line of every train, always in one order.  No
-    message may fall inside the window.  An append that breaks the rule
-    raises ValueError and leaves the log as it was.
+    each frame holds one line of every train, always in one order.  A
+    train that breaks the rule raises ValueError and leaves the log as it
+    was.  Messages are rendered before or after the window, by time: the
+    writer of the transcripts keeps them out of it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, labels: Sequence[str] = ()) -> None:
+        self._labels = tuple(labels)
+        self._transcripts: list[Transcript] = []
         # (time_ns, kind, port, channel, detail); a train's time is its first line's
         self._trains: list[tuple[int, str, str, str, str]] = []
-        self._messages: list[tuple[int, str, str]] = []  # (time_ns, port, detail)
         self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
 
-    def append(self, time_ns: int, port: str, detail: str) -> None:
-        """Append one classical message, outside the quantum window."""
-        time_ns = operator.index(time_ns)
-        _check_event(time_ns, time_ns, port, detail)
-        if self._window is not None:
-            f, period, count = self._window
-            _check_outside([time_ns], f, f + count * period)
-        self._messages.append((time_ns, port, detail))
+    def record(self, transcript: Transcript) -> None:
+        """Render the messages of ``transcript``, those sent so far and
+        those to come, as classical-message lines."""
+        self._transcripts.append(transcript)
+
+    def _message_line(self, m: ClassicalMessage) -> str:
+        labels = self._labels
+        port = "-" if m.sender is None else labels[m.sender]
+        link = "-" if m.link is None else f"{labels[m.link[0]]}-{labels[m.link[1]]}"
+        return f"{m.time_ns} classical-message {port} - kind={m.kind} link={link} seq={m.seq}\n"
 
     def append_train(self, time0: int, period_ns: int, count: int,
                      kind: str, port: str, channel: str, detail: str) -> None:
@@ -247,9 +250,7 @@ class EventLog:
             raise ValueError("a train needs positive count and period")
         _check_event(time0, time0 + period_ns * (count - 1), port, channel, detail)
         if self._window is None:
-            f = time0 - time0 % period_ns
-            _check_outside((t for t, _, _ in self._messages), f, f + count * period_ns)
-            self._window = (f, period_ns, count)
+            self._window = (time0 - time0 % period_ns, period_ns, count)
         else:
             f, period, n = self._window
             if (period_ns, count) != (period, n) or not f <= time0 < f + period:
@@ -261,7 +262,8 @@ class EventLog:
         self._trains.append((time0, kind, port, channel, detail))
 
     def __len__(self) -> int:
-        return len(self._messages) + len(self._trains) * (self._window[2] if self._window else 0)
+        n_messages = sum(map(len, self._transcripts))
+        return n_messages + len(self._trains) * (self._window[2] if self._window else 0)
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
@@ -281,16 +283,15 @@ class EventLog:
         least one.
         """
         cap = _WINDOW_LINES
-        messages = sorted(self._messages, key=operator.itemgetter(0))  # ties keep append order
+        messages = sorted(  # ties keep send order
+            (m for t in self._transcripts for m in t.messages), key=operator.attrgetter("time_ns")
+        )
         f, period, count = self._window or (_TIME_LIMIT, 1, 0)
-        split = sum(t < f for t, _, _ in messages)
+        split = sum(m.time_ns < f for m in messages)
 
         def message_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
             for i in range(lo, hi, cap):
-                text = "".join(
-                    f"{t} classical-message {port} - {detail}".rstrip() + "\n"
-                    for t, port, detail in messages[i:min(i + cap, hi)]
-                )
+                text = "".join(map(self._message_line, messages[i:min(i + cap, hi)]))
                 yield np.frombuffer(text.encode(), dtype=np.uint8)
 
         yield from message_chunks(0, split)
@@ -511,9 +512,9 @@ class Network:
 
     def __init__(self, spec: NetworkSpec, seed: int | np.random.SeedSequence = 0):
         self.spec = spec
-        self.events = EventLog()
         self._assignment = spec.router.assignment
         self._labels = tuple(port.label for port in self._assignment.ports)
+        self.events = EventLog(self._labels)
         seed_seq = (
             seed
             if isinstance(seed, np.random.SeedSequence)
@@ -542,11 +543,12 @@ class Network:
     def protocol_rng(self) -> np.random.Generator:
         return self._session_rng
 
-    def notify_classical(self, msg: ClassicalMessage) -> None:
-        labels = self._labels
-        port = "-" if msg.sender is None else labels[msg.sender]
-        link = "-" if msg.link is None else f"{labels[msg.link[0]]}-{labels[msg.link[1]]}"
-        self.events.append(msg.time_ns, port, f"kind={msg.kind} link={link} seq={msg.seq}")
+    def new_transcript(self, session_id: int) -> Transcript:
+        """A session's transcript on this network's clock; the event log
+        renders its messages."""
+        transcript = Transcript(session_id, clock=self.clock_ns)
+        self.events.record(transcript)
+        return transcript
 
     def link_parameters(self, server: int, client: int) -> LinkParameters:
         if server != self.spec.server:

@@ -9,7 +9,8 @@ link's key.  All classical traffic goes through a Transcript so leakage
 is countable and the message flow replayable.
 
 The network handle passed to :func:`run_session` supplies the quantum
-channel and the clock; see the function docstring for the contract.
+channel and the session's transcript; see the function docstring for the
+contract.
 """
 
 from __future__ import annotations
@@ -271,24 +272,18 @@ def _payload_repr(payload: Mapping[str, object]) -> str:
 
 
 class Transcript:
-    """Append-only log of every classical message in a session.
+    """Append-only log of every classical message in a session: the one
+    record of classical traffic, which an event harness renders as it is.
 
     ``clock`` supplies timestamps (defaults to the sequence number as a
-    logical clock); ``listener`` is called once per appended message so an
-    event harness can mirror the traffic into its own log.
+    logical clock).
     """
 
-    def __init__(
-        self,
-        session_id: int = 0,
-        clock: Callable[[], int] | None = None,
-        listener: Callable[[ClassicalMessage], None] | None = None,
-    ):
+    def __init__(self, session_id: int = 0, clock: Callable[[], int] | None = None):
         self.session_id = int(session_id)
         self.messages: list[ClassicalMessage] = []
         self._parity_bits: Counter[tuple[int, int] | None] = Counter()  # per link
         self._clock = clock
-        self._listener = listener
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -313,8 +308,6 @@ class Transcript:
         self.messages.append(msg)
         if kind in PARITY_KINDS:
             self._parity_bits[link] += int(payload.get("n_bits", 0))  # type: ignore[arg-type]
-        if self._listener is not None:
-            self._listener(msg)
         return msg
 
     def parity_bit_count(self, link: tuple[int, int] | None = None) -> int:
@@ -691,8 +684,8 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     - ``transmit_train(server, client, n_frames) -> ClickRecord``, the
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
-    - ``clock_ns() -> int``
-    - optionally ``notify_classical(message)`` to mirror transcript entries
+    - ``new_transcript(session_id) -> Transcript``, the session's record of
+      classical traffic, which the handle keeps a hold of and timestamps
 
     Flow: clients request keys; on every link the client announces the
     frames that clicked and its bases, the server sifts on basis match, and
@@ -716,11 +709,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 f"got {cfg.clients}"
             )
 
-    transcript = Transcript(
-        session_id=cfg.seed,
-        clock=network.clock_ns,
-        listener=getattr(network, "notify_classical", None),
-    )
+    transcript = network.new_transcript(cfg.seed)
     rng = network.protocol_rng()
     links: dict[int, _LinkState] = {}
 

@@ -1,5 +1,7 @@
 """Shared fixtures: a minimal in-memory network handle for protocol tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ class FakeNetwork:
 
     Quantum transmission is modeled directly with the photonics click
     sampler; there is no event log and no loss geometry, just fixed
-    per-link click probabilities.
+    per-link click probabilities.  Each transcript runs its own clock, ten
+    nanoseconds a message.
     """
 
     def __init__(
@@ -36,7 +39,6 @@ class FakeNetwork:
         self._protocol_rng = np.random.default_rng(
             np.random.SeedSequence((seed, 0xFACE))
         )
-        self._time = 0
 
     def port_label(self, port):
         return self.assignment.port(port).label
@@ -60,9 +62,8 @@ class FakeNetwork:
     def protocol_rng(self):
         return self._protocol_rng
 
-    def clock_ns(self):
-        self._time += 10
-        return self._time
+    def new_transcript(self, session_id):
+        return protocol.Transcript(session_id, clock=itertools.count(10, 10).__next__)
 
 
 @pytest.fixture

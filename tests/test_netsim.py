@@ -26,10 +26,12 @@ from wdmqkd.netsim import (
 )
 from wdmqkd.photonics import ClickRecord, DetectorModel, SourceModel, expected_qber
 from wdmqkd.protocol import (
+    MESSAGE_KINDS,
     InsufficientDetectionsError,
     KeyBlock,
     SessionAbortError,
     SessionConfig,
+    Transcript,
     run_session,
 )
 from wdmqkd.router import build_assignment, path_loss_db, uniform_router_spec
@@ -80,17 +82,27 @@ class TestAssignTimeOffsets:
             assign_time_offsets([0], 1000, 0)
 
 
+def message_fields(m, labels):
+    """A classical message's (kind, port, channel, detail) in the log, from
+    its fields: its sender's label, and its kind, link and sequence number."""
+    port = "-" if m.sender is None else labels[m.sender]
+    link = "-" if m.link is None else f"{labels[m.link[0]]}-{labels[m.link[1]]}"
+    return "classical-message", port, "-", f"kind={m.kind} link={link} seq={m.seq}"
+
+
 def reference_events(log):
     """Every event of ``log`` as (time, kind rank, append order, kind, port,
     channel, detail), expanded line by line and sorted.  A message and a
     train line never share a time, so append order within each list is
-    the log's."""
+    the log's: the trains' append order, and the messages' send order,
+    transcript by transcript."""
     _, period, count = log._window or (0, 1, 0)
     events = [
         (t0 + i * period, netsim._TRAIN_KINDS.index(kind), j, kind, *fields)
         for j, (t0, kind, *fields) in enumerate(log._trains) for i in range(count)
     ]
-    events += [(t, 2, j, "classical-message", port, "-", detail) for j, (t, port, detail) in enumerate(log._messages)]
+    messages = [m for transcript in log._transcripts for m in transcript]
+    events += [(m.time_ns, 2, j, *message_fields(m, log._labels)) for j, m in enumerate(messages)]
     return sorted(events, key=lambda x: x[:3])
 
 
@@ -119,17 +131,32 @@ PERIOD = st.one_of(st.sampled_from((1, 2, 4, 5, 10, 20, 25, 50, 100)), st.intege
 # window caps: one-frame blocks, decades of a few frames, and the default
 CAP = st.one_of(st.integers(1, 9), st.integers(10, 300), st.just(netsim._WINDOW_LINES))
 LIMIT = 2**61
+LABELS = ("A", "B", "C", "D")
+# a message's sender and link: none, or ports of a four-port star
+SENDER = st.one_of(st.none(), st.integers(0, 3))
+LINK = st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+PAYLOAD = st.dictionaries(
+    st.sampled_from(("seed", "frames", "reason")),
+    st.one_of(st.integers(), st.binary(max_size=4), FIELD),
+    max_size=2,
+)
+
+
+def scripted_transcript(times):
+    """A transcript whose clock reads ``times`` in turn."""
+    return Transcript(clock=iter(times).__next__)
 
 
 @st.composite
 def window_logs(draw):
     """A log like the ones ``Network`` writes: k channels inside one frame,
     each a pulse train and a gate train of one count at equal times
-    appended in either order, and messages before and after the window,
-    appended before and after the trains.  Offsets are distinct, as
-    ``Network`` writes them, or may repeat; channel labels may repeat.  The
-    window may straddle a power of ten, start at 0 or at or above 2**32,
-    reach 2**61, and span a dozen decades of D."""
+    appended in either order, and a recorded transcript whose scripted
+    clock puts its messages before and after the window, sent before and
+    after the trains.  Offsets are distinct, as ``Network`` writes them,
+    or may repeat; channel and port labels may repeat.  The window may
+    straddle a power of ten, start at 0 or at or above 2**32, reach 2**61,
+    and span a dozen decades of D."""
     k = draw(st.integers(1, 3))
     period = draw(PERIOD.filter(lambda p: p >= k))
     count = draw(st.integers(1, 150))
@@ -156,18 +183,21 @@ def window_logs(draw):
     end = f + span
     where = [st.integers(max(f - 60, 0), f - 1)] if f > 0 else []
     where += [st.integers(end, min(end + 60, LIMIT - 1))] if end < LIMIT else []
+    times = [draw(st.one_of(*where)) for _ in range(draw(st.integers(0, 6)) if where else 0)]
     messages = [
-        (draw(st.one_of(*where)), draw(FIELD), draw(FIELD))
-        for _ in range(draw(st.integers(0, 6)) if where else 0)
+        (draw(st.sampled_from(MESSAGE_KINDS)), draw(SENDER), None, draw(LINK), draw(PAYLOAD))
+        for _ in times
     ]
     n_before = draw(st.integers(0, len(messages)))
-    log = EventLog()
+    log = EventLog(draw(st.lists(FIELD, min_size=4, max_size=4)))
+    transcript = scripted_transcript(times)
+    log.record(transcript)
     for message in messages[:n_before]:
-        log.append(*message)
+        transcript.append(*message)
     for train in trains:
         log.append_train(*train)
     for message in messages[n_before:]:
-        log.append(*message)
+        transcript.append(*message)
     return log
 
 
@@ -193,14 +223,16 @@ def decade_logs(draw):
     ))
     f = start - start % period
     offsets = draw(st.lists(st.integers(0, period - 1), min_size=k, max_size=k, unique=True))
-    log = EventLog()
+    log = EventLog(LABELS)
     for off in offsets:
         for kind in ("pulse-arrival", "gate-open"):
             log.append_train(f + off, period, span // period, kind, "A", f"λ{off}", "")
     where = [st.integers(f + span, min(f + span + period, LIMIT - 1))]
     where += [st.integers(max(f - period, 0), f - 1)] if f > 0 else []
+    transcript = scripted_transcript([draw(st.one_of(*where)) for _ in range(2)])
+    log.record(transcript)
     for _ in range(draw(st.integers(0, 2))):
-        log.append(draw(st.one_of(*where)), "B", draw(FIELD))
+        transcript.append(draw(st.sampled_from(MESSAGE_KINDS)), 1, None, draw(LINK), draw(PAYLOAD))
     return log, cap
 
 
@@ -224,43 +256,49 @@ def assert_matches_reference(log, caps, guards):
 
 def window_log(singles_before=(), singles_after=()):
     """A pulse train of 5 frames of 1000 ns from 1000 ns, so the window is
-    [1000, 6000), and classical messages at the given times around it."""
-    log = EventLog()
-    for t in singles_before:
-        log.append(t, "A", "kind=KeyRequest")
+    [1000, 6000), and classical messages at the given times around it:
+    key requests from A, then basis lists from B."""
+    log = EventLog(LABELS)
+    transcript = scripted_transcript([*singles_before, *singles_after])
+    log.record(transcript)
+    for _ in singles_before:
+        transcript.append("KeyRequest", 0, 1, (0, 1), {})
     log.append_train(1000, 1000, 5, "pulse-arrival", "A", "λ1", "dest=B")
-    for t in singles_after:
-        log.append(t, "B", "kind=BasisList")
+    for _ in singles_after:
+        transcript.append("BasisList", 1, 0, (0, 1), {})
     return log
 
 
 class TestEventLog:
     def test_orders_by_time_then_kind_then_seq(self):
-        log = EventLog()
-        log.append(300, "A", "kind=Abort")
-        log.append(50, "A", "kind=KeyRequest")
+        log = EventLog(LABELS)
+        transcript = scripted_transcript([300, 50, 10, 300])
+        log.record(transcript)
+        transcript.append("Abort", 0, 1, (0, 1), {})
+        transcript.append("KeyRequest", 0, 1, None, {})
         log.append_train(100, 100, 2, "gate-open", "B", "λ1", "")
         log.append_train(100, 100, 2, "pulse-arrival", "A", "λ1", "dest=B")
-        log.append(10, "B", "kind=KeyRequest")
-        log.append(300, "B", "kind=Abort")
+        transcript.append("KeyRequest", 1, 0, (0, 1), {})
+        transcript.append("Abort", None, 0, (0, 1), {})
         assert list(log.render_lines()) == [
-            "10 classical-message B - kind=KeyRequest",
-            "50 classical-message A - kind=KeyRequest",
+            "10 classical-message B - kind=KeyRequest link=A-B seq=2",
+            "50 classical-message A - kind=KeyRequest link=- seq=1",
             "100 pulse-arrival A λ1 dest=B",
             "100 gate-open B λ1",
             "200 pulse-arrival A λ1 dest=B",
             "200 gate-open B λ1",
-            "300 classical-message A - kind=Abort",
-            "300 classical-message B - kind=Abort",
+            "300 classical-message A - kind=Abort link=A-B seq=0",
+            "300 classical-message - - kind=Abort link=A-B seq=3",
         ]
+        assert len(log) == 8
 
     def test_train_expansion(self):
         log = window_log(singles_before=[500], singles_after=[6000])
         lines = list(log.render_lines())
         assert lines == [
-            "500 classical-message A - kind=KeyRequest",
+            "500 classical-message A - kind=KeyRequest link=A-B seq=0",
             *(f"{t} pulse-arrival A λ1 dest=B" for t in range(1000, 6000, 1000)),
-            "6000 classical-message B - kind=BasisList",
+            "6000 classical-message B - kind=BasisList link=A-B seq=1",
         ]
         assert len(log) == 7
 
@@ -274,9 +312,11 @@ class TestEventLog:
             assert port == "C" and channel == "λ3" and detail == "width_ns=2.5"
 
     def test_digest_matches_render(self):
-        log = EventLog()
+        log = EventLog(LABELS)
         log.append_train(0, 10, 5, "pulse-arrival", "A", "λ1", "dest=D")
-        log.append(50, "D", "kind=BasisList")
+        transcript = scripted_transcript([50])
+        log.record(transcript)
+        transcript.append("BasisList", 3, 0, (0, 3), {"frames": b"\x01"})
         manual = hashlib.sha256()
         for line in log.render_lines():
             manual.update(line.encode())
@@ -342,26 +382,26 @@ class TestEventLog:
         assert log.render_text(max_lines=0) == ""
 
     def test_single_inside_unit_period_stretch(self):
-        """A message inside a window of 1 ns frames is refused; one at the
-        window's end renders after its last frame."""
-        log = EventLog()
+        """A message at the end of a window of 1 ns frames renders after
+        its last frame."""
+        log = EventLog(LABELS)
         log.append_train(0, 1, 10, "gate-open", "B", "λ1", "")
-        with pytest.raises(ValueError, match=r"event at 5 ns falls in the quantum window \[0, 10\) ns"):
-            log.append(5, "A", "kind=Abort")
-        log.append(10, "A", "kind=Abort")
+        transcript = scripted_transcript([10])
+        log.record(transcript)
+        transcript.append("Abort", 0, 1, (0, 1), {})
         for cap in (1, 2, 3):
             with mock.patch.object(netsim, "_WINDOW_LINES", cap):
                 assert list(log.render_lines()) == list(reference_lines(log))
-        assert list(log.render_lines())[-2:] == ["9 gate-open B λ1", "10 classical-message A - kind=Abort"]
+        assert list(log.render_lines())[-2:] == [
+            "9 gate-open B λ1", "10 classical-message A - kind=Abort link=A-B seq=0",
+        ]
 
     @pytest.mark.parametrize("append", [
         lambda log: log.append_train(1000, 500, 5, "gate-open", "B", "λ1", ""),
         lambda log: log.append_train(1000, 1000, 4, "gate-open", "B", "λ1", ""),
         lambda log: log.append_train(2000, 1000, 5, "gate-open", "B", "λ1", ""),
         lambda log: log.append_train(999, 1000, 5, "gate-open", "B", "λ1", ""),
-        lambda log: log.append(1000, "B", "kind=Abort"),
-        lambda log: log.append(5999, "B", "kind=Abort"),
-    ], ids=["period", "count", "later-frame", "earlier-frame", "single-at-start", "single-at-end"])
+    ], ids=["period", "count", "later-frame", "earlier-frame"])
     def test_rejects_what_breaks_the_window(self, append):
         log = window_log(singles_before=[999], singles_after=[6000])
         size, text = len(log), log.render_text()
@@ -369,60 +409,43 @@ class TestEventLog:
             append(log)
         assert (len(log), log.render_text()) == (size, text)
 
-    @pytest.mark.parametrize("single, time0", [(1500, 1000), (1000, 1200), (5999, 1000)])
-    def test_rejects_first_train_around_a_single(self, single, time0):
-        log = EventLog()
-        log.append(single, "A", "kind=TrainAnnounce")
-        with pytest.raises(ValueError, match=f"event at {single} ns falls in the quantum window"):
-            log.append_train(time0, 1000, 5, "pulse-arrival", "A", "λ1", "")
-        assert (len(log), log.render_text()) == (1, f"{single} classical-message A - kind=TrainAnnounce\n")
-        # no window was set: one that leaves the single out is taken
-        log.append_train(6000, 500, 3, "pulse-arrival", "A", "λ1", "")
-        assert len(log) == 4
-
     def test_rejects_newline_in_fields(self):
         log = EventLog()
         for fields in (("A\nB", "λ1", ""), ("A", "λ\n1", ""), ("A", "λ1", "x\n")):
             with pytest.raises(ValueError):
                 log.append_train(0, 10, 2, "gate-open", *fields)
-        for fields in (("A\nB", ""), ("A", "x\n")):
-            with pytest.raises(ValueError):
-                log.append(0, *fields)
         assert len(log) == 0
 
     def test_extreme_times_render_in_order(self):
-        log = EventLog()
-        log.append(0, "A", "kind=KeyRequest")
+        log = EventLog(LABELS)
+        transcript = scripted_transcript([0, 2**61 - 1, 2**61 - 2])
+        log.record(transcript)
+        transcript.append("KeyRequest", 0, 1, (0, 1), {})
         log.append_train(2**61 - 7, 3, 2, "gate-open", "B", "λ2", "")  # window [2**61 - 8, 2**61 - 2)
         log.append_train(2**61 - 8, 3, 2, "pulse-arrival", "A", "λ1", "dest=B")
-        log.append(2**61 - 1, "C", "kind=Abort")
-        log.append(2**61 - 2, "B", "kind=Abort")
+        transcript.append("Abort", 2, 0, (0, 2), {})
+        transcript.append("Abort", 1, 0, (0, 1), {})
         expected = list(reference_lines(log))
         with mock.patch.object(netsim, "_WINDOW_LINES", 2):
             assert list(log.render_lines()) == expected
-        assert expected[0] == "0 classical-message A - kind=KeyRequest"
+        assert expected[0] == "0 classical-message A - kind=KeyRequest link=A-B seq=0"
         assert expected[-3:] == [
-            f"{2**61 - 4} gate-open B λ2", f"{2**61 - 2} classical-message B - kind=Abort",
-            f"{2**61 - 1} classical-message C - kind=Abort",
+            f"{2**61 - 4} gate-open B λ2",
+            f"{2**61 - 2} classical-message B - kind=Abort link=A-B seq=2",
+            f"{2**61 - 1} classical-message C - kind=Abort link=A-C seq=1",
         ]
 
     def test_rejects_non_integer_or_out_of_range_times(self):
         log = EventLog()
         with pytest.raises(TypeError):
             log.append_train(0.5, 10, 2, "gate-open", "A", "λ1", "")
-        with pytest.raises(TypeError):
-            log.append(1.5, "A", "kind=Abort")
         with pytest.raises(OverflowError):
             log.append_train(2**60, 2**59, 3, "gate-open", "A", "λ1", "")
-        with pytest.raises(OverflowError):
-            log.append(2**61, "A", "kind=Abort")
         assert len(log) == 0
 
     def test_rejects_negative_times(self):
         log = EventLog()
-        with pytest.raises(OverflowError, match=r"event times -1\.\.-1 ns outside \[0, 2\*\*61\) ns"):
-            log.append(-1, "A", "kind=Abort")
-        with pytest.raises(OverflowError, match=r"event times -10\.\.0 ns outside"):
+        with pytest.raises(OverflowError, match=r"event times -10\.\.0 ns outside \[0, 2\*\*61\) ns"):
             log.append_train(-10, 10, 2, "pulse-arrival", "A", "λ1", "")
         assert (len(log), log.render_text()) == (0, "")
 
@@ -668,8 +691,21 @@ class TestNetwork:
         spec = replace(default_fourport_network(), classical_delay_ns=delay)
         net = Network(spec, seed=cfg.seed)
         with pytest.raises(error) if error else contextlib.nullcontext():
-            run_session(cfg, net)
+            result = run_session(cfg, net)
         assert_matches_reference(net.events, (netsim._WINDOW_LINES,), (spec.guard_ns, 1000))
+        # the log renders the session's transcript, a failed one's too, and
+        # no message falls inside the window
+        [transcript] = net.events._transcripts
+        if error is None:
+            assert result.transcript is transcript
+        labels = [port.label for port in spec.router.assignment.ports]
+        expected = [
+            f"{m.time_ns} " + " ".join(message_fields(m, labels)) for m in transcript.messages
+        ]
+        lines = list(net.events.render_lines())
+        assert [line for line in lines if " classical-message " in line] == expected
+        f, period, count = net.events._window or (0, 1, 0)
+        assert not [m for m in transcript.messages if f <= m.time_ns < f + count * period]
 
     def test_session_builds_no_block_through_the_public_constructors(self, monkeypatch):
         # every block and click record of a session is derived from checked

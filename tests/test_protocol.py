@@ -875,15 +875,14 @@ class TestTranscript:
             assert t.parity_bit_count(link=link) == scan(link)
         assert t.parity_bit_count() == scan() > 0
 
-    def test_listener_and_clock(self):
-        seen = []
-        clock = iter(range(100, 200)).__next__
-        t = Transcript(session_id=5, clock=clock, listener=seen.append)
+    def test_clock_stamps_messages(self):
+        t = Transcript(session_id=5, clock=iter(range(100, 200)).__next__)
         t.append("KeyRequest", 1, 0, (0, 1), {"mode": "unicast"})
         t.append("Abort", 0, 1, (0, 1), {"reason": "test"})
-        assert len(seen) == 2
-        assert seen[0].time_ns == 100 and seen[1].time_ns == 101
-        assert seen[0].session_id == 5
+        assert [(m.seq, m.time_ns, m.session_id) for m in t] == [(0, 100, 5), (1, 101, 5)]
+        # without a clock the sequence number is the time
+        t = Transcript()
+        assert t.append("Abort", 0, 1, (0, 1), {}).time_ns == 0
 
     def test_messages_are_immutable(self):
         t = Transcript()

@@ -577,10 +577,18 @@ class Network:
         trains and return the frames that clicked."""
         params = self.link_parameters(server, client)
         period = self.spec.frame_period_ns
-        if self._window_ns is None:  # the first train opens the window a frame after the clock
-            self._window_ns = (self._now // period + 1) * period
-            self._now = self._window_ns + n_frames * period
-        start = self._window_ns + params.offset_ns
+        window = self._window_ns  # the first train opens it a frame after the clock
+        window = (self._now // period + 1) * period if window is None else window
+        end = window + n_frames * period
+        if end > _TIME_LIMIT:
+            raise ValueError(
+                f"the quantum window [{window}, {end}) ns ends past 2**61 ns: lower "
+                f"network.classical_delay_ns ({self.spec.classical_delay_ns}) or "
+                f"session.n_frames ({n_frames})"
+            )
+        if self._window_ns is None:
+            self._window_ns, self._now = window, end
+        start = window + params.offset_ns
         clicks = sample_clicks(
             n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )

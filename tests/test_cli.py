@@ -263,6 +263,18 @@ class TestSimulate:
             f"error: network.server must be a router port, 0..3, got {server}\n"
         )
 
+    @pytest.mark.parametrize("delay, code", [(10**18, 2), (3 * 10**17, 0)])
+    def test_classical_delay_past_the_time_limit(self, tmp_path, capsys, delay, code):
+        # 10**18 ns a message puts the quantum window past 2**61 ns; at
+        # 3*10**17 only the messages after the window pass it
+        cfg = write_config(tmp_path, f"network: {{classical_delay_ns: {delay}}}\nsession: {{n_frames: 20000}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: the quantum window") and "classical_delay_ns (10" in err
+        else:
+            assert err == "" and (tmp_path / "k" / "key_B.hex").is_file()
+
     def test_low_frame_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: {n_frames: 500}\n")
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")])

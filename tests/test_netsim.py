@@ -724,6 +724,30 @@ class TestNetwork:
         assert run.result.key_length > 0
         assert calls == []
 
+    def test_window_past_the_time_limit_named(self):
+        # six messages at 10**18 ns each put the window past 2**61 ns: the
+        # network says which keys to lower before it samples a link
+        spec = replace(default_fourport_network(), classical_delay_ns=10**18)
+        net = Network(spec, seed=1)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
+        with mock.patch.object(netsim, "sample_clicks", side_effect=AssertionError("sampled")):
+            with pytest.raises(ValueError, match=(
+                r"^the quantum window \[6000000000000001000, 6000000000002001000\) ns ends past "
+                r"2\*\*61 ns: lower network.classical_delay_ns \(1000000000000000000\) or "
+                r"session.n_frames \(2000\)$"
+            )):
+                run_session(cfg, net)
+        assert net.events._window is None and len(net.events) == 6
+
+    def test_messages_after_the_window_may_pass_the_time_limit(self):
+        # the window ends below 2**61 ns; the messages after it need not
+        spec = replace(default_fourport_network(), classical_delay_ns=3 * 10**17)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=20_000, seed=3)
+        run = run_network(spec, cfg)
+        times = [int(line.split(" ", 1)[0]) for line in run.events.render_lines()]
+        assert times == sorted(times) and times[-1] >= 2**61
+        assert len(times) == len(run.events) == 2 * 3 * 20_000 + len(run.result.transcript)
+
     def test_window_requires_equal_train_lengths(self):
         net = Network(default_fourport_network(), seed=1)
         net.transmit_train(0, 1, 100)

@@ -62,6 +62,7 @@ from .protocol import (
     SessionConfig,
     SessionResult,
     Transcript,
+    _payload_repr,
     run_session,
 )
 from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db
@@ -237,7 +238,9 @@ class EventLog:
         labels = self._labels
         port = "-" if m.sender is None else labels[m.sender]
         link = "-" if m.link is None else f"{labels[m.link[0]]}-{labels[m.link[1]]}"
-        return f"{m.time_ns} classical-message {port} - kind={m.kind} link={link} seq={m.seq}\n"
+        payload = hashlib.sha256(_payload_repr(m.payload).encode()).hexdigest()[:16]
+        return (f"{m.time_ns} classical-message {port} - kind={m.kind} link={link} "
+                f"seq={m.seq} payload={payload}\n")
 
     def append_train(self, time0: int, period_ns: int, count: int,
                      kind: str, port: str, channel: str, detail: str) -> None:

@@ -32,6 +32,7 @@ from wdmqkd.protocol import (
     SessionAbortError,
     SessionConfig,
     Transcript,
+    _payload_repr,
     run_session,
 )
 from wdmqkd.router import build_assignment, path_loss_db, uniform_router_spec
@@ -84,10 +85,12 @@ class TestAssignTimeOffsets:
 
 def message_fields(m, labels):
     """A classical message's (kind, port, channel, detail) in the log, from
-    its fields: its sender's label, and its kind, link and sequence number."""
+    its fields: its sender's label, and its kind, link, sequence number and
+    the SHA-256 of its payload as the transcript renders it."""
     port = "-" if m.sender is None else labels[m.sender]
     link = "-" if m.link is None else f"{labels[m.link[0]]}-{labels[m.link[1]]}"
-    return "classical-message", port, "-", f"kind={m.kind} link={link} seq={m.seq}"
+    payload = hashlib.sha256(_payload_repr(m.payload).encode()).hexdigest()[:16]
+    return "classical-message", port, "-", f"kind={m.kind} link={link} seq={m.seq} payload={payload}"
 
 
 def reference_events(log):
@@ -132,6 +135,7 @@ PERIOD = st.one_of(st.sampled_from((1, 2, 4, 5, 10, 20, 25, 50, 100)), st.intege
 CAP = st.one_of(st.integers(1, 9), st.integers(10, 300), st.just(netsim._WINDOW_LINES))
 LIMIT = 2**61
 LABELS = ("A", "B", "C", "D")
+EMPTY = "e3b0c44298fc1c14"  # the payload digest of an empty payload, SHA-256 of ""
 # a message's sender and link: none, or ports of a four-port star
 SENDER = st.one_of(st.none(), st.integers(0, 3))
 LINK = st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
@@ -281,14 +285,14 @@ class TestEventLog:
         transcript.append("KeyRequest", 1, 0, (0, 1), {})
         transcript.append("Abort", None, 0, (0, 1), {})
         assert list(log.render_lines()) == [
-            "10 classical-message B - kind=KeyRequest link=A-B seq=2",
-            "50 classical-message A - kind=KeyRequest link=- seq=1",
+            "10 classical-message B - kind=KeyRequest link=A-B seq=2 payload=" + EMPTY,
+            "50 classical-message A - kind=KeyRequest link=- seq=1 payload=" + EMPTY,
             "100 pulse-arrival A λ1 dest=B",
             "100 gate-open B λ1",
             "200 pulse-arrival A λ1 dest=B",
             "200 gate-open B λ1",
-            "300 classical-message A - kind=Abort link=A-B seq=0",
-            "300 classical-message - - kind=Abort link=A-B seq=3",
+            "300 classical-message A - kind=Abort link=A-B seq=0 payload=" + EMPTY,
+            "300 classical-message - - kind=Abort link=A-B seq=3 payload=" + EMPTY,
         ]
         assert len(log) == 8
 
@@ -296,9 +300,9 @@ class TestEventLog:
         log = window_log(singles_before=[500], singles_after=[6000])
         lines = list(log.render_lines())
         assert lines == [
-            "500 classical-message A - kind=KeyRequest link=A-B seq=0",
+            "500 classical-message A - kind=KeyRequest link=A-B seq=0 payload=" + EMPTY,
             *(f"{t} pulse-arrival A λ1 dest=B" for t in range(1000, 6000, 1000)),
-            "6000 classical-message B - kind=BasisList link=A-B seq=1",
+            "6000 classical-message B - kind=BasisList link=A-B seq=1 payload=" + EMPTY,
         ]
         assert len(log) == 7
 
@@ -362,8 +366,22 @@ class TestEventLog:
         run = run_network(default_fourport_network(), cfg)
         assert len(run.events) == 120_069
         assert run.events.digest() == (
-            "6ee3b3b0b87cbcf09633c3ca09e7adcff1f1c5409188449e50c8e59b1182d1d1"
+            "728e1de2e6f54e57697b41a86f3d9561bf6d861715f8ea34800afe20ae3f9cd1"
         )
+
+    def test_payload_digest_tells_sessions_apart(self):
+        # seeds 3 and 5 send the same message kinds at the same times; only
+        # the payloads, and so the keys, differ
+        spec = default_fourport_network()
+        runs = [
+            run_network(spec, SessionConfig(server=0, clients=(1, 2, 3), n_frames=20000, seed=seed))
+            for seed in (3, 5)
+        ]
+        lines = [list(run.events.render_lines()) for run in runs]
+        assert len(lines[0]) == len(lines[1])
+        differ = [a.split() for a, b in zip(*lines) if a != b]
+        assert differ and all(fields[1] == "classical-message" for fields in differ)
+        assert runs[0].events.digest() != runs[1].events.digest()
 
     def test_render_text_head_renders_one_window(self, monkeypatch):
         log = EventLog()
@@ -393,7 +411,8 @@ class TestEventLog:
             with mock.patch.object(netsim, "_WINDOW_LINES", cap):
                 assert list(log.render_lines()) == list(reference_lines(log))
         assert list(log.render_lines())[-2:] == [
-            "9 gate-open B λ1", "10 classical-message A - kind=Abort link=A-B seq=0",
+            "9 gate-open B λ1",
+            "10 classical-message A - kind=Abort link=A-B seq=0 payload=" + EMPTY,
         ]
 
     @pytest.mark.parametrize("append", [
@@ -428,11 +447,11 @@ class TestEventLog:
         expected = list(reference_lines(log))
         with mock.patch.object(netsim, "_WINDOW_LINES", 2):
             assert list(log.render_lines()) == expected
-        assert expected[0] == "0 classical-message A - kind=KeyRequest link=A-B seq=0"
+        assert expected[0] == "0 classical-message A - kind=KeyRequest link=A-B seq=0 payload=" + EMPTY
         assert expected[-3:] == [
             f"{2**61 - 4} gate-open B λ2",
-            f"{2**61 - 2} classical-message B - kind=Abort link=A-B seq=2",
-            f"{2**61 - 1} classical-message C - kind=Abort link=A-C seq=1",
+            f"{2**61 - 2} classical-message B - kind=Abort link=A-B seq=2 payload=" + EMPTY,
+            f"{2**61 - 1} classical-message C - kind=Abort link=A-C seq=1 payload=" + EMPTY,
         ]
 
     def test_rejects_non_integer_or_out_of_range_times(self):

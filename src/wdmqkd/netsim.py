@@ -7,15 +7,12 @@ transmissions whose loss is the measured router path plus a configurable
 eATT.  Every pulse arrival, detection gate, and classical message lands
 in an event log that is totally ordered and reproducible from the seed.
 
-The log holds what a Network writes: one quantum window of pulse and gate
-trains that share one period and one count and start in the window's
-first frame, and the session transcripts the Network hands out, whose
-messages it renders around the window.  The transcript is the one record
-of classical traffic: the log keeps no copy of a message and renders its
-line from the message's fields.  The Network's clock only moves forward
-and jumps past the window when the first train opens it, so no message
-falls inside the window.  Train times lie in [0, 2**61).  The trains are
-stored as arithmetic sequences and expand to lines only when rendered.  Rendering walks the window in runs of whole
+The log holds what a Network writes: pulse and gate trains that share one
+period and one count and start in the first frame of one quantum window,
+and before and after it the messages of the session transcripts the
+Network hands out, rendered from their fields.  Train times lie in
+[0, 2**61).  The trains are stored as arithmetic sequences and expand to
+lines only when rendered.  Rendering walks the window in runs of whole
 frames, each frame the one before plus the period, so one lexsort of the
 first frame orders them all.  One writer turns every run into bytes: it
 tiles one row's bytes, every line's text after room for its time, and
@@ -133,14 +130,6 @@ def assign_time_offsets(
 # Event log
 
 
-def _check_event(first_ns: int, last_ns: int, *fields: str) -> None:
-    """Reject trains the log cannot order in int64 or render as lines."""
-    if not 0 <= first_ns <= last_ns < _TIME_LIMIT:
-        raise OverflowError(f"event times {first_ns}..{last_ns} ns outside [0, 2**61) ns")
-    if "\n" in "".join(fields):
-        raise ValueError(f"event fields must not hold a newline: {fields!r}")
-
-
 # searchsorted(_POWERS, t, "right") + 1 is the digit count of a time t >= 0
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -210,7 +199,6 @@ class EventLog:
     Order is (time, kind rank, append order); messages keep their send
     order.  Train times are integer nanoseconds in [0, 2**61), and no train
     field may hold a newline, so every event renders as exactly one line.
-    ``labels`` name the ports, by index, on message lines.
 
     The first train sets the window (f, period, count): f is its first
     time rounded down to a multiple of its period, and the window spans
@@ -218,8 +206,12 @@ class EventLog:
     the count and start in the window's first frame [f, f + period), so
     each frame holds one line of every train, always in one order.  A
     train that breaks the rule raises ValueError and leaves the log as it
-    was.  Messages are rendered before or after the window, by time: the
-    writer of the transcripts keeps them out of it.
+    was.  Messages render before or after the window, by time: the
+    Network's clock only moves forward and jumps past the window when the
+    first train opens it.  A message's line is ``time classical-message S
+    - kind=K link=A-B seq=N payload=D``: S and A-B the ``labels`` of its
+    sender and link ports, or -, and D the first 16 hex digits of the
+    SHA-256 of its payload as :meth:`Transcript.render_text` prints it.
     """
 
     def __init__(self, labels: Sequence[str] = ()) -> None:
@@ -230,14 +222,12 @@ class EventLog:
         self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
 
     def record(self, transcript: Transcript) -> None:
-        """Render the messages of ``transcript``, those sent so far and
-        those to come, as classical-message lines."""
+        """Render ``transcript``'s messages, sent and to come, in the log."""
         self._transcripts.append(transcript)
 
     def _message_line(self, m: ClassicalMessage) -> str:
-        labels = self._labels
-        port = "-" if m.sender is None else labels[m.sender]
-        link = "-" if m.link is None else f"{labels[m.link[0]]}-{labels[m.link[1]]}"
+        port = "-" if m.sender is None else self._labels[m.sender]
+        link = "-" if m.link is None else "-".join(self._labels[p] for p in m.link)
         payload = hashlib.sha256(_payload_repr(m.payload).encode()).hexdigest()[:16]
         return (f"{m.time_ns} classical-message {port} - kind={m.kind} link={link} "
                 f"seq={m.seq} payload={payload}\n")
@@ -251,7 +241,11 @@ class EventLog:
         time0, period_ns, count = (operator.index(v) for v in (time0, period_ns, count))
         if count <= 0 or period_ns <= 0:
             raise ValueError("a train needs positive count and period")
-        _check_event(time0, time0 + period_ns * (count - 1), port, channel, detail)
+        last = time0 + period_ns * (count - 1)
+        if not 0 <= time0 <= last < _TIME_LIMIT:  # so the log orders times in int64
+            raise OverflowError(f"event times {time0}..{last} ns outside [0, 2**61) ns")
+        if "\n" in port + channel + detail:
+            raise ValueError(f"event fields must not hold a newline: {(port, channel, detail)!r}")
         if self._window is None:
             self._window = (time0 - time0 % period_ns, period_ns, count)
         else:
@@ -265,8 +259,7 @@ class EventLog:
         self._trains.append((time0, kind, port, channel, detail))
 
     def __len__(self) -> int:
-        n_messages = sum(map(len, self._transcripts))
-        return n_messages + len(self._trains) * (self._window[2] if self._window else 0)
+        return sum(map(len, self._transcripts)) + len(self._trains) * (self._window or (0, 0, 0))[2]
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
@@ -286,9 +279,8 @@ class EventLog:
         least one.
         """
         cap = _WINDOW_LINES
-        messages = sorted(  # ties keep send order
-            (m for t in self._transcripts for m in t.messages), key=operator.attrgetter("time_ns")
-        )
+        messages = [m for t in self._transcripts for m in t.messages]
+        messages.sort(key=operator.attrgetter("time_ns"))  # ties keep send order
         f, period, count = self._window or (_TIME_LIMIT, 1, 0)
         split = sum(m.time_ns < f for m in messages)
 
@@ -518,17 +510,11 @@ class Network:
         self._assignment = spec.router.assignment
         self._labels = tuple(port.label for port in self._assignment.ports)
         self.events = EventLog(self._labels)
-        seed_seq = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(int(seed))
-        )
-        children = seed_seq.spawn(self._assignment.n_ports + 1)
-        self._quantum_rng = {
-            port: np.random.default_rng(children[port])
-            for port in range(self._assignment.n_ports)
-        }
-        self._session_rng = np.random.default_rng(children[-1])
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(int(seed))
+        *ports, session = map(np.random.default_rng, seed.spawn(self._assignment.n_ports + 1))
+        self._quantum_rng = dict(enumerate(ports))  # one stream per port
+        self._session_rng = session
         self._now = 0
         self._window_ns: int | None = None  # the quantum window's start
 
@@ -580,8 +566,8 @@ class Network:
         trains and return the frames that clicked."""
         params = self.link_parameters(server, client)
         period = self.spec.frame_period_ns
-        window = self._window_ns  # the first train opens it a frame after the clock
-        window = (self._now // period + 1) * period if window is None else window
+        # the first train opens the window a frame after the clock
+        window = self._window_ns or (self._now // period + 1) * period
         end = window + n_frames * period
         if end > _TIME_LIMIT:
             raise ValueError(

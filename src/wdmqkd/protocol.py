@@ -273,7 +273,8 @@ def _payload_repr(payload: Mapping[str, object]) -> str:
 
 class Transcript:
     """Append-only log of every classical message in a session: the one
-    record of classical traffic, which an event harness renders as it is.
+    record of classical traffic, which an event log renders from the
+    messages' fields.
 
     ``clock`` supplies timestamps (defaults to the sequence number as a
     logical clock).
@@ -315,7 +316,8 @@ class Transcript:
         return self._parity_bits.total() if link is None else self._parity_bits[link]
 
     def render_text(self) -> str:
-        """Deterministic one-line-per-message rendering."""
+        """Deterministic one-line-per-message rendering.  The event log
+        hashes each message's payload text as this prints it."""
         lines = []
         for m in self.messages:
             src = "-" if m.sender is None else str(m.sender)

@@ -216,14 +216,15 @@ class EventLog:
 
     def __init__(self, labels: Sequence[str] = ()) -> None:
         self._labels = tuple(labels)
-        self._transcripts: list[Transcript] = []
+        self._sent: list[list[ClassicalMessage]] = []  # each transcript's messages
         # (time_ns, kind, port, channel, detail); a train's time is its first line's
         self._trains: list[tuple[int, str, str, str, str]] = []
         self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
 
     def record(self, transcript: Transcript) -> None:
-        """Render ``transcript``'s messages, sent and to come, in the log."""
-        self._transcripts.append(transcript)
+        """Render ``transcript``'s messages, sent and to come, in the log; keep
+        their list alone, as the transcript's clock may hold the Network."""
+        self._sent.append(transcript.messages)
 
     def _message_line(self, m: ClassicalMessage) -> str:
         port = "-" if m.sender is None else self._labels[m.sender]
@@ -259,7 +260,7 @@ class EventLog:
         self._trains.append((time0, kind, port, channel, detail))
 
     def __len__(self) -> int:
-        return sum(map(len, self._transcripts)) + len(self._trains) * (self._window or (0, 0, 0))[2]
+        return sum(map(len, self._sent)) + len(self._trains) * (self._window or (0, 0, 0))[2]
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
@@ -279,7 +280,7 @@ class EventLog:
         least one.
         """
         cap = _WINDOW_LINES
-        messages = [m for t in self._transcripts for m in t.messages]
+        messages = [m for sent in self._sent for m in sent]
         messages.sort(key=operator.attrgetter("time_ns"))  # ties keep send order
         f, period, count = self._window or (_TIME_LIMIT, 1, 0)
         split = sum(m.time_ns < f for m in messages)
@@ -533,8 +534,7 @@ class Network:
         return self._session_rng
 
     def new_transcript(self, session_id: int) -> Transcript:
-        """A session's transcript on this network's clock; the event log
-        renders its messages."""
+        """A session's transcript on this network's clock, recorded in its log."""
         transcript = Transcript(session_id, clock=self.clock_ns)
         self.events.record(transcript)
         return transcript
@@ -570,11 +570,9 @@ class Network:
         window = self._window_ns or (self._now // period + 1) * period
         end = window + n_frames * period
         if end > _TIME_LIMIT:
-            raise ValueError(
-                f"the quantum window [{window}, {end}) ns ends past 2**61 ns: lower "
-                f"network.classical_delay_ns ({self.spec.classical_delay_ns}) or "
-                f"session.n_frames ({n_frames})"
-            )
+            raise ValueError(f"the quantum window [{window}, {end}) ns ends past 2**61 ns: lower "
+                             f"network.classical_delay_ns ({self.spec.classical_delay_ns}) or "
+                             f"session.n_frames ({n_frames})")
         if self._window_ns is None:
             self._window_ns, self._now = window, end
         start = window + params.offset_ns

@@ -1,8 +1,10 @@
 """Scheduling, the event log, the network harness, and attenuation sweeps."""
 
 import contextlib
+import gc
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -104,7 +106,7 @@ def reference_events(log):
         (t0 + i * period, netsim._TRAIN_KINDS.index(kind), j, kind, *fields)
         for j, (t0, kind, *fields) in enumerate(log._trains) for i in range(count)
     ]
-    messages = [m for transcript in log._transcripts for m in transcript]
+    messages = [m for sent in log._sent for m in sent]
     events += [(m.time_ns, 2, j, *message_fields(m, log._labels)) for j, m in enumerate(messages)]
     return sorted(events, key=lambda x: x[:3])
 
@@ -714,17 +716,30 @@ class TestNetwork:
         assert_matches_reference(net.events, (netsim._WINDOW_LINES,), (spec.guard_ns, 1000))
         # the log renders the session's transcript, a failed one's too, and
         # no message falls inside the window
-        [transcript] = net.events._transcripts
+        [messages] = net.events._sent
         if error is None:
-            assert result.transcript is transcript
+            assert result.transcript.messages is messages
         labels = [port.label for port in spec.router.assignment.ports]
-        expected = [
-            f"{m.time_ns} " + " ".join(message_fields(m, labels)) for m in transcript.messages
-        ]
+        expected = [f"{m.time_ns} " + " ".join(message_fields(m, labels)) for m in messages]
         lines = list(net.events.render_lines())
         assert [line for line in lines if " classical-message " in line] == expected
         f, period, count = net.events._window or (0, 1, 0)
-        assert not [m for m in transcript.messages if f <= m.time_ns < f + count * period]
+        assert not [m for m in messages if f <= m.time_ns < f + count * period]
+
+    def test_network_is_freed_without_the_cycle_collector(self):
+        # the transcript's clock refers to its Network, so the log must not
+        # refer to the transcript: each sweep point's Network, its random
+        # streams and its messages would wait for a collection
+        net = Network(default_fourport_network(), seed=1)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
+        gc.disable()
+        try:
+            assert run_session(cfg, net).transcript.messages
+            freed = weakref.ref(net)
+            del net
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_session_builds_no_block_through_the_public_constructors(self, monkeypatch):
         # every block and click record of a session is derived from checked

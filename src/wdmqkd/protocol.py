@@ -687,7 +687,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
     - ``new_transcript(session_id) -> Transcript``, the session's record of
-      classical traffic, which the handle keeps a hold of and timestamps
+      classical traffic, timed by the handle's clock; the handle may keep it
 
     Flow: clients request keys; on every link the client announces the
     frames that clicked and its bases, the server sifts on basis match, and

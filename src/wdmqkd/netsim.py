@@ -7,10 +7,11 @@ transmissions whose loss is the measured router path plus a configurable
 eATT.  Every pulse arrival, detection gate, and classical message lands
 in an event log that is totally ordered and reproducible from the seed.
 
-The log holds what a Network writes: pulse and gate trains that share one
-period and one count and start in the first frame of one quantum window,
-and before and after it the messages of the session transcripts the
-Network hands out, rendered from their fields.  Train times lie in
+A Network runs one session.  Its log holds what the Network writes: pulse
+and gate trains that share one period and one count and start in the
+first frame of one quantum window, which opens one frame after t = 0, and
+the messages of the session's transcript, stamped 0 before the window and
+its end after it, rendered from their fields.  Train times lie in
 [0, 2**61).  The trains are stored as arithmetic sequences and expand to
 lines only when rendered.  Rendering walks the window in runs of whole
 frames, each frame the one before plus the period, so one lexsort of the
@@ -194,7 +195,7 @@ def _write_block(
 
 class EventLog:
     """Totally ordered event log of one quantum window of pulse and gate
-    trains and the classical messages of the transcripts it records.
+    trains and the classical messages of the one transcript it records.
 
     Order is (time, kind rank, append order); messages keep their send
     order.  Train times are integer nanoseconds in [0, 2**61), and no train
@@ -206,25 +207,34 @@ class EventLog:
     the count and start in the window's first frame [f, f + period), so
     each frame holds one line of every train, always in one order.  A
     train that breaks the rule raises ValueError and leaves the log as it
-    was.  Messages render before or after the window, by time: the
-    Network's clock only moves forward and jumps past the window when the
-    first train opens it.  A message's line is ``time classical-message S
-    - kind=K link=A-B seq=N payload=D``: S and A-B the ``labels`` of its
-    sender and link ports, or -, and D the first 16 hex digits of the
-    SHA-256 of its payload as :meth:`Transcript.render_text` prints it.
+    was.  The log owns the window and times a Network's messages by it:
+    :meth:`now_ns` reads 0 before the window opens and its end after.  A
+    message's line is ``time classical-message S - kind=K link=A-B seq=N
+    payload=D``: S and A-B the ``labels`` of its sender and link ports, or
+    -, and D the first 16 hex digits of the SHA-256 of its payload as
+    :meth:`Transcript.render_text` prints it.
     """
 
     def __init__(self, labels: Sequence[str] = ()) -> None:
         self._labels = tuple(labels)
-        self._sent: list[list[ClassicalMessage]] = []  # each transcript's messages
+        self._sent: list[ClassicalMessage] | None = None  # the transcript's messages
         # (time_ns, kind, port, channel, detail); a train's time is its first line's
         self._trains: list[tuple[int, str, str, str, str]] = []
         self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
 
     def record(self, transcript: Transcript) -> None:
         """Render ``transcript``'s messages, sent and to come, in the log; keep
-        their list alone, as the transcript's clock may hold the Network."""
-        self._sent.append(transcript.messages)
+        their list alone, as the transcript's clock may hold the log.  A log
+        records one session: a second transcript raises ValueError."""
+        if self._sent is not None:
+            raise ValueError("the event log already records a session; a Network runs one session")
+        self._sent = transcript.messages
+
+    def now_ns(self) -> int:
+        """The time of a message sent now: 0 before the quantum window
+        opens, the window's end after."""
+        f, period, count = self._window or (0, 0, 0)
+        return f + count * period
 
     def _message_line(self, m: ClassicalMessage) -> str:
         port = "-" if m.sender is None else self._labels[m.sender]
@@ -260,7 +270,7 @@ class EventLog:
         self._trains.append((time0, kind, port, channel, detail))
 
     def __len__(self) -> int:
-        return sum(map(len, self._sent)) + len(self._trains) * (self._window or (0, 0, 0))[2]
+        return len(self._sent or ()) + len(self._trains) * (self._window or (0, 0, 0))[2]
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
@@ -280,8 +290,7 @@ class EventLog:
         least one.
         """
         cap = _WINDOW_LINES
-        messages = [m for sent in self._sent for m in sent]
-        messages.sort(key=operator.attrgetter("time_ns"))  # ties keep send order
+        messages = sorted(self._sent or (), key=operator.attrgetter("time_ns"))  # ties keep send order
         f, period, count = self._window or (_TIME_LIMIT, 1, 0)
         split = sum(m.time_ns < f for m in messages)
 
@@ -393,9 +402,7 @@ class NetworkSpec:
     a client with its own detector and a per-link eATT on its path.
     The frame period is 10⁹ / source rep rate, which must be a whole
     number of nanoseconds; the router's channels, in index order, sit
-    0, guard_ns, 2·guard_ns, ... into it.  Each classical message moves
-    the clock on by ``classical_delay_ns`` >= 0, so messages never fall
-    back into the quantum window.
+    0, guard_ns, 2·guard_ns, ... into it.
     """
 
     router: RouterSpec
@@ -404,7 +411,6 @@ class NetworkSpec:
     detectors: Mapping[int, DetectorModel]
     eatt_db: Mapping[int, float]
     guard_ns: int = DEFAULT_GUARD_NS
-    classical_delay_ns: int = 0
 
     def __post_init__(self) -> None:
         a = self.router.assignment
@@ -412,12 +418,8 @@ class NetworkSpec:
         if not 0 <= self.server < n:
             raise ValueError(f"server port {self.server} outside the router")
         clients = self.clients
-        for name, bound in (("guard_ns", "> 0"), ("classical_delay_ns", ">= 0")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-        if self.classical_delay_ns < 0:
-            raise ValueError(f"classical_delay_ns must be >= 0, got {self.classical_delay_ns}")
+        if isinstance(self.guard_ns, bool) or not isinstance(self.guard_ns, (int, np.integer)):
+            raise ValueError(f"guard_ns must be an integer > 0, got {self.guard_ns!r}")
 
         period = 1e9 / self.source.rep_rate_hz
         if abs(period - round(period)) > 1e-9:
@@ -504,7 +506,9 @@ def default_fourport_network(
 
 
 class Network:
-    """Runtime handle satisfying the run_session contract with full logging."""
+    """Runtime handle satisfying the run_session contract with full logging.
+
+    It runs one session, whose quantum window opens one frame after t = 0."""
 
     def __init__(self, spec: NetworkSpec, seed: int | np.random.SeedSequence = 0):
         self.spec = spec
@@ -516,8 +520,6 @@ class Network:
         *ports, session = map(np.random.default_rng, seed.spawn(self._assignment.n_ports + 1))
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
         self._session_rng = session
-        self._now = 0
-        self._window_ns: int | None = None  # the quantum window's start
 
     @property
     def n_ports(self) -> int:
@@ -526,16 +528,13 @@ class Network:
     def port_label(self, port: int) -> str:
         return self._labels[port]
 
-    def clock_ns(self) -> int:
-        self._now += self.spec.classical_delay_ns
-        return self._now
-
     def protocol_rng(self) -> np.random.Generator:
         return self._session_rng
 
     def new_transcript(self, session_id: int) -> Transcript:
-        """A session's transcript on this network's clock, recorded in its log."""
-        transcript = Transcript(session_id, clock=self.clock_ns)
+        """The session's transcript, timed and recorded by the log; a second
+        one raises ValueError before anything is logged."""
+        transcript = Transcript(session_id, clock=self.events.now_ns)
         self.events.record(transcript)
         return transcript
 
@@ -566,16 +565,11 @@ class Network:
         trains and return the frames that clicked."""
         params = self.link_parameters(server, client)
         period = self.spec.frame_period_ns
-        # the first train opens the window a frame after the clock
-        window = self._window_ns or (self._now // period + 1) * period
-        end = window + n_frames * period
+        end = (n_frames + 1) * period  # the window opens one frame after t = 0
         if end > _TIME_LIMIT:
-            raise ValueError(f"the quantum window [{window}, {end}) ns ends past 2**61 ns: lower "
-                             f"network.classical_delay_ns ({self.spec.classical_delay_ns}) or "
-                             f"session.n_frames ({n_frames})")
-        if self._window_ns is None:
-            self._window_ns, self._now = window, end
-        start = window + params.offset_ns
+            raise ValueError(f"the quantum window [{period}, {end}) ns ends past 2**61 ns: "
+                             f"lower session.n_frames ({n_frames})")
+        start = period + params.offset_ns
         clicks = sample_clicks(
             n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )

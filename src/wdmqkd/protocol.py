@@ -669,8 +669,7 @@ class _LinkState:
     params: LinkParameters
     n_clicked: int = 0
     n_sifted: int = 0
-    sifted_a: KeyBlock | None = None
-    sifted_b: KeyBlock | None = None
+    n_errors: int = 0  # differing bits of the sifted blocks
     estimate: QberEstimate | None = None
     corrected_b: KeyBlock | None = None  # reconcile leaves a's block as it is
     leaked: int = 0
@@ -687,7 +686,8 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
     - ``new_transcript(session_id) -> Transcript``, the session's record of
-      classical traffic, timed by the handle's clock; the handle may keep it
+      classical traffic; the handle times its messages and may keep it, and
+      a handle that runs one session raises ValueError on a second call
 
     Flow: clients request keys; on every link the client announces the
     frames that clicked and its bases, the server sifts on basis match, and
@@ -761,7 +761,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 f"link to port {network.port_label(c)} sifted down to nothing "
                 f"({st.n_clicked} clicks in {cfg.n_frames} frames)"
             )
-        st.sifted_a, st.sifted_b = a, b
+        st.n_errors = int(np.count_nonzero(a.bits != b.bits))
         est = estimate_qber(a, b, cfg.sample_fraction, rng)
         st.estimate = est
         transcript.append(
@@ -869,7 +869,6 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
 
 def _link_report(cfg: SessionConfig, st: _LinkState, final_length: int) -> LinkReport:
     est = st.estimate
-    errors = int(np.count_nonzero(st.sifted_a.bits != st.sifted_b.bits))
     return LinkReport(
         server=cfg.server,
         client=st.client,
@@ -881,10 +880,10 @@ def _link_report(cfg: SessionConfig, st: _LinkState, final_length: int) -> LinkR
         n_sampled=est.n_sampled,
         sample_mismatches=est.n_mismatched,
         qber_estimate=est.estimate,
-        qber_measured=errors / st.n_sifted,
+        qber_measured=st.n_errors / st.n_sifted,
         leaked_bits=st.leaked,
         # a completed link corrects every error the sample left in its key
-        n_corrected=errors - est.n_mismatched if st.corrected_b is not None else 0,
+        n_corrected=st.n_errors - est.n_mismatched if st.corrected_b is not None else 0,
         final_length=final_length,
         p_sig=st.params.p_sig,
         p_dark=st.params.p_dark,

@@ -44,8 +44,7 @@ UNKNOWN_KEY_CASES = {
     ),
     "network": (
         "network: {serverr: 1}\n",
-        "serverr; allowed: classical_delay_ns, detectors, eatt_db, "
-        "guard_ns, router, server, source",
+        "serverr; allowed: detectors, eatt_db, guard_ns, router, server, source",
     ),
     "network.router": (
         "network: {router: {portz: 4}}\n",
@@ -228,8 +227,8 @@ class TestSimulate:
             ("sweep", "sweep: {start_db: 0.0, stop_db: 10.0, step_db: .nan}", "sweep.step_db"),
             ("simulate", "network: {guard_ns: 0}", "network: guard_ns must be positive, got 0"),
             ("simulate", "network: {guard_ns: -5}", "network: guard_ns must be positive, got -5"),
-            ("simulate", "network: {classical_delay_ns: -7}",
-             "network: classical_delay_ns must be >= 0, got -7"),
+            ("simulate", "network: {classical_delay_ns: 0}",
+             "unknown key(s) in network: classical_delay_ns; allowed: detectors,"),
             ("simulate", "network: {eatt_db: {1: 0.0, 3: 0.0}}",
              "network: eatt_db must cover exactly the client ports (1, 2, 3), got [1, 3]"),
         ],
@@ -263,17 +262,15 @@ class TestSimulate:
             f"error: network.server must be a router port, 0..3, got {server}\n"
         )
 
-    @pytest.mark.parametrize("delay, code", [(10**18, 2), (3 * 10**17, 0)])
-    def test_classical_delay_past_the_time_limit(self, tmp_path, capsys, delay, code):
-        # 10**18 ns a message puts the quantum window past 2**61 ns; at
-        # 3*10**17 only the messages after the window pass it
-        cfg = write_config(tmp_path, f"network: {{classical_delay_ns: {delay}}}\nsession: {{n_frames: 20000}}\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == code
-        err = capsys.readouterr().err
-        if code:
-            assert err.startswith("error: the quantum window") and "classical_delay_ns (10" in err
-        else:
-            assert err == "" and (tmp_path / "k" / "key_B.hex").is_file()
+    def test_window_past_the_time_limit(self, tmp_path, capsys):
+        # 10**16 frames of 1000 ns put the quantum window past 2**61 ns
+        cfg = write_config(tmp_path, "session: {n_frames: 10000000000000000}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the quantum window [1000, 10000000000000001000) ns ends past 2**61 ns: "
+            "lower session.n_frames (10000000000000000)\n"
+        )
+        assert not (tmp_path / "k").exists()
 
     def test_low_frame_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: {n_frames: 500}\n")
@@ -461,7 +458,6 @@ network:
     3: {dark_rate_hz: 30.0, gate_width_ns: 3.0}
   eatt_db: {0: 1.0, 2: 2.0, 3: 3.0}
   guard_ns: 50
-  classical_delay_ns: 5
 session:
   clients: [0, 2]
   mode: multicast
@@ -480,7 +476,6 @@ session:
         assert cfg.spec.offsets_ns == {0: 0, 1: 50, 2: 100}  # from guard_ns
         assert cfg.spec.frame_period_ns == 2000  # from the 500 kHz source
         assert cfg.spec.guard_ns == 50
-        assert cfg.spec.classical_delay_ns == 5
         assert cfg.session.mode == "multicast"
         assert cfg.session.server == 1
         assert cfg.session.sample_fraction == 0.3

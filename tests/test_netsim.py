@@ -99,14 +99,13 @@ def reference_events(log):
     """Every event of ``log`` as (time, kind rank, append order, kind, port,
     channel, detail), expanded line by line and sorted.  A message and a
     train line never share a time, so append order within each list is
-    the log's: the trains' append order, and the messages' send order,
-    transcript by transcript."""
+    the log's: the trains' append order, and the messages' send order."""
     _, period, count = log._window or (0, 1, 0)
     events = [
         (t0 + i * period, netsim._TRAIN_KINDS.index(kind), j, kind, *fields)
         for j, (t0, kind, *fields) in enumerate(log._trains) for i in range(count)
     ]
-    messages = [m for sent in log._sent for m in sent]
+    messages = log._sent or []
     events += [(m.time_ns, 2, j, *message_fields(m, log._labels)) for j, m in enumerate(messages)]
     return sorted(events, key=lambda x: x[:3])
 
@@ -569,15 +568,7 @@ class TestNetworkSpec:
         with pytest.raises(SchedulingInfeasibleError):
             make_spec(guard_ns=400)  # three 400 ns slots in a 1000 ns frame
 
-    def test_negative_classical_delay_rejected(self):
-        with pytest.raises(ValueError, match="classical_delay_ns must be >= 0, got -7"):
-            make_spec(classical_delay_ns=-7)
-        assert make_spec(classical_delay_ns=0).classical_delay_ns == 0
-
     @pytest.mark.parametrize("field, value, message", [
-        ("classical_delay_ns", 0.5, "classical_delay_ns must be an integer >= 0, got 0.5"),
-        ("classical_delay_ns", 7.0, "classical_delay_ns must be an integer >= 0, got 7.0"),
-        ("classical_delay_ns", True, "classical_delay_ns must be an integer >= 0, got True"),
         ("guard_ns", 50.5, "guard_ns must be an integer > 0, got 50.5"),
         ("guard_ns", 100.0, "guard_ns must be an integer > 0, got 100.0"),
         ("guard_ns", False, "guard_ns must be an integer > 0, got False"),
@@ -588,7 +579,7 @@ class TestNetworkSpec:
             replace(default_fourport_network(), **{field: value})
 
     def test_numpy_integer_times_accepted(self):
-        spec = replace(default_fourport_network(), guard_ns=np.int64(100), classical_delay_ns=np.int64(7))
+        spec = replace(default_fourport_network(), guard_ns=np.int64(100))
         run_network(spec, SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1))
 
     def test_uniform_eatt_replacement(self):
@@ -652,7 +643,7 @@ class TestNetwork:
         for client in (1, 2, 3):
             net.transmit_train(0, client, 50)
         period = spec.frame_period_ns
-        window_start = period  # the clock starts at 0, so the train starts one period in
+        window_start = period  # the window opens one frame after t = 0
         gate_times: dict[str, list[int]] = {}
         for line in net.events.render_lines():
             time_ns, kind, port, channel, _ = line.split(" ", 4)
@@ -699,24 +690,22 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.link_parameters(1, 2)
 
-    @pytest.mark.parametrize("delay, cfg, error", [
-        *((delay, SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1), None)
-          for delay in (0, 1, 999, 1000, 12345)),
-        (7, SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1, qber_abort_threshold=0),
+    @pytest.mark.parametrize("cfg, error", [
+        (SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1), None),
+        (SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1, qber_abort_threshold=0),
          SessionAbortError),
-        (7, SessionConfig(server=0, clients=(1, 2, 3), n_frames=600, seed=0), InsufficientDetectionsError),
-        (7, SessionConfig(server=1, clients=(2,), mode="unicast", seed=0), ValueError),
-    ], ids=["delay-0", "delay-1", "delay-999", "delay-1000", "delay-12345",
-            "aborted", "sampled-away", "before-any-train"])
-    def test_logs_match_reference(self, delay, cfg, error):
-        spec = replace(default_fourport_network(), classical_delay_ns=delay)
+        (SessionConfig(server=0, clients=(1, 2, 3), n_frames=600, seed=0), InsufficientDetectionsError),
+        (SessionConfig(server=1, clients=(2,), mode="unicast", seed=0), ValueError),
+    ], ids=["delay-0", "aborted", "sampled-away", "before-any-train"])
+    def test_logs_match_reference(self, cfg, error):
+        spec = default_fourport_network()
         net = Network(spec, seed=cfg.seed)
         with pytest.raises(error) if error else contextlib.nullcontext():
             result = run_session(cfg, net)
         assert_matches_reference(net.events, (netsim._WINDOW_LINES,), (spec.guard_ns, 1000))
         # the log renders the session's transcript, a failed one's too, and
         # no message falls inside the window
-        [messages] = net.events._sent
+        messages = net.events._sent
         if error is None:
             assert result.transcript.messages is messages
         labels = [port.label for port in spec.router.assignment.ports]
@@ -727,9 +716,9 @@ class TestNetwork:
         assert not [m for m in messages if f <= m.time_ns < f + count * period]
 
     def test_network_is_freed_without_the_cycle_collector(self):
-        # the transcript's clock refers to its Network, so the log must not
-        # refer to the transcript: each sweep point's Network, its random
-        # streams and its messages would wait for a collection
+        # the transcript's clock refers to the Network's log, so the log
+        # must not refer to the transcript: each sweep point's Network, its
+        # random streams and its messages would wait for a collection
         net = Network(default_fourport_network(), seed=1)
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
         gc.disable()
@@ -759,28 +748,27 @@ class TestNetwork:
         assert calls == []
 
     def test_window_past_the_time_limit_named(self):
-        # six messages at 10**18 ns each put the window past 2**61 ns: the
-        # network says which keys to lower before it samples a link
-        spec = replace(default_fourport_network(), classical_delay_ns=10**18)
-        net = Network(spec, seed=1)
-        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
+        # 10**16 frames of 1000 ns put the window past 2**61 ns: the network
+        # says which key to lower before it samples a link
+        net = Network(default_fourport_network(), seed=1)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=10**16, seed=1)
         with mock.patch.object(netsim, "sample_clicks", side_effect=AssertionError("sampled")):
             with pytest.raises(ValueError, match=(
-                r"^the quantum window \[6000000000000001000, 6000000000002001000\) ns ends past "
-                r"2\*\*61 ns: lower network.classical_delay_ns \(1000000000000000000\) or "
-                r"session.n_frames \(2000\)$"
+                r"^the quantum window \[1000, 10000000000000001000\) ns ends past 2\*\*61 ns: "
+                r"lower session.n_frames \(10000000000000000\)$"
             )):
                 run_session(cfg, net)
         assert net.events._window is None and len(net.events) == 6
 
-    def test_messages_after_the_window_may_pass_the_time_limit(self):
-        # the window ends below 2**61 ns; the messages after it need not
-        spec = replace(default_fourport_network(), classical_delay_ns=3 * 10**17)
-        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=20_000, seed=3)
-        run = run_network(spec, cfg)
-        times = [int(line.split(" ", 1)[0]) for line in run.events.render_lines()]
-        assert times == sorted(times) and times[-1] >= 2**61
-        assert len(times) == len(run.events) == 2 * 3 * 20_000 + len(run.result.transcript)
+    def test_second_session_refused_before_it_logs(self):
+        # a second session would re-log every train at the first window's times
+        net = Network(default_fourport_network(), seed=1)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
+        run_session(cfg, net)
+        size, digest = len(net.events), net.events.digest()
+        with pytest.raises(ValueError, match="a Network runs one session"):
+            run_session(cfg, net)
+        assert (len(net.events), net.events.digest()) == (size, digest)
 
     def test_window_requires_equal_train_lengths(self):
         net = Network(default_fourport_network(), seed=1)

@@ -215,6 +215,14 @@ def _trusted(cls, *values):
     return obj
 
 
+def _random_bytes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The bytes of ``rng.bytes(size)`` as a uint8 array, without its two
+    copies: little-endian uint32 words, drawn as ``Generator.bytes`` draws
+    them (which draws a word even for size 0; this draws none)."""
+    words = rng.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:size]
+
+
 def _distinct_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """``k`` distinct integers drawn uniformly from [0, n), sorted.
 
@@ -227,17 +235,19 @@ def _distinct_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         j = np.arange(k, dtype=np.int64)
         # the j-th kept integer lies above every left-out one with at most j kept below it
         return j + np.searchsorted(out - np.arange(out.size), j, side="right")
-    picked = np.empty(0, dtype=np.int64)
+    # below 2**32 an int64 draw is a uint32 draw, which sorts twice as fast
+    dtype = np.uint32 if n <= 2**32 else np.int64
+    picked = np.empty(0, dtype=dtype)
     while picked.size < k:
         # sort and drop repeats by hand: np.unique hashes first and took ~20x longer
-        new = np.sort(rng.integers(0, n, size=k - picked.size))
-        new = new[np.insert(np.diff(new) != 0, 0, True)]
+        new = np.sort(rng.integers(0, n, size=k - picked.size, dtype=dtype))
+        new = new[np.concatenate(([True], new[1:] != new[:-1]))]
         if picked.size:  # merge the top-up's integers not yet picked
             at = np.searchsorted(picked, new)
             fresh = picked[np.minimum(at, picked.size - 1)] != new
             new = np.insert(picked, at[fresh], new[fresh])
         picked = new
-    return picked
+    return picked.astype(np.int64)
 
 
 def sample_clicks(
@@ -259,9 +269,10 @@ def sample_clicks(
     binomial with p_click = 1 - (1 - p_sig)(1 - p_dark); k distinct
     frames, uniform; then per click the origin (signal with probability
     p_sig / p_click), both bases, the sent bit, the flip and the noise
-    bit.  This is the per-gate model's distribution.  How far ``rng``
-    advances depends on the clicks drawn, not on ``n_frames`` alone, and
-    time and memory are O(clicks).
+    bit, each bit the top bit of a random byte, as ``integers(0, 2,
+    dtype=np.uint8)`` draws it.  This is the per-gate model's
+    distribution.  How far ``rng`` advances depends on the clicks drawn,
+    not on ``n_frames`` alone, and time and memory are O(clicks).
     """
     if n_frames < 1:
         raise ValueError(f"need at least one frame, got {n_frames}")
@@ -273,11 +284,15 @@ def sample_clicks(
     k = int(rng.binomial(n_frames, p_click))
     frames = _distinct_sorted(n_frames, k, rng)
     signal = rng.random(k) * p_click < p_sig
-    tx_bases, rx_bases = rng.integers(0, 2, size=(2, k), dtype=np.uint8)
-    tx_bits = rng.integers(0, 2, size=k, dtype=np.uint8)
-    flip = (rng.random(k) < e_opt).astype(np.uint8)
-    noise = rng.integers(0, 2, size=k, dtype=np.uint8)
-    rx_bits = np.where(signal & (tx_bases == rx_bases), tx_bits ^ flip, noise)
+    # integers(0, 2, dtype=np.uint8) without its per-byte bounded draw
+    tx_bases, rx_bases = (_random_bytes(rng, 2 * k) >> 7).reshape(2, k)
+    tx_bits = _random_bytes(rng, k) >> 7
+    flip = (rng.random(k) < e_opt).view(np.uint8)
+    noise = _random_bytes(rng, k) >> 7
+    # the sent bit, flipped, where a signal click met matching bases, else
+    # the noise bit: branch-free, as np.where over random uint8 masks is slow
+    keep = (signal & (tx_bases == rx_bases)).view(np.uint8)
+    rx_bits = noise ^ (keep & (noise ^ tx_bits ^ flip))
     # frames are distinct, sorted and in range, every other array holds bits
     return _trusted(ClickRecord, n_frames, frames, tx_bases, tx_bits, rx_bases, rx_bits)
 

@@ -16,13 +16,12 @@ contract.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .photonics import ClickRecord, _trusted
+from .photonics import ClickRecord, _random_bytes, _trusted
 from .router import ChannelId
 
 __all__ = [
@@ -132,7 +131,7 @@ class KeyBlock:
         return self.bits.size
 
     def aligned_with(self, other: "KeyBlock") -> bool:
-        return len(self) == len(other) and bool(np.array_equal(self.frames, other.frames))
+        return self.frames is other.frames or bool(np.array_equal(self.frames, other.frames))
 
     def take(self, idx: np.ndarray) -> "KeyBlock":
         idx = np.asarray(idx, dtype=np.int64)
@@ -203,6 +202,7 @@ def estimate_qber(
         raise SampleSizeError(f"sample fraction must be in (0, 1], got {sample_fraction}")
     k = min(n, max(1, int(round(sample_fraction * n))))
     idx = np.sort(rng.choice(n, size=k, replace=False))
+    idx.setflags(write=False)
     mismatched = int(np.count_nonzero(a.bits[idx] != b.bits[idx]))
     keep = np.ones(n, dtype=bool)
     keep[idx] = False
@@ -212,7 +212,7 @@ def estimate_qber(
         estimate=mismatched / k,
         n_sampled=k,
         n_mismatched=mismatched,
-        sample_indices=_frozen(idx.astype(np.int64)),
+        sample_indices=idx,
         remaining_a=_trusted(KeyBlock, a.bits[keep_idx], frames, a.link),
         remaining_b=_trusted(KeyBlock, b.bits[keep_idx], frames, b.link),
     )
@@ -283,7 +283,7 @@ class Transcript:
     def __init__(self, session_id: int = 0, clock: Callable[[], int] | None = None):
         self.session_id = int(session_id)
         self.messages: list[ClassicalMessage] = []
-        self._parity_bits: Counter[tuple[int, int] | None] = Counter()  # per link
+        self._parity_bits: dict[tuple[int, int] | None, int] = {}  # per link
         self._clock = clock
 
     def __len__(self) -> int:
@@ -308,12 +308,13 @@ class Transcript:
         msg = ClassicalMessage(self.session_id, seq, time_ns, kind, sender, receiver, link, payload)
         self.messages.append(msg)
         if kind in PARITY_KINDS:
-            self._parity_bits[link] += int(payload.get("n_bits", 0))  # type: ignore[arg-type]
+            bits = self._parity_bits
+            bits[link] = bits.get(link, 0) + int(payload.get("n_bits", 0))  # type: ignore[arg-type]
         return msg
 
     def parity_bit_count(self, link: tuple[int, int] | None = None) -> int:
         """Total parity bits disclosed, optionally restricted to one link."""
-        return self._parity_bits.total() if link is None else self._parity_bits[link]
+        return sum(self._parity_bits.values()) if link is None else self._parity_bits.get(link, 0)
 
     def render_text(self) -> str:
         """Deterministic one-line-per-message rendering.  The event log
@@ -362,8 +363,10 @@ def reconcile(
 
     Sparse error tracking: ``b``'s parity over a range is ``a``'s XOR that
     of the errors in it, and each flip removes an error, so a pass keeps
-    ``a``'s prefix parities and the sorted shuffled positions of the errors
-    left.  A pass costs O(n) once, a bisection level two ``searchsorted``.
+    the sorted shuffled positions of the errors left and, if it starts
+    with any, ``a``'s prefix parities.  A pass costs O(n) once; a bisection
+    level, which carries each open range's first error, one ``searchsorted``
+    and three ``np.where`` over the open ranges.
 
     Returns ``(a, corrected_b, leaked_bits)`` where ``leaked_bits`` counts
     every parity bit put on the transcript, final check included.
@@ -388,43 +391,57 @@ def reconcile(
     k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
     k_cap = max(k1, n // 2)
     leaked = 0
-    # per pass: block size, prefix parities of a, and the errors left as
-    # sorted shuffled positions and the key index at each
-    passes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    # per pass: block size, prefix parities of a (None when the pass starts
+    # error-free), and the errors left as sorted shuffled positions and the
+    # key index at each
+    passes: list[tuple[int, np.ndarray | None, np.ndarray, np.ndarray]] = []
 
     def bisect_and_flip(q: int, odd: np.ndarray) -> None:
         """Bisect the odd blocks of pass ``q`` together, one query and one
         reply per level, then flip the wrong bit found in each block."""
         nonlocal leaked
         k, pre_a, pos, index = passes[q]
+        # the open ranges [lo, hi), and the index in pos of each one's first error
         lo = odd * k
         hi = np.minimum(lo + k, n)
-        while (open_ := np.flatnonzero(hi - lo > 1)).size:
-            qlo = lo[open_]
-            mid = (qlo + hi[open_]) // 2
+        at = pos.searchsorted(lo)
+        found = []
+        narrowest = min(k, n - int(lo[-1]))  # no range is narrower
+        while True:
+            if narrowest == 1:  # a range down to one bit holds its error at lo
+                width = hi - lo
+                found.append(at[width == 1])
+                open_ = (width > 1).nonzero()[0]
+                if not open_.size:
+                    break
+                lo, hi, at = lo[open_], hi[open_], at[open_]
+                narrowest = int(width[open_].min())
+            mid = (lo + hi) >> 1
             transcript.append(
                 "ParityQuery", client, server, link,
-                {"pass": q, "lo": qlo.tobytes(), "hi": mid.tobytes()},
+                {"pass": q, "lo": lo.tobytes(), "hi": mid.tobytes()},
             )
-            par_a = pre_a[mid] ^ pre_a[qlo]
             transcript.append(
                 "ParityReply", server, client, link,
-                {"pass": q, "parities": np.packbits(par_a).tobytes(), "n_bits": mid.size},
+                {"pass": q, "parities": np.packbits(pre_a[mid] ^ pre_a[lo]).tobytes(),
+                 "n_bits": mid.size},
             )
             leaked += mid.size
-            left = (np.searchsorted(pos, mid) - np.searchsorted(pos, qlo)) & 1 == 1
-            hi[open_[left]] = mid[left]
-            lo[open_[~left]] = mid[~left]
-        err[index[np.searchsorted(pos, lo)]] = False
+            to_mid = pos.searchsorted(mid)
+            left = (to_mid - at) & 1  # an odd count of errors in [lo, mid)
+            lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+            at = np.where(left, at, to_mid)
+            narrowest >>= 1
+        err[index[np.concatenate(found)]] = False
         for r, (k, pre_a, pos, index) in enumerate(passes):
-            keep = err[index]
-            passes[r] = (k, pre_a, pos[keep], index[keep])
+            if pos.size:
+                keep = err[index]
+                passes[r] = (k, pre_a, pos[keep], index[keep])
 
     def first_odd() -> tuple[int, np.ndarray] | None:
         """The first pass with odd blocks, and those blocks."""
         for q, (k, _, pos, _) in enumerate(passes):
-            odd = np.flatnonzero(np.bincount(pos // k) & 1)
-            if odd.size:
+            if pos.size and (odd := (np.bincount(pos // k) & 1).nonzero()[0]).size:
                 return q, odd
         return None
 
@@ -436,27 +453,27 @@ def reconcile(
         )
         perm = np.random.default_rng(seed).permutation(n)
         starts = np.arange(0, n, k)
-        ends = np.minimum(starts + k, n)
-
         transcript.append(
             "ParityQuery", client, server, link, {"pass": p, "block_size": k}
         )
-        # entry i is the parity of a's first i shuffled bits
-        pre_a = np.zeros(n + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(ab[perm], out=pre_a[1:])
+        shuffled_a = ab[perm]
         transcript.append(
             "ParityReply", server, client, link,
             {
                 "pass": p,
                 "block_size": k,
-                "parities": np.packbits(pre_a[ends] ^ pre_a[starts]).tobytes(),
+                "parities": np.packbits(np.bitwise_xor.reduceat(shuffled_a, starts)).tobytes(),
                 "n_bits": starts.size,
             },
         )
         leaked += starts.size
-        pos = np.flatnonzero(err[perm])
+        pos = err[perm].nonzero()[0]
+        pre_a = None  # flips only remove errors: an error-free pass is never bisected
+        if pos.size:  # entry i is the parity of a's first i shuffled bits
+            pre_a = np.zeros(n + 1, dtype=np.uint8)
+            np.bitwise_xor.accumulate(shuffled_a, out=pre_a[1:])
         passes.append((k, pre_a, pos, perm[pos]))
-        del perm  # not kept: free it before the next pass draws its own
+        del perm, shuffled_a  # not kept: free them before the next pass draws its own
         # each round's flips reopen blocks of other passes; bisect the first
         # pass with odd blocks, smallest blocks first, until none is odd
         while found := first_odd():
@@ -468,10 +485,11 @@ def reconcile(
         {"seed": check_seed, "n_subsets": final_check_bits},
     )
     n_bytes = (n + 7) // 8
-    masks = np.frombuffer(
-        np.random.default_rng(check_seed).bytes(final_check_bits * n_bytes), dtype=np.uint8
+    masks = _random_bytes(
+        np.random.default_rng(check_seed), final_check_bits * n_bytes
     ).reshape(final_check_bits, n_bytes)
-    ones = np.bitwise_count(masks & np.packbits(ab)).sum(axis=1, dtype=np.int64)
+    # a subset's parity is that of the XOR of its masked key bytes
+    ones = np.bitwise_count(np.bitwise_xor.reduce(masks & np.packbits(ab), axis=1))
     transcript.append(
         "FinalCheck", server, client, link,
         {
@@ -482,13 +500,12 @@ def reconcile(
     )
     leaked += final_check_bits
     # b's subset parity differs from a's by that of the errors left in it
-    residual = np.flatnonzero(err)
-    in_subset = masks[:, residual >> 3] >> (7 - (residual & 7)).astype(np.uint8) & 1
-    mismatched = np.count_nonzero(in_subset.sum(axis=1) & 1)
-    if mismatched:
-        raise ReconciliationError(
-            f"final check failed on {mismatched} of {final_check_bits} subset parities"
-        )
+    if (residual := err.nonzero()[0]).size:
+        in_subset = masks[:, residual >> 3] >> (7 - (residual & 7)).astype(np.uint8) & 1
+        if mismatched := np.count_nonzero(in_subset.sum(axis=1) & 1):
+            raise ReconciliationError(
+                f"final check failed on {mismatched} of {final_check_bits} subset parities"
+            )
     return a, _trusted(KeyBlock, ab ^ err, b.frames, b.link), leaked
 
 

@@ -1,5 +1,6 @@
 """Click statistics: closed forms, their invariants, and the click sampler."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -16,6 +17,7 @@ from wdmqkd.photonics import (
     SourceModel,
     UndefinedRateError,
     _distinct_sorted,
+    _random_bytes,
     attenuation_to_length,
     expected_qber,
     p_dark_per_gate,
@@ -27,6 +29,28 @@ from wdmqkd.photonics import (
 # subnormals make 0.5*p underflow to zero, voiding real-arithmetic bounds
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
 errs = st.floats(min_value=0.0, max_value=0.499, allow_nan=False, allow_subnormal=False)
+
+
+# sample_clicks(n_frames, p_sig, p_dark, e_opt, default_rng(seed)): the click
+# count, the SHA-256 of its five arrays (frames, tx_bases, tx_bits, rx_bases,
+# rx_bits) and the generator's next integers(0, 2**63) draw after it
+SAMPLER_PINS = {
+    "no-click": ((1000, 0.0, 0.0, 0.01, 3), 0,
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 789974133212406140),
+    "repeats": ((10_000, 0.25, 0.05, 0.02, 4), 2917,
+                "8226a851fb22e0064c6a99cac2e422bae60263e9527d6d723c419cd855c0c617",
+                1373268719620083299),
+    "repeats-odd": ((9_999, 0.2, 0.01, 0.05, 11), 2052,
+                    "2b576d05a5fe81d76ff5758b432eef6edc600c6686e63dc9cede0d1c2f336372",
+                    2285964191966668893),
+    "left-out": ((1000, 0.6, 0.2, 0.03, 5), 666,
+                 "2c952c10e2416a068dfc9cff7b455ed9cc4013399b0d4a77ed820cf56fc9d4ca",
+                 3353707802607234608),
+    "every-frame": ((777, 1.0, 0.3, 0.1, 6), 777,
+                    "0111b3195091aa5ef5e9f8e6e29a294a5f832cf01d7dfcba743b81174e5af62e",
+                    6828488775276239603),
+}
 
 
 def reference_distinct_sorted(n, k, rng):
@@ -207,6 +231,7 @@ class TestSimulateGate:
     @pytest.mark.parametrize("n, k", [
         (8_000_000, 600), (8_000_000, 5_500), (8_000_000, 20_000), (8_000_000, 54_000),
         (100_000, 20_000), (1_000, 0), (1_000, 700), (1_000, 1_000), (10, 5),
+        (2**32, 5_000), (2**32 + 1, 5_000), (10**12, 1_000),  # both sides of the uint32 draw
     ])
     def test_distinct_sorted_matches_reference(self, n, k):
         # same integers and same draws from the generator, seed by seed
@@ -216,6 +241,37 @@ class TestSimulateGate:
             assert out.dtype == np.int64
             assert np.array_equal(out, reference_distinct_sorted(n, k, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", sorted(SAMPLER_PINS))
+    def test_sampler_pinned(self, case):
+        # k = 0, top-up rounds for repeated draws (even and odd k), the
+        # left-out branch, and p_click = 1; pinned before the draws were sped up
+        (n, p_sig, p_dark, e_opt, seed), clicks, digest, after = SAMPLER_PINS[case]
+        rng = np.random.default_rng(seed)
+        r = sample_clicks(n, p_sig, p_dark, e_opt, rng)
+        h = hashlib.sha256()
+        for name in ("frames", "tx_bases", "tx_bits", "rx_bases", "rx_bits"):
+            h.update(getattr(r, name).tobytes())
+        assert (len(r), h.hexdigest(), int(rng.integers(0, 2**63))) == (clicks, digest, after)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_random_bytes_are_the_generators_bytes_and_bits(self, buffered):
+        # _random_bytes(rng, m) is rng.bytes(m), and the top bit of each byte is
+        # rng.integers(0, 2, m, dtype=np.uint8); each leaves rng as the other
+        # does, but for bytes(0), which draws a word
+        for size in [*range(42), 40_001]:
+            gens = [np.random.default_rng(size) for _ in range(4)]
+            if buffered:  # an odd uint32 draw leaves half a 64-bit word for the next
+                for g in gens:
+                    g.integers(0, 5, size=3, dtype=np.uint32)
+            got, ref, got_bits, ref_bits = gens
+            assert _random_bytes(got, size).tobytes() == ref.bytes(size)
+            assert (got.bit_generator.state == ref.bit_generator.state) == (size > 0)
+            assert np.array_equal(
+                _random_bytes(got_bits, size) >> 7,
+                ref_bits.integers(0, 2, size=size, dtype=np.uint8),
+            )
+            assert got_bits.bit_generator.state == ref_bits.bit_generator.state
 
     @pytest.mark.parametrize("k", [2, 5])  # the drawn and the left-out branch
     def test_click_frames_uniform_over_subsets(self, k):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdmqkd.photonics import ClickRecord, expected_qber, sample_clicks
@@ -72,14 +72,24 @@ def disclosed_parity_bits(transcript, bits):
     return total
 
 
+def final_check_reference(seed, bits, n_subsets):
+    """The final check's parities of ``bits`` by matrix product: one row of
+    packed bits per subset, drawn as the seed's first bytes."""
+    n = bits.size
+    packed = np.frombuffer(
+        np.random.default_rng(seed).bytes(n_subsets * ((n + 7) // 8)), np.uint8
+    ).reshape(n_subsets, -1)
+    masks = np.unpackbits(packed, axis=1, count=n)
+    return ((masks.astype(np.int64) @ bits.astype(np.int64)) & 1).astype(np.uint8)
+
+
 def reference_reconcile(
     a, b, qber_estimate, transcript, rng=None, n_passes=4, final_check_bits=64
 ):
     """The dense form of ``reconcile``: every round recomputes b's prefix
     parities of the pass it bisects, every pass keeps an int64 block map,
-    and the final check draws its masks as one (subsets × n) bit array.
-    Its transcript differs from ``reconcile``'s only in the final check's
-    digest, whose subsets are drawn otherwise."""
+    and the final check takes both digests by matrix product over the
+    unpacked (subsets × n) masks."""
     if not a.aligned_with(b):
         raise BlockAlignmentError("blocks to reconcile must share their frame list")
     n = len(a)
@@ -99,10 +109,6 @@ def reference_reconcile(
         pre = np.zeros(perm.size + 1, dtype=np.uint8)
         np.bitwise_xor.accumulate(bits[perm], out=pre[1:])
         return pre
-
-    def subset_parities(packed_masks, bits):
-        ones = np.bitwise_count(packed_masks & np.packbits(bits)).sum(axis=1, dtype=np.int64)
-        return (ones & 1).astype(np.uint8)
 
     ab = a.bits.copy()
     bb = b.bits.copy()
@@ -169,38 +175,27 @@ def reference_reconcile(
     transcript.append(
         "FinalCheck", client, server, link, {"seed": check_seed, "n_subsets": final_check_bits}
     )
-    masks = np.packbits(
-        np.random.default_rng(check_seed).integers(
-            0, 2, size=(final_check_bits, n), dtype=np.uint8
-        ),
-        axis=1,
-    )
-    digest_a = subset_parities(masks, ab)
+    digest_a = final_check_reference(check_seed, ab, final_check_bits)
     transcript.append(
         "FinalCheck", server, client, link,
         {"seed": check_seed, "digest": np.packbits(digest_a).tobytes(), "n_bits": final_check_bits},
     )
     leaked += final_check_bits
-    digest_b = subset_parities(masks, bb)
+    digest_b = final_check_reference(check_seed, bb, final_check_bits)
     if not np.array_equal(digest_a, digest_b):
         raise ReconciliationError("final check failed")
     return a, b.with_bits(bb), leaked
 
 
 def reconcile_outcome(fn, a, b, estimate, seed):
-    """(transcript rows less the final check's digest, result or None)."""
+    """(transcript rows, result or None)."""
     t = Transcript()
     try:
         _, cb, leaked = fn(a, b, estimate, t, rng=np.random.default_rng(seed))
         result = (cb.bits.tolist(), leaked)
     except ReconciliationError:
         result = None
-    rows = [
-        (m.seq, m.kind, m.sender, m.receiver, m.link,
-         {k: v for k, v in m.payload.items() if not (m.kind == "FinalCheck" and k == "digest")})
-        for m in t
-    ]
-    return rows, result
+    return [(m.seq, m.kind, m.sender, m.receiver, m.link, m.payload) for m in t], result
 
 
 @st.composite
@@ -600,13 +595,8 @@ class TestReconcile:
         assert np.array_equal(cb.bits, ca.bits)
         reply = t.messages[-1]
         assert reply.kind == "FinalCheck"
-        # one row of packed bits per subset, drawn as the seed's first bytes
-        packed = np.frombuffer(
-            np.random.default_rng(reply.payload["seed"]).bytes(64 * ((n + 7) // 8)), np.uint8
-        ).reshape(64, -1)
-        masks = np.unpackbits(packed, axis=1, count=n)
-        reference = (masks.astype(np.int64) @ bits.astype(np.int64)) & 1
-        assert reply.payload["digest"] == np.packbits(reference.astype(np.uint8)).tobytes()
+        reference = final_check_reference(reply.payload["seed"], bits, 64)
+        assert reply.payload["digest"] == np.packbits(reference).tobytes()
 
     def test_final_check_of_no_subsets(self):
         a, b = make_blocks([0, 1, 1, 0, 1], [0, 1, 1, 0, 1])
@@ -622,6 +612,10 @@ class TestReconcile:
         seed=st.integers(min_value=0, max_value=2**63 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    @example(n=3000, error_rate=0.0, estimate=0.02, seed=1)  # no pass has an error to bisect
+    @example(n=41, error_rate=0.025, estimate=0.095, seed=23)  # its error alone in a 1-bit last block
+    @example(n=64, error_rate=0.047, estimate=0.047, seed=2)  # three errors in one first-pass block
+    @example(n=30_000, error_rate=0.012, estimate=0.012, seed=7)  # a sweep-8M link at 0 dB
     def test_matches_dense_reference(self, n, error_rate, estimate, seed):
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, n, dtype=np.uint8)

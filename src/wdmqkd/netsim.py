@@ -520,6 +520,7 @@ class Network:
         *ports, session = map(np.random.default_rng, seed.spawn(self._assignment.n_ports + 1))
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
         self._session_rng = session
+        self._sent: set[int] = set()  # clients whose train is in the log
 
     @property
     def n_ports(self) -> int:
@@ -562,8 +563,12 @@ class Network:
 
     def transmit_train(self, server: int, client: int, n_frames: int) -> ClickRecord:
         """Send ``n_frames`` pulses to ``client``; log the pulse and gate
-        trains and return the frames that clicked."""
+        trains and return the frames that clicked.  A link carries one train:
+        a second call raises ValueError before it samples or logs."""
         params = self.link_parameters(server, client)
+        if client in self._sent:
+            raise ValueError(f"the train to port {self.port_label(client)} was already sent; "
+                             "a Network runs one session")
         period = self.spec.frame_period_ns
         end = (n_frames + 1) * period  # the window opens one frame after t = 0
         if end > _TIME_LIMIT:
@@ -589,6 +594,7 @@ class Network:
             params.channel.label,
             f"width_ns={self.spec.detectors[client].gate_width_ns}",
         )
+        self._sent.add(client)
         return clicks
 
 

@@ -770,6 +770,20 @@ class TestNetwork:
             run_session(cfg, net)
         assert (len(net.events), net.events.digest()) == (size, digest)
 
+    def test_second_train_to_a_link_refused_before_it_samples(self):
+        # a second train would log the link's pulses and gates twice and draw
+        # fresh clicks from the link's stream
+        net = Network(default_fourport_network(), seed=1)
+        net.transmit_train(0, 1, 3)
+        size, digest = len(net.events), net.events.digest()
+        assert size == 6
+        with mock.patch.object(netsim, "sample_clicks", side_effect=AssertionError("sampled")):
+            with pytest.raises(ValueError, match="train to port B was already sent"):
+                net.transmit_train(0, 1, 3)
+        assert (len(net.events), net.events.digest()) == (size, digest)
+        net.transmit_train(0, 2, 3)  # the other links still carry theirs
+        assert len(net.events) == 12
+
     def test_window_requires_equal_train_lengths(self):
         net = Network(default_fourport_network(), seed=1)
         net.transmit_train(0, 1, 100)

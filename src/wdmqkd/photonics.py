@@ -247,7 +247,7 @@ def _distinct_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
             fresh = picked[np.minimum(at, picked.size - 1)] != new
             new = np.insert(picked, at[fresh], new[fresh])
         picked = new
-    return picked.astype(np.int64)
+    return picked.astype(np.int64, copy=False)
 
 
 def sample_clicks(

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .photonics import ClickRecord, _random_bytes, _trusted
+from .photonics import ClickRecord, _trusted
 from .router import ChannelId
 
 __all__ = [
@@ -484,10 +484,13 @@ def reconcile(
         "FinalCheck", client, server, link,
         {"seed": check_seed, "n_subsets": final_check_bits},
     )
+    # the check seed's first bytes as Generator.bytes draws them, at half the
+    # cost: a fresh stream splits each raw 64-bit draw into two uint32 words,
+    # low word first, so the raw draws' little-endian bytes are those bytes
     n_bytes = (n + 7) // 8
-    masks = _random_bytes(
-        np.random.default_rng(check_seed), final_check_bits * n_bytes
-    ).reshape(final_check_bits, n_bytes)
+    size = final_check_bits * n_bytes
+    words = np.random.default_rng(check_seed).bit_generator.random_raw(-(-size // 8))
+    masks = words.astype("<u8", copy=False).view(np.uint8)[:size].reshape(-1, n_bytes)
     # a subset's parity is that of the XOR of its masked key bytes
     ones = np.bitwise_count(np.bitwise_xor.reduce(masks & np.packbits(ab), axis=1))
     transcript.append(

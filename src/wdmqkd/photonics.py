@@ -289,8 +289,7 @@ def sample_clicks(
     tx_bits = _random_bytes(rng, k) >> 7
     flip = (rng.random(k) < e_opt).view(np.uint8)
     noise = _random_bytes(rng, k) >> 7
-    # the sent bit, flipped, where a signal click met matching bases, else
-    # the noise bit: branch-free, as np.where over random uint8 masks is slow
+    # np.where(signal & matching bases, tx_bits ^ flip, noise), branch-free: np.where is slow here
     keep = (signal & (tx_bases == rx_bases)).view(np.uint8)
     rx_bits = noise ^ (keep & (noise ^ tx_bits ^ flip))
     # frames are distinct, sorted and in range, every other array holds bits

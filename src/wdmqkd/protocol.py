@@ -391,9 +391,8 @@ def reconcile(
     k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
     k_cap = max(k1, n // 2)
     leaked = 0
-    # per pass: block size, prefix parities of a (None when the pass starts
-    # error-free), and the errors left as sorted shuffled positions and the
-    # key index at each
+    # per pass: block size, a's prefix parities (None if the pass starts error-free),
+    # and the errors left as sorted shuffled positions and the key index at each
     passes: list[tuple[int, np.ndarray | None, np.ndarray, np.ndarray]] = []
 
     def bisect_and_flip(q: int, odd: np.ndarray) -> None:
@@ -484,9 +483,8 @@ def reconcile(
         "FinalCheck", client, server, link,
         {"seed": check_seed, "n_subsets": final_check_bits},
     )
-    # the check seed's first bytes as Generator.bytes draws them, at half the
-    # cost: a fresh stream splits each raw 64-bit draw into two uint32 words,
-    # low word first, so the raw draws' little-endian bytes are those bytes
+    # the check seed's first bytes as Generator.bytes draws them, at half the cost:
+    # a fresh stream yields each raw 64-bit draw as two uint32 words, low word first
     n_bytes = (n + 7) // 8
     size = final_check_bits * n_bytes
     words = np.random.default_rng(check_seed).bit_generator.random_raw(-(-size // 8))

@@ -75,10 +75,10 @@ def disclosed_parity_bits(transcript, bits):
 def final_check_reference(seed, bits, n_subsets):
     """The final check's parities of ``bits`` by matrix product: one row of
     packed bits per subset, drawn as the seed's first bytes."""
-    n = bits.size
+    n, n_bytes = bits.size, (bits.size + 7) // 8
     packed = np.frombuffer(
-        np.random.default_rng(seed).bytes(n_subsets * ((n + 7) // 8)), np.uint8
-    ).reshape(n_subsets, -1)
+        np.random.default_rng(seed).bytes(n_subsets * n_bytes), np.uint8
+    ).reshape(n_subsets, n_bytes)
     masks = np.unpackbits(packed, axis=1, count=n)
     return ((masks.astype(np.int64) @ bits.astype(np.int64)) & 1).astype(np.uint8)
 

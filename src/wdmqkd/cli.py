@@ -62,8 +62,23 @@ _ROUTER_KEYS = frozenset({"ports", "uniform_loss_db", "loss_file"})
 _SWEEP_ORDER = ("start_db", "stop_db", "step_db")
 _SWEEP_KEYS = frozenset(_SWEEP_ORDER)
 _OUTPUT_KEYS = frozenset({"key_dir", "csv"})
-# libyaml's parser where PyYAML was built with it: the same values, about 5x faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser where PyYAML has it (the same
+    values, about 5x faster), that refuses a mapping naming a key twice."""
+
+    def construct_mapping(self, node, deep=False):
+        given = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):  # two equal keys, or a merged key given again
+            keys = [self.construct_object(key) for key in given]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"key {key!r} names key {keys[keys.index(key)]!r} again",
+                        given[i].start_mark)
+        return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +124,17 @@ def _as_float(value: Any, where: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _by_port(data: Mapping, where: str) -> dict[int, Any]:
+    """``data`` keyed by port index: two keys naming one port, as 1 and "1" do, are an error."""
+    keys: dict[int, Any] = {}
+    for key in data:
+        port = _as_int(key, f"{where} port key")
+        if port in keys:
+            raise ConfigError(f"{where} names port {port} twice, as {keys[port]!r} and {key!r}")
+        keys[port] = key
+    return {port: data[key] for port, key in keys.items()}
 
 
 def _as_ports(value: Any, where: str) -> tuple[int, ...]:
@@ -209,10 +235,9 @@ def _build_detectors(
             c: DetectorModel(dark_rate_hz=rate, rep_rate_hz=source.rep_rate_hz)
             for c, rate in zip(clients, DEFAULT_CLIENT_DARK_RATES_HZ)
         }
-    data = _require_mapping(node, "network.detectors")
+    data = _by_port(_require_mapping(node, "network.detectors"), "network.detectors")
     out = {}
-    for key, value in data.items():
-        port = _as_int(key, "network.detectors port key")
+    for port, value in data.items():
         where = f"network.detectors.{port}"
         out[port] = _build(
             DetectorModel, _require_mapping(value, where), where,
@@ -224,8 +249,8 @@ def _build_detectors(
 def _build_eatt(value: Any, clients: Sequence[int]) -> dict[int, float]:
     if isinstance(value, Mapping):
         return {
-            _as_int(k, "network.eatt_db port key"): _as_float(v, f"network.eatt_db[{k}]")
-            for k, v in value.items()
+            port: _as_float(v, f"network.eatt_db[{port}]")
+            for port, v in _by_port(value, "network.eatt_db").items()
         }
     db = _as_float(value, "network.eatt_db")
     return {c: db for c in clients}
@@ -278,6 +303,9 @@ def _build_sweep(node: Any) -> tuple[float, float, float] | None:
         raise ConfigError(
             f"sweep range must satisfy 0 <= start <= stop, got {start}..{stop}"
         )
+    if not math.isfinite((stop - start) / step):
+        raise ConfigError(f"sweep: (stop_db - start_db) / step_db must be finite, "
+                          f"got ({stop} - {start}) / {step}")
     return start, stop, step
 
 
@@ -297,7 +325,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.load(p.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        raw = yaml.load(p.read_text(encoding="utf-8"), Loader=_YamlLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {p}: {err}") from err
     data = _require_mapping(raw if raw is not None else {}, "config")
@@ -336,8 +364,6 @@ def _warn_low_frames(n_frames: int) -> None:
 
 def cmd_router_table(ports: int, out: str | None) -> int:
     """Human table, machine listing, and the WDM count for an N-port router."""
-    if ports < 2:
-        raise ConfigError(f"a router needs at least 2 ports, got {ports}")
     nm = FOURPORT_CHANNEL_NM if ports == 4 else None
     assignment = build_assignment(ports, nm=nm)
     n_wdms, per_wdm = wdm_requirements(ports)

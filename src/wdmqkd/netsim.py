@@ -7,21 +7,22 @@ transmissions whose loss is the measured router path plus a configurable
 eATT.  Every pulse arrival, detection gate, and classical message lands
 in an event log that is totally ordered and reproducible from the seed.
 
-A Network runs one session.  Its log holds what the Network writes: pulse
-and gate trains that share one period and one count and start in the
-first frame of one quantum window, which opens one frame after t = 0, and
-the messages of the session's transcript, stamped 0 before the window and
-its end after it, rendered from their fields.  Train times lie in
-[0, 2**61).  The trains are stored as arithmetic sequences and expand to
-lines only when rendered.  Rendering walks the window in runs of whole
-frames, each frame the one before plus the period, so one lexsort of the
-first frame orders them all.  One writer turns every run into bytes: it
-tiles one row's bytes, every line's text after room for its time, and
-writes the decimal times into the room with numpy.  Where the period
-divides a power of ten D, a block [H·D, (H+1)·D) with H >= 1 is the one
-before with the leading digits str(H) of its times rewritten.  The guard
-check reads the pulse trains' first lines alone: every frame repeats the
-first.
+A Network runs one session and owns its quantum window, which opens one
+frame after t = 0 and ends by 2**61 ns: the period is the source's, and
+the first train sets the frame count.  It checks a train before it
+samples it.  Its log is a read-only view of what it sent: pulse and gate
+trains that share the window's period and count and start in its first
+frame, and the messages of the session's transcript, stamped 0 before
+the window and its end after it, rendered from their fields.  The trains
+are stored as arithmetic sequences and expand to lines only when
+rendered.  Rendering walks the window in runs of whole frames, each frame
+the one before plus the period, so one lexsort of the first frame orders
+them all.  One writer turns every run into bytes: it tiles one row's
+bytes, every line's text after room for its time, and writes the decimal
+times into the room with numpy.  Where the period divides a power of ten
+D, a block [H·D, (H+1)·D) with H >= 1 is the one before with the leading
+digits str(H) of its times rewritten.  The guard check reads the pulse
+trains' first lines alone: every frame repeats the first.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ _TRAIN_KINDS = ("pulse-arrival", "gate-open")
 # rendered a 1.5M-line log no faster and raised the peak RSS of its digest
 # plus guard check by 3 MB.
 _WINDOW_LINES = 1 << 13
-# Train times lie in [0, 2**61), so sums and differences of two times fit
-# in int64.
+# A Network's quantum window ends by 2**61 ns, so sums and differences of
+# two times fit in int64.
 _TIME_LIMIT = 1 << 61
 
 
@@ -194,47 +195,28 @@ def _write_block(
 
 
 class EventLog:
-    """Totally ordered event log of one quantum window of pulse and gate
-    trains and the classical messages of the one transcript it records.
+    """Read-only, totally ordered view of the pulse and gate trains and the
+    classical messages that a :class:`Network` sent.
 
+    ``window`` is (f, period, count): each of ``trains``, a (time, kind,
+    port, channel, detail) with kind pulse-arrival or gate-open, repeats
+    ``count`` times one period apart from its time in the first frame
+    [f, f + period), so each frame holds one line of every train, always in
+    one order.  ``messages`` lie before f or at or after the window's end.
     Order is (time, kind rank, append order); messages keep their send
-    order.  Train times are integer nanoseconds in [0, 2**61), and no train
-    field may hold a newline, so every event renders as exactly one line.
-
-    The first train sets the window (f, period, count): f is its first
-    time rounded down to a multiple of its period, and the window spans
-    [f, f + count·period).  Every later train must share the period and
-    the count and start in the window's first frame [f, f + period), so
-    each frame holds one line of every train, always in one order.  A
-    train that breaks the rule raises ValueError and leaves the log as it
-    was.  The log owns the window and times a Network's messages by it:
-    :meth:`now_ns` reads 0 before the window opens and its end after.  A
-    message's line is ``time classical-message S - kind=K link=A-B seq=N
-    payload=D``: S and A-B the ``labels`` of its sender and link ports, or
-    -, and D the first 16 hex digits of the SHA-256 of its payload as
-    :meth:`Transcript.render_text` prints it.
+    order.  A message's line is ``time classical-message S - kind=K
+    link=A-B seq=N payload=D``: S and A-B the ``labels`` of its sender and
+    link ports, or -, and D the first 16 hex digits of the SHA-256 of its
+    payload as :meth:`Transcript.render_text` prints it.
     """
 
-    def __init__(self, labels: Sequence[str] = ()) -> None:
+    def __init__(self, labels: Sequence[str], window: tuple[int, int, int],
+                 trains: Iterable[tuple[int, str, str, str, str]],
+                 messages: Iterable[ClassicalMessage]) -> None:
         self._labels = tuple(labels)
-        self._sent: list[ClassicalMessage] | None = None  # the transcript's messages
-        # (time_ns, kind, port, channel, detail); a train's time is its first line's
-        self._trains: list[tuple[int, str, str, str, str]] = []
-        self._window: tuple[int, int, int] | None = None  # (f, period_ns, count)
-
-    def record(self, transcript: Transcript) -> None:
-        """Render ``transcript``'s messages, sent and to come, in the log; keep
-        their list alone, as the transcript's clock may hold the log.  A log
-        records one session: a second transcript raises ValueError."""
-        if self._sent is not None:
-            raise ValueError("the event log already records a session; a Network runs one session")
-        self._sent = transcript.messages
-
-    def now_ns(self) -> int:
-        """The time of a message sent now: 0 before the quantum window
-        opens, the window's end after."""
-        f, period, count = self._window or (0, 0, 0)
-        return f + count * period
+        self._window = window
+        self._trains = tuple(trains)
+        self._messages = tuple(messages)
 
     def _message_line(self, m: ClassicalMessage) -> str:
         port = "-" if m.sender is None else self._labels[m.sender]
@@ -243,34 +225,8 @@ class EventLog:
         return (f"{m.time_ns} classical-message {port} - kind={m.kind} link={link} "
                 f"seq={m.seq} payload={payload}\n")
 
-    def append_train(self, time0: int, period_ns: int, count: int,
-                     kind: str, port: str, channel: str, detail: str) -> None:
-        """Append ``count`` identical pulse-arrival or gate-open events at
-        times time0 + i·period_ns."""
-        if kind not in _TRAIN_KINDS:
-            raise ValueError(f"a train is of kind pulse-arrival or gate-open, got {kind!r}")
-        time0, period_ns, count = (operator.index(v) for v in (time0, period_ns, count))
-        if count <= 0 or period_ns <= 0:
-            raise ValueError("a train needs positive count and period")
-        last = time0 + period_ns * (count - 1)
-        if not 0 <= time0 <= last < _TIME_LIMIT:  # so the log orders times in int64
-            raise OverflowError(f"event times {time0}..{last} ns outside [0, 2**61) ns")
-        if "\n" in port + channel + detail:
-            raise ValueError(f"event fields must not hold a newline: {(port, channel, detail)!r}")
-        if self._window is None:
-            self._window = (time0 - time0 % period_ns, period_ns, count)
-        else:
-            f, period, n = self._window
-            if (period_ns, count) != (period, n) or not f <= time0 < f + period:
-                raise ValueError(
-                    f"a train of the quantum window has period {period} ns, count {n} "
-                    f"and its first line in [{f}, {f + period}) ns; got period "
-                    f"{period_ns} ns, count {count}, first line at {time0} ns"
-                )
-        self._trains.append((time0, kind, port, channel, detail))
-
     def __len__(self) -> int:
-        return len(self._sent or ()) + len(self._trains) * (self._window or (0, 0, 0))[2]
+        return len(self._messages) + len(self._trains) * self._window[2]
 
     def _chunks(self) -> Iterator[np.ndarray]:
         """The log as UTF-8 lines, each ending in a newline, in uint8 arrays
@@ -290,8 +246,8 @@ class EventLog:
         least one.
         """
         cap = _WINDOW_LINES
-        messages = sorted(self._sent or (), key=operator.attrgetter("time_ns"))  # ties keep send order
-        f, period, count = self._window or (_TIME_LIMIT, 1, 0)
+        messages = sorted(self._messages, key=operator.attrgetter("time_ns"))  # ties keep send order
+        f, period, count = self._window
         split = sum(m.time_ns < f for m in messages)
 
         def message_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -371,7 +327,7 @@ class EventLog:
         frame's violations repeat once a frame, one period apart, less the
         pair that would cross out of the last frame.
         """
-        f, period, count = self._window or (0, 1, 0)
+        f, period, count = self._window
         pulses = sorted(
             ((t, c) for t, kind, _, c, _ in self._trains if kind == "pulse-arrival"),
             key=operator.itemgetter(0),
@@ -508,19 +464,23 @@ def default_fourport_network(
 class Network:
     """Runtime handle satisfying the run_session contract with full logging.
 
-    It runs one session, whose quantum window opens one frame after t = 0."""
+    It runs one session and owns its quantum window.  It keeps each link's
+    pulse and gate trains and the transcript's messages, which it stamps 0
+    before the window and its end after; :attr:`events` shows them."""
 
     def __init__(self, spec: NetworkSpec, seed: int | np.random.SeedSequence = 0):
         self.spec = spec
         self._assignment = spec.router.assignment
         self._labels = tuple(port.label for port in self._assignment.ports)
-        self.events = EventLog(self._labels)
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(int(seed))
         *ports, session = map(np.random.default_rng, seed.spawn(self._assignment.n_ports + 1))
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
         self._session_rng = session
-        self._sent: set[int] = set()  # clients whose train is in the log
+        self._n_frames = 0  # the window's frame count, set by the first train
+        # client -> its (pulse, gate) trains, each (time_ns, kind, port, channel, detail)
+        self._trains: dict[int, tuple[tuple[int, str, str, str, str], ...]] = {}
+        self._messages: list[ClassicalMessage] | None = None  # the transcript's
 
     @property
     def n_ports(self) -> int:
@@ -532,11 +492,26 @@ class Network:
     def protocol_rng(self) -> np.random.Generator:
         return self._session_rng
 
+    @property
+    def events(self) -> EventLog:
+        """A fresh read-only view of what the Network sent so far."""
+        period = self.spec.frame_period_ns
+        window = (period, period, self._n_frames)  # it opens one frame after t = 0
+        trains = itertools.chain.from_iterable(self._trains.values())
+        return EventLog(self._labels, window, trains, self._messages or ())
+
+    def _now_ns(self) -> int:
+        """The time of a message sent now: 0 before the quantum window
+        opens, the window's end after."""
+        return (self._n_frames + 1) * self.spec.frame_period_ns if self._n_frames else 0
+
     def new_transcript(self, session_id: int) -> Transcript:
-        """The session's transcript, timed and recorded by the log; a second
-        one raises ValueError before anything is logged."""
-        transcript = Transcript(session_id, clock=self.events.now_ns)
-        self.events.record(transcript)
+        """The session's transcript, timed by the Network, which keeps its
+        message list alone; a second one raises ValueError."""
+        if self._messages is not None:
+            raise ValueError("the Network already ran a session; a Network runs one session")
+        transcript = Transcript(session_id, clock=self._now_ns)
+        self._messages = transcript.messages
         return transcript
 
     def link_parameters(self, server: int, client: int) -> LinkParameters:
@@ -562,39 +537,37 @@ class Network:
         )
 
     def transmit_train(self, server: int, client: int, n_frames: int) -> ClickRecord:
-        """Send ``n_frames`` pulses to ``client``; log the pulse and gate
-        trains and return the frames that clicked.  A link carries one train:
-        a second call raises ValueError before it samples or logs."""
+        """Send ``n_frames`` pulses to ``client``, keep the pulse and gate
+        trains and return the frames that clicked.  Every train has the
+        frames of the first, a link carries one train, and the window ends
+        by 2**61 ns: a train that breaks a rule raises ValueError before it
+        samples."""
         params = self.link_parameters(server, client)
-        if client in self._sent:
+        n_frames = operator.index(n_frames)
+        if client in self._trains:
             raise ValueError(f"the train to port {self.port_label(client)} was already sent; "
                              "a Network runs one session")
+        if self._n_frames and n_frames != self._n_frames:
+            raise ValueError(f"a train of the quantum window has {self._n_frames} frames, "
+                             f"got {n_frames}")
         period = self.spec.frame_period_ns
         end = (n_frames + 1) * period  # the window opens one frame after t = 0
         if end > _TIME_LIMIT:
             raise ValueError(f"the quantum window [{period}, {end}) ns ends past 2**61 ns: "
                              f"lower session.n_frames ({n_frames})")
-        start = period + params.offset_ns
         clicks = sample_clicks(
             n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )
+        start, channel = period + params.offset_ns, params.channel.label
         router_db = float(path_loss_db(self.spec.router, server, client))
-        self.events.append_train(
-            start, period, n_frames,
-            "pulse-arrival",
-            self.port_label(server),
-            params.channel.label,
-            f"dest={self.port_label(client)} router_db={router_db} "
-            f"eatt_db={float(self.spec.eatt_db[client])} loss_db={params.total_loss_db}",
+        self._trains[client] = (
+            (start, "pulse-arrival", self.port_label(server), channel,
+             f"dest={self.port_label(client)} router_db={router_db} "
+             f"eatt_db={float(self.spec.eatt_db[client])} loss_db={params.total_loss_db}"),
+            (start, "gate-open", self.port_label(client), channel,
+             f"width_ns={self.spec.detectors[client].gate_width_ns}"),
         )
-        self.events.append_train(
-            start, period, n_frames,
-            "gate-open",
-            self.port_label(client),
-            params.channel.label,
-            f"width_ns={self.spec.detectors[client].gate_width_ns}",
-        )
-        self._sent.add(client)
+        self._n_frames = n_frames
         return clicks
 
 

@@ -109,7 +109,7 @@ class TestRouterTable:
 
     def test_one_port_rejected(self, capsys):
         assert main(["router-table", "--ports", "1"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a router needs at least 2 ports, got 1\n"
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         assert main(["router-table", "--ports", "4"]) == 0
@@ -341,6 +341,9 @@ class TestSweep:
             ("{start_db: 5, stop_db: 0, step_db: 0}", "sweep.step_db must be positive, got 0.0"),
             ("{start_db: 5, stop_db: 0, step_db: 1}",
              "sweep range must satisfy 0 <= start <= stop, got 5.0..0.0"),
+            # each value is finite, but the point count is not
+            ("{start_db: 0.0, stop_db: 1.0e300, step_db: 1.0e-300}",
+             "sweep: (stop_db - start_db) / step_db must be finite, got (1e+300 - 0.0) / 1e-300"),
         ],
     )
     def test_simulate_rejects_bad_sweep_section(self, tmp_path, capsys, section, message):
@@ -531,7 +534,7 @@ session:
         root = SHIPPED_CONFIG.parents[1]
         for path in [SHIPPED_CONFIG, *sorted((root / "perfbench" / "configs").glob("*.yaml"))]:
             text = path.read_text(encoding="utf-8")
-            assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.safe_load(text)
+            assert yaml.load(text, Loader=cli._YamlLoader) == yaml.safe_load(text)
 
     @pytest.mark.parametrize("network", ["", "network:\n", "network: {}\n"])
     def test_absent_network_is_the_default_fourport(self, tmp_path, network):
@@ -561,6 +564,22 @@ session:
         text = "network: {detectors: {1: {dark_rate: 1.0}, 2: {}, 3: {}}}\n"
         with pytest.raises(ValueError):
             load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("detectors: {1: {efficiency: 0.1}, '1': {efficiency: 0.5}, 2: {}, 3: {}}",
+         "network.detectors names port 1 twice, as 1 and '1'"),
+        ("eatt_db: {1: 0.0, '1.0': 30.0, 2: 0.0, 3: 0.0}",
+         "network.eatt_db names port 1 twice, as 1 and '1.0'"),
+        # YAML itself would keep the last of two equal keys
+        ("eatt_db: {1: 0.0, 1.0: 30.0, 2: 0.0, 3: 0.0}", "key 1.0 names key 1 again"),
+        ("detectors: {1: {}, 2: {}, 3: {}, 1: {efficiency: 0.5}}", "key 1 names key 1 again"),
+    ], ids=["detectors", "eatt_db", "equal-keys", "repeated-key"])
+    def test_port_named_twice_refused(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, f"network: {{{text}}}\nsession: {{n_frames: 2000}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "k").exists()
 
     @pytest.mark.parametrize(
         "bad", ["router: {ports: 1}", "server: x", "source: 3", "detectors: 5", "eatt_db: hot"]

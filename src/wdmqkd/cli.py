@@ -126,6 +126,12 @@ def _as_float(value: Any, where: str) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
+def _as_str(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _by_port(data: Mapping, where: str) -> dict[int, Any]:
     """``data`` keyed by port index: two keys naming one port, as 1 and "1" do, are an error."""
     keys: dict[int, Any] = {}
@@ -147,7 +153,7 @@ def _as_ports(value: Any, where: str) -> tuple[int, ...]:
 _PARSERS = {
     int: _as_int,
     float: _as_float,
-    str: lambda value, where: str(value),
+    str: _as_str,
     tuple[int, ...]: _as_ports,  # session clients
 }
 
@@ -209,7 +215,7 @@ def _build_router(node: Any, base_dir: Path):
     nm = FOURPORT_CHANNEL_NM if ports == 4 else None
     assignment = build_assignment(ports, nm=nm)
     if "loss_file" in data:
-        path = base_dir / str(data["loss_file"])
+        path = base_dir / _as_str(data["loss_file"], "network.router.loss_file")
         if not path.is_file():
             raise ConfigError(f"network.router.loss_file not found: {path}")
         text = path.read_text(encoding="utf-8")
@@ -217,14 +223,10 @@ def _build_router(node: Any, base_dir: Path):
             return import_loss_matrix(text, assignment, default_db=loss)
         except ValueError as err:
             raise ConfigError(f"network.router.loss_file {path}: {err}") from err
-    if ports == 4 and "uniform_loss_db" not in data:
-        return fourport_router_spec()
     return uniform_router_spec(assignment, loss_db=loss)
 
 
-def _build_detectors(
-    node: Any, clients: Sequence[int], source: SourceModel
-) -> dict[int, DetectorModel]:
+def _build_detectors(node: Any, clients: Sequence[int]) -> dict[int, DetectorModel]:
     if node is None:
         if len(clients) != len(DEFAULT_CLIENT_DARK_RATES_HZ):
             raise ConfigError(
@@ -232,17 +234,14 @@ def _build_detectors(
                 f"{len(DEFAULT_CLIENT_DARK_RATES_HZ)} clients"
             )
         return {
-            c: DetectorModel(dark_rate_hz=rate, rep_rate_hz=source.rep_rate_hz)
+            c: DetectorModel(dark_rate_hz=rate)
             for c, rate in zip(clients, DEFAULT_CLIENT_DARK_RATES_HZ)
         }
     data = _by_port(_require_mapping(node, "network.detectors"), "network.detectors")
     out = {}
     for port, value in data.items():
         where = f"network.detectors.{port}"
-        out[port] = _build(
-            DetectorModel, _require_mapping(value, where), where,
-            fixed=("rep_rate_hz",), rep_rate_hz=source.rep_rate_hz,
-        )
+        out[port] = _build(DetectorModel, _require_mapping(value, where), where)
     return out
 
 
@@ -273,7 +272,7 @@ def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
         router=router,
         server=server,
         source=source,
-        detectors=_build_detectors(data.get("detectors"), clients, source),
+        detectors=_build_detectors(data.get("detectors"), clients),
         eatt_db=_build_eatt(data.get("eatt_db", 0.0), clients),
     )
 
@@ -325,21 +324,22 @@ def load_config(path: str | Path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.load(p.read_text(encoding="utf-8"), Loader=_YamlLoader)
+        with p.open(encoding="utf-8") as f:  # a file, so error marks name it
+            raw = yaml.load(f, Loader=_YamlLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {p}: {err}") from err
     data = _require_mapping(raw if raw is not None else {}, "config")
     _check_keys(data, _TOP_KEYS, "config")
     spec = _build_network(data.get("network"), p.parent)
     session = _build_session(data.get("session"), spec)
-    output = _require_mapping(data.get("output") or {}, "output")
+    output = _section(data.get("output"), "output")
     _check_keys(output, _OUTPUT_KEYS, "output")
     return RunConfig(
         spec=spec,
         session=session,
         sweep_db=_build_sweep(data.get("sweep")),
-        key_dir=str(output.get("key_dir", "keys")),
-        csv_path=str(output.get("csv", "sweep.csv")),
+        key_dir=_as_str(output.get("key_dir", "keys"), "output.key_dir"),
+        csv_path=_as_str(output.get("csv", "sweep.csv"), "output.csv"),
     )
 
 
@@ -400,7 +400,7 @@ def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
     clients = ",".join(label(c) for c in cfg.clients)
     print(
         f"mode {cfg.mode}  server {label(cfg.server)}  clients {clients}  "
-        f"seed {run.seed}  frames {cfg.n_frames}"
+        f"seed {cfg.seed}  frames {cfg.n_frames}"
     )
     for link in result.links:
         nm = "" if link.channel_nm is None else f" {link.channel_nm}nm"

@@ -39,7 +39,6 @@ import numpy as np
 from .photonics import (
     DEFAULT_CLIENT_DARK_RATES_HZ,
     DEFAULT_E_OPT,
-    DEFAULT_FIBER_ALPHA_DB_PER_KM,
     DEFAULT_GATE_WIDTH_NS,
     DEFAULT_MU,
     DEFAULT_REP_RATE_HZ,
@@ -358,7 +357,8 @@ class NetworkSpec:
     a client with its own detector and a per-link eATT on its path.
     The frame period is 10⁹ / source rep rate, which must be a whole
     number of nanoseconds; the router's channels, in index order, sit
-    0, guard_ns, 2·guard_ns, ... into it.
+    0, guard_ns, 2·guard_ns, ... into it.  Every detector gates once a
+    frame, so its dark rate must stay below the source's rate.
     """
 
     router: RouterSpec
@@ -390,10 +390,10 @@ class NetworkSpec:
                 f"got {sorted(self.detectors)}"
             )
         for p, det in self.detectors.items():
-            if det.rep_rate_hz != self.source.rep_rate_hz:
+            if det.dark_rate_hz >= self.source.rep_rate_hz:
                 raise ValueError(
-                    f"detector at port {p} is gated at {det.rep_rate_hz} Hz "
-                    f"but the source runs at {self.source.rep_rate_hz} Hz"
+                    f"dark rate {det.dark_rate_hz} Hz of the detector at port {p} must "
+                    f"stay below the source's {self.source.rep_rate_hz} Hz gating rate"
                 )
         if set(self.eatt_db) != set(clients):
             raise ValueError(
@@ -440,10 +440,7 @@ def default_fourport_network(
     source = SourceModel(mean_photon_number=mu, rep_rate_hz=rep_rate_hz, e_opt=e_opt)
     detectors = {
         port: DetectorModel(
-            efficiency=efficiency,
-            dark_rate_hz=rate,
-            gate_width_ns=DEFAULT_GATE_WIDTH_NS,
-            rep_rate_hz=rep_rate_hz,
+            efficiency=efficiency, dark_rate_hz=rate, gate_width_ns=DEFAULT_GATE_WIDTH_NS
         )
         for port, rate in zip((1, 2, 3), dark_rates_hz)
     }
@@ -468,13 +465,12 @@ class Network:
     pulse and gate trains and the transcript's messages, which it stamps 0
     before the window and its end after; :attr:`events` shows them."""
 
-    def __init__(self, spec: NetworkSpec, seed: int | np.random.SeedSequence = 0):
+    def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
         self._assignment = spec.router.assignment
         self._labels = tuple(port.label for port in self._assignment.ports)
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(int(seed))
-        *ports, session = map(np.random.default_rng, seed.spawn(self._assignment.n_ports + 1))
+        streams = np.random.SeedSequence(int(seed)).spawn(self._assignment.n_ports + 1)
+        *ports, session = map(np.random.default_rng, streams)
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
         self._session_rng = session
         self._n_frames = 0  # the window's frame count, set by the first train
@@ -505,12 +501,12 @@ class Network:
         opens, the window's end after."""
         return (self._n_frames + 1) * self.spec.frame_period_ns if self._n_frames else 0
 
-    def new_transcript(self, session_id: int) -> Transcript:
+    def new_transcript(self) -> Transcript:
         """The session's transcript, timed by the Network, which keeps its
         message list alone; a second one raises ValueError."""
         if self._messages is not None:
             raise ValueError("the Network already ran a session; a Network runs one session")
-        transcript = Transcript(session_id, clock=self._now_ns)
+        transcript = Transcript(clock=self._now_ns)
         self._messages = transcript.messages
         return transcript
 
@@ -529,7 +525,7 @@ class Network:
         return LinkParameters(
             channel=channel,
             p_sig=p_signal_click(self.spec.source, budget, det),
-            p_dark=p_dark_per_gate(det),
+            p_dark=p_dark_per_gate(self.spec.source, det),
             e_opt=self.spec.source.e_opt,
             rep_rate_hz=self.spec.source.rep_rate_hz,
             total_loss_db=budget.total_db,
@@ -577,21 +573,17 @@ class NetworkRun:
 
     result: SessionResult
     events: EventLog
-    seed: int
 
 
-def run_network(
-    spec: NetworkSpec, cfg: SessionConfig, seed: int | None = None
-) -> NetworkRun:
-    """Run one session over ``spec``; the seed defaults to ``cfg.seed``.
+def run_network(spec: NetworkSpec, cfg: SessionConfig) -> NetworkRun:
+    """Run one session over ``spec``, seeded by ``cfg.seed``.
 
     Session failures (abort, no detections) propagate as exceptions; their
     diagnostics carry the per-link measurements.
     """
-    actual_seed = cfg.seed if seed is None else int(seed)
-    net = Network(spec, seed=actual_seed)
+    net = Network(spec, seed=cfg.seed)
     result = run_session(cfg, net)
-    return NetworkRun(result=result, events=net.events, seed=actual_seed)
+    return NetworkRun(result=result, events=net.events)
 
 
 # ---------------------------------------------------------------------------
@@ -623,31 +615,27 @@ def sweep_attenuation(
     spec: NetworkSpec,
     cfg: SessionConfig,
     db_list: Sequence[float],
-    seed: int | None = None,
-    fiber_alpha: float = DEFAULT_FIBER_ALPHA_DB_PER_KM,
 ) -> list[SweepRow]:
     """Rerun the session once per eATT value, collecting per-channel rows.
 
-    Every point gets a fresh seed derived from the master seed (``seed``
-    or ``cfg.seed``).  Aborted points contribute rows with their measured
-    QBER and zero leaked bits; points with no detections or a failed
-    reconciliation contribute NaN QBER markers.  Rows are ordered by dB,
-    then client port.
+    Every point runs with a fresh seed derived from ``cfg.seed``.  Aborted
+    points contribute rows with their measured QBER and zero leaked bits;
+    points with no detections or a failed reconciliation contribute NaN
+    QBER markers.  Rows are ordered by dB, then client port.
     """
     if not db_list:
         raise ValueError("db_list must be nonempty")
     if not all(db >= 0 for db in db_list):
         raise ValueError("attenuations must be nonnegative")
-    master = cfg.seed if seed is None else int(seed)
     rows: list[SweepRow] = []
     for i, db in enumerate(sorted(db_list)):
         point_spec = spec.with_uniform_eatt(db)
         point_seed = int(
-            np.random.SeedSequence((master, i)).generate_state(1, np.uint64)[0]
+            np.random.SeedSequence((cfg.seed, i)).generate_state(1, np.uint64)[0]
         )
-        length_km = attenuation_to_length(db, fiber_alpha)
+        length_km = attenuation_to_length(db)
         try:
-            run = run_network(point_spec, cfg, seed=point_seed)
+            run = run_network(point_spec, replace(cfg, seed=point_seed))
             reports = run.result.links
             status = "ok"
         except SessionAbortError as err:

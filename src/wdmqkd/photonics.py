@@ -79,12 +79,11 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Gated single-photon detector."""
+    """Single-photon detector, gated once per frame of the source."""
 
     efficiency: float = DEFAULT_EFFICIENCY
     dark_rate_hz: float = 0.0
     gate_width_ns: float = DEFAULT_GATE_WIDTH_NS
-    rep_rate_hz: float = DEFAULT_REP_RATE_HZ
 
     def __post_init__(self) -> None:
         if not 0 < self.efficiency <= 1:
@@ -93,13 +92,6 @@ class DetectorModel:
             raise ValueError(f"dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
         if not 0 < self.gate_width_ns < float("inf"):
             raise ValueError(f"gate_width_ns must be finite and > 0, got {self.gate_width_ns}")
-        if not 0 < self.rep_rate_hz < float("inf"):
-            raise ValueError(f"rep_rate_hz must be finite and > 0, got {self.rep_rate_hz}")
-        if self.dark_rate_hz >= self.rep_rate_hz:
-            raise ValueError(
-                f"dark rate {self.dark_rate_hz} Hz must stay below the "
-                f"{self.rep_rate_hz} Hz gating rate"
-            )
 
 
 @dataclass(frozen=True)
@@ -145,9 +137,10 @@ def p_signal_click(src: SourceModel, budget: LinkBudget, det: DetectorModel) -> 
     return float(-np.expm1(-rate))
 
 
-def p_dark_per_gate(det: DetectorModel) -> float:
-    """Dark-count probability per gate: dark rate over gating rate."""
-    return det.dark_rate_hz / det.rep_rate_hz
+def p_dark_per_gate(src: SourceModel, det: DetectorModel) -> float:
+    """Dark-count probability per gate: dark rate over the source's rate,
+    at which the detector gates."""
+    return det.dark_rate_hz / src.rep_rate_hz
 
 
 def expected_qber(p_sig: float, p_dark: float, e_opt: float) -> float:

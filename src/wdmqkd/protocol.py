@@ -250,7 +250,6 @@ class ClassicalMessage(NamedTuple):
     A named tuple, so immutable and cheaper to build than a frozen
     dataclass; :meth:`Transcript.append` checks the kind."""
 
-    session_id: int
     seq: int
     time_ns: int
     kind: str
@@ -280,8 +279,7 @@ class Transcript:
     logical clock).
     """
 
-    def __init__(self, session_id: int = 0, clock: Callable[[], int] | None = None):
-        self.session_id = int(session_id)
+    def __init__(self, clock: Callable[[], int] | None = None):
         self.messages: list[ClassicalMessage] = []
         self._parity_bits: dict[tuple[int, int] | None, int] = {}  # per link
         self._clock = clock
@@ -305,7 +303,7 @@ class Transcript:
         seq = len(self.messages)
         time_ns = int(self._clock()) if self._clock is not None else seq
         payload = dict(payload)
-        msg = ClassicalMessage(self.session_id, seq, time_ns, kind, sender, receiver, link, payload)
+        msg = ClassicalMessage(seq, time_ns, kind, sender, receiver, link, payload)
         self.messages.append(msg)
         if kind in PARITY_KINDS:
             bits = self._parity_bits
@@ -703,9 +701,12 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     - ``transmit_train(server, client, n_frames) -> ClickRecord``, the
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
-    - ``new_transcript(session_id) -> Transcript``, the session's record of
-      classical traffic; the handle times its messages and may keep it, and
-      a handle that runs one session raises ValueError on a second call
+    - ``new_transcript() -> Transcript``, the session's record of classical
+      traffic; the handle times its messages and may keep it, and a handle
+      that runs one session raises ValueError on a second call
+
+    The session draws its randomness from the handle alone, so ``cfg.seed``
+    is read where the handle is built (see :func:`wdmqkd.netsim.run_network`).
 
     Flow: clients request keys; on every link the client announces the
     frames that clicked and its bases, the server sifts on basis match, and
@@ -729,7 +730,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 f"got {cfg.clients}"
             )
 
-    transcript = network.new_transcript(cfg.seed)
+    transcript = network.new_transcript()
     rng = network.protocol_rng()
     links: dict[int, _LinkState] = {}
 

@@ -62,8 +62,8 @@ class FakeNetwork:
     def protocol_rng(self):
         return self._protocol_rng
 
-    def new_transcript(self, session_id):
-        return protocol.Transcript(session_id, clock=itertools.count(10, 10).__next__)
+    def new_transcript(self):
+        return protocol.Transcript(clock=itertools.count(10, 10).__next__)
 
 
 @pytest.fixture
@@ -79,9 +79,9 @@ def reconcile_fails_at_5db(monkeypatch):
     def fail(*args, **kwargs):
         raise ReconciliationError("final check failed")
 
-    def run(spec, cfg, seed=None):
+    def run(spec, cfg):
         at_5db = 5.0 in spec.eatt_db.values()
         monkeypatch.setattr(protocol, "reconcile", fail if at_5db else reconcile)
-        return run_network(spec, cfg, seed=seed)
+        return run_network(spec, cfg)
 
     monkeypatch.setattr(netsim, "run_network", run)

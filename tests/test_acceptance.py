@@ -132,12 +132,10 @@ def test_criterion_06_monte_carlo_matches_analytic_qber():
     with criterion(6, "sifted QBER within 4 sigma of the closed form at 5 dB"):
         t0 = time.perf_counter()
         src = SourceModel(mean_photon_number=0.1, rep_rate_hz=1e6, e_opt=0.01)
-        det = DetectorModel(
-            efficiency=0.1, dark_rate_hz=41.7, gate_width_ns=2.5, rep_rate_hz=1e6
-        )
+        det = DetectorModel(efficiency=0.1, dark_rate_hz=41.7, gate_width_ns=2.5)
         budget = LinkBudget.of(("line", 5.0))
         p_sig = p_signal_click(src, budget, det)
-        p_dark = p_dark_per_gate(det)
+        p_dark = p_dark_per_gate(src, det)
         assert p_dark == pytest.approx(4.17e-5, rel=1e-12)
         q_expected = expected_qber(p_sig, p_dark, src.e_opt)
         rng = np.random.default_rng(2026)

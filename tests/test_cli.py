@@ -191,7 +191,9 @@ class TestSimulate:
     def test_malformed_yaml(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "session: [unclosed\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {cfg}: ")
+        assert f'in "{cfg}", line 1, column 10' in err  # the mark names the file
 
     def test_bad_physics_value(self, tmp_path, capsys):
         cfg = write_config(
@@ -231,6 +233,12 @@ class TestSimulate:
              "unknown key(s) in network: classical_delay_ns; allowed: detectors,"),
             ("simulate", "network: {eatt_db: {1: 0.0, 3: 0.0}}",
              "network: eatt_db must cover exactly the client ports (1, 2, 3), got [1, 3]"),
+            ("simulate", "output: {key_dir: null}", "output.key_dir must be a string, got None"),
+            ("sweep", "output: {csv: [a, b]}", "output.csv must be a string, got ['a', 'b']"),
+            ("simulate", "output: 0", "output must be a mapping, got int"),
+            ("simulate", "network: {router: {loss_file: 5}}",
+             "network.router.loss_file must be a string, got 5"),
+            ("simulate", "session: {mode: 1}", "session.mode must be a string, got 1"),
         ],
     )
     def test_non_finite_value_named(self, tmp_path, capsys, command, text, field):
@@ -473,7 +481,6 @@ session:
         assert cfg.spec.source.mean_photon_number == 0.2
         assert cfg.spec.source.e_opt == 0.02
         assert cfg.spec.detectors[2].efficiency == 0.2
-        assert cfg.spec.detectors[0].rep_rate_hz == 500000.0  # inherited
         assert cfg.spec.detectors[3].gate_width_ns == 3.0
         assert cfg.spec.eatt_db == {0: 1.0, 2: 2.0, 3: 3.0}
         assert cfg.spec.offsets_ns == {0: 0, 1: 50, 2: 100}  # from guard_ns
@@ -501,6 +508,14 @@ session:
         losses = load_config(write_config(tmp_path, text)).spec.router.insertion_loss_db
         assert losses[(0, 1)] == 9.0
         assert {db for pair, db in losses.items() if pair != (0, 1)} == {3.5}
+
+    def test_ports_four_is_uniform(self, tmp_path):
+        """``router: fourport`` alone names the measured unit: ``{ports: 4}``,
+        like any ``{ports: N}``, has ``uniform_loss_db``, 2.2 dB if left out."""
+        cfg = load_config(write_config(tmp_path, "network: {router: {ports: 4}}\n"))
+        assert set(cfg.spec.router.insertion_loss_db.values()) == {2.2}
+        cfg = load_config(write_config(tmp_path, "network: {router: fourport}\n"))
+        assert cfg.spec.router.insertion_loss_db[(0, 1)] == 1.70
 
     @pytest.mark.parametrize("value, shown", [(".nan", "nan"), ("-1.0", "-1.0")])
     def test_bad_uniform_loss_named_next_to_loss_file(self, tmp_path, value, shown):

@@ -154,7 +154,7 @@ def make_log(trains, messages=(), labels=LABELS):
     time0, period, count = trains[0][:3] if trains else (0, 1, 0)
     f = time0 - time0 % period
     assert all((p, n) == (period, count) and f <= t < f + period for t, p, n, *_ in trains)
-    sent = [ClassicalMessage(0, seq, t, *fields) for seq, (t, *fields) in enumerate(messages)]
+    sent = [ClassicalMessage(seq, t, *fields) for seq, (t, *fields) in enumerate(messages)]
     return EventLog(labels, (f, period, count), [(t, *rest) for t, _, _, *rest in trains], sent)
 
 
@@ -477,11 +477,15 @@ class TestNetworkSpec:
                 detectors={1: DetectorModel()}, eatt_db={1: 0.0, 2: 0.0, 3: 0.0},
             )
 
-    def test_rep_rate_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            make_spec(detectors={
-                c: DetectorModel(rep_rate_hz=2e6) for c in (1, 2, 3)
-            })
+    def test_dark_rate_at_the_source_rate_rejected(self):
+        source = SourceModel(rep_rate_hz=2e6)  # every detector gates at this rate
+        detectors = {1: DetectorModel(), 2: DetectorModel(dark_rate_hz=1.5e6), 3: DetectorModel()}
+        assert make_spec(source=source, detectors=detectors).detectors[2].dark_rate_hz == 1.5e6
+        for rate in (2e6, float("inf")):
+            detectors[2] = DetectorModel(dark_rate_hz=rate)
+            with pytest.raises(ValueError, match="detector at port 2 must stay below the "
+                                                 "source's 2000000.0 Hz gating rate"):
+                make_spec(source=source, detectors=detectors)
 
     def test_eatt_validation(self):
         with pytest.raises(ValueError):
@@ -543,7 +547,7 @@ class TestNetwork:
         spec = default_fourport_network()
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=3000, seed=21)
         r1 = run_network(spec, cfg)
-        r2 = run_network(spec, cfg, seed=22)
+        r2 = run_network(spec, replace(cfg, seed=22))
         assert not np.array_equal(r1.result.final_key, r2.result.final_key)
 
     def test_loss_composition_recoverable_from_log(self):

@@ -112,13 +112,18 @@ class TestClickProbabilities:
         assert p == 0.0
 
     def test_dark_probability(self):
-        det = DetectorModel(dark_rate_hz=41.7, rep_rate_hz=1.0e6)
-        assert p_dark_per_gate(det) == pytest.approx(4.17e-5, rel=1e-12)
-        det = DetectorModel(dark_rate_hz=15.40, rep_rate_hz=1.0e6)
-        assert p_dark_per_gate(det) == pytest.approx(1.54e-5, rel=1e-12)
+        src = SourceModel(rep_rate_hz=1.0e6)
+        det = DetectorModel(dark_rate_hz=41.7)
+        assert p_dark_per_gate(src, det) == pytest.approx(4.17e-5, rel=1e-12)
+        det = DetectorModel(dark_rate_hz=15.40)
+        assert p_dark_per_gate(src, det) == pytest.approx(1.54e-5, rel=1e-12)
+        # the detector gates at the source's rate
+        assert p_dark_per_gate(SourceModel(rep_rate_hz=2.0e6), det) == pytest.approx(
+            7.7e-6, rel=1e-12
+        )
 
     def test_no_dark_counts(self):
-        assert p_dark_per_gate(DetectorModel(dark_rate_hz=0.0)) == 0.0
+        assert p_dark_per_gate(SourceModel(), DetectorModel(dark_rate_hz=0.0)) == 0.0
 
 
 class TestExpectedQber:
@@ -325,10 +330,6 @@ class TestModels:
             DetectorModel(gate_width_ns=0.0)
         with pytest.raises(ValueError, match="gate_width_ns"):
             DetectorModel(gate_width_ns=float("inf"))
-        with pytest.raises(ValueError, match="rep_rate_hz"):
-            DetectorModel(rep_rate_hz=float("inf"))
-        with pytest.raises(ValueError):
-            DetectorModel(dark_rate_hz=2e6, rep_rate_hz=1e6)
 
     def test_budget_sums_components(self):
         b = LinkBudget.of(("router", 1.70), ("eATT", 5.0), ("fiber", 0.3))

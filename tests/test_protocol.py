@@ -870,10 +870,10 @@ class TestTranscript:
         assert t.parity_bit_count() == scan() > 0
 
     def test_clock_stamps_messages(self):
-        t = Transcript(session_id=5, clock=iter(range(100, 200)).__next__)
+        t = Transcript(clock=iter(range(100, 200)).__next__)
         t.append("KeyRequest", 1, 0, (0, 1), {"mode": "unicast"})
         t.append("Abort", 0, 1, (0, 1), {"reason": "test"})
-        assert [(m.seq, m.time_ns, m.session_id) for m in t] == [(0, 100, 5), (1, 101, 5)]
+        assert [(m.seq, m.time_ns) for m in t] == [(0, 100), (1, 101)]
         # without a clock the sequence number is the time
         t = Transcript()
         assert t.append("Abort", 0, 1, (0, 1), {}).time_ns == 0

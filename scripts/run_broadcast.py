@@ -5,6 +5,7 @@ Usage: python scripts/run_broadcast.py --frames 1000000 --seed 7 --eatt 0
 
 import argparse
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -21,7 +22,7 @@ def main():
                     help="print the first N event-log lines")
     args = ap.parse_args()
 
-    spec = default_fourport_network(eatt_db=args.eatt)
+    spec = default_fourport_network().with_uniform_eatt(args.eatt)
     cfg = SessionConfig(
         server=0, clients=(1, 2, 3), n_frames=args.frames, seed=args.seed
     )
@@ -47,8 +48,8 @@ def main():
     print(f"final key: {key.size} bits, sha256/16 {digest}")
     print(f"guard violations: {len(run.events.guard_violations(spec.guard_ns))}")
     print(f"event log: {len(run.events)} events, digest {run.events.digest()[:16]}")
-    if args.log_lines:
-        print(run.events.render_text(max_lines=args.log_lines), end="")
+    for line in itertools.islice(run.events.render_lines(), max(args.log_lines, 0)):
+        print(line)
 
 
 if __name__ == "__main__":

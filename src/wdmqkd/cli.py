@@ -129,6 +129,8 @@ def _as_float(value: Any, where: str) -> float:
 def _as_str(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{where} must be a string, got {value!r}")
+    if not value:  # no key takes "": as a path it names the working directory
+        raise ConfigError(f"{where} must not be empty")
     return value
 
 
@@ -438,8 +440,7 @@ def cmd_sweep(run_cfg: RunConfig, out: str | None) -> int:
     _warn_low_frames(run_cfg.session.n_frames)
     rows = sweep_attenuation(run_cfg.spec, run_cfg.session, db_list)
     path = Path(out if out is not None else run_cfg.csv_path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     print(
         f"sweep {start:g}..{stop:g} dB step {step:g}: "
@@ -497,6 +498,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself on --help and usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        if args.out == "":
+            raise ConfigError("--out must not be empty")
         if args.command == "router-table":
             return cmd_router_table(args.ports, args.out)
         run_cfg = load_config(args.config)

@@ -12,8 +12,8 @@ frame after t = 0 and ends by 2**61 ns: the period is the source's, and
 the first train sets the frame count.  It checks a train before it
 samples it.  Its log is a read-only view of what it sent: pulse and gate
 trains that share the window's period and count and start in its first
-frame, and the messages of the session's transcript, stamped 0 before
-the window and its end after it, rendered from their fields.  The trains
+frame, and the transcript's messages, rendered from their fields at 0
+if sent before the first train and at the window's end if not.  The trains
 are stored as arithmetic sequences and expand to lines only when
 rendered.  Rendering walks the window in runs of whole frames, each frame
 the one before plus the period, so one lexsort of the first frame orders
@@ -38,10 +38,6 @@ import numpy as np
 
 from .photonics import (
     DEFAULT_CLIENT_DARK_RATES_HZ,
-    DEFAULT_E_OPT,
-    DEFAULT_GATE_WIDTH_NS,
-    DEFAULT_MU,
-    DEFAULT_REP_RATE_HZ,
     ClickRecord,
     DetectorModel,
     LinkBudget,
@@ -86,7 +82,7 @@ class SchedulingInfeasibleError(ValueError):
 
 DEFAULT_GUARD_NS = 100
 
-# the kinds of train, in their order at equal times; messages come last
+# the kinds of train, in their order at equal times
 _TRAIN_KINDS = ("pulse-arrival", "gate-open")
 
 # Lines per rendering block, or one frame where a frame holds more: bounds
@@ -201,27 +197,28 @@ class EventLog:
     port, channel, detail) with kind pulse-arrival or gate-open, repeats
     ``count`` times one period apart from its time in the first frame
     [f, f + period), so each frame holds one line of every train, always in
-    one order.  ``messages`` lie before f or at or after the window's end.
-    Order is (time, kind rank, append order); messages keep their send
-    order.  A message's line is ``time classical-message S - kind=K
-    link=A-B seq=N payload=D``: S and A-B the ``labels`` of its sender and
-    link ports, or -, and D the first 16 hex digits of the SHA-256 of its
-    payload as :meth:`Transcript.render_text` prints it.
+    one order, (time, kind rank, append order).  ``messages`` keep their
+    send order: the first ``n_before`` at 0, the rest at the window's end.
+    A message's line is ``time classical-message S - kind=K link=A-B seq=N
+    payload=D``: S and A-B the ``labels`` of its sender and link ports, or
+    -, and D the first 16 hex digits of the SHA-256 of its payload as
+    :meth:`Transcript.render_text` prints it.
     """
 
     def __init__(self, labels: Sequence[str], window: tuple[int, int, int],
                  trains: Iterable[tuple[int, str, str, str, str]],
-                 messages: Iterable[ClassicalMessage]) -> None:
+                 messages: Iterable[ClassicalMessage], n_before: int) -> None:
         self._labels = tuple(labels)
         self._window = window
         self._trains = tuple(trains)
         self._messages = tuple(messages)
+        self._n_before = n_before
 
-    def _message_line(self, m: ClassicalMessage) -> str:
+    def _message_line(self, time: int, m: ClassicalMessage) -> str:
         port = "-" if m.sender is None else self._labels[m.sender]
         link = "-" if m.link is None else "-".join(self._labels[p] for p in m.link)
         payload = hashlib.sha256(_payload_repr(m.payload).encode()).hexdigest()[:16]
-        return (f"{m.time_ns} classical-message {port} - kind={m.kind} link={link} "
+        return (f"{time} classical-message {port} - kind={m.kind} link={link} "
                 f"seq={m.seq} payload={payload}\n")
 
     def __len__(self) -> int:
@@ -245,16 +242,15 @@ class EventLog:
         least one.
         """
         cap = _WINDOW_LINES
-        messages = sorted(self._messages, key=operator.attrgetter("time_ns"))  # ties keep send order
         f, period, count = self._window
-        split = sum(m.time_ns < f for m in messages)
+        end = f + count * period
 
-        def message_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
-            for i in range(lo, hi, cap):
-                text = "".join(map(self._message_line, messages[i:min(i + cap, hi)]))
+        def message_chunks(time: int, messages: Sequence[ClassicalMessage]) -> Iterator[np.ndarray]:
+            for i in range(0, len(messages), cap):
+                text = "".join(self._message_line(time, m) for m in messages[i:i + cap])
                 yield np.frombuffer(text.encode(), dtype=np.uint8)
 
-        yield from message_chunks(0, split)
+        yield from message_chunks(0, self._messages[:self._n_before])
         if self._trains:
             t0 = np.array([t for t, *_ in self._trains], dtype=np.int64)
             order = np.lexsort(([_TRAIN_KINDS.index(k) for _, k, *_ in self._trains], t0))
@@ -273,7 +269,7 @@ class EventLog:
             decade = max((d for d in (10**j for j in range(19))
                           if d % period == 0 and d // period * first.size <= cap), default=0)
             span = decade or max(cap // first.size, 1) * period  # blocks end at grid + j·span
-            grid, end = (f - f % decade if decade else f), f + count * period
+            grid = f - f % decade if decade else f
             # the whole decades [H·D, (H+1)·D) with H >= 1
             lo, hi = (max(-(-f // decade), 1) * decade, end // decade * decade) if decade else (end, end)
             if lo >= hi:
@@ -296,18 +292,14 @@ class EventLog:
                             block.reshape(len(times), -1)[:, leads + i] = stamp[i]
                     yield block
                     last = stamp
-        yield from message_chunks(split, len(messages))
+        yield from message_chunks(end, self._messages[self._n_before:])
 
     def render_lines(self) -> Iterator[str]:
         for chunk in self._chunks():
             yield from chunk.tobytes().decode().split("\n")[:-1]
 
-    def render_text(self, max_lines: int | None = None) -> str:
-        if max_lines is None:
-            return b"".join(self._chunks()).decode()
-        return "".join(
-            line + "\n" for line in itertools.islice(self.render_lines(), max(max_lines, 0))
-        )
+    def render_text(self) -> str:
+        return b"".join(self._chunks()).decode()
 
     def digest(self) -> str:
         """SHA-256 over the rendered lines; cheap way to compare huge logs."""
@@ -425,32 +417,19 @@ class NetworkSpec:
         return replace(self, eatt_db={c: float(db) for c in self.clients})
 
 
-def default_fourport_network(
-    eatt_db: float = 0.0,
-    mu: float = DEFAULT_MU,
-    e_opt: float = DEFAULT_E_OPT,
-    rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
-    dark_rates_hz: Sequence[float] = DEFAULT_CLIENT_DARK_RATES_HZ,
-    efficiency: float = 0.10,
-    guard_ns: int = DEFAULT_GUARD_NS,
-) -> NetworkSpec:
-    """The shipped 4-port star: server at port A, measured losses, three
-    clients whose detectors carry the calibrated dark rates in port order."""
-    router = fourport_router_spec()
-    source = SourceModel(mean_photon_number=mu, rep_rate_hz=rep_rate_hz, e_opt=e_opt)
-    detectors = {
-        port: DetectorModel(
-            efficiency=efficiency, dark_rate_hz=rate, gate_width_ns=DEFAULT_GATE_WIDTH_NS
-        )
-        for port, rate in zip((1, 2, 3), dark_rates_hz)
-    }
+def default_fourport_network() -> NetworkSpec:
+    """The shipped 4-port star: server at port A, measured losses, no
+    eATT, and three clients whose detectors carry the calibrated dark rates
+    in port order."""
     return NetworkSpec(
-        router=router,
+        router=fourport_router_spec(),
         server=0,
-        source=source,
-        detectors=detectors,
-        eatt_db={1: eatt_db, 2: eatt_db, 3: eatt_db},
-        guard_ns=guard_ns,
+        source=SourceModel(),
+        detectors={
+            port: DetectorModel(dark_rate_hz=rate)
+            for port, rate in zip((1, 2, 3), DEFAULT_CLIENT_DARK_RATES_HZ)
+        },
+        eatt_db={1: 0.0, 2: 0.0, 3: 0.0},
     )
 
 
@@ -462,8 +441,8 @@ class Network:
     """Runtime handle satisfying the run_session contract with full logging.
 
     It runs one session and owns its quantum window.  It keeps each link's
-    pulse and gate trains and the transcript's messages, which it stamps 0
-    before the window and its end after; :attr:`events` shows them."""
+    pulse and gate trains, the transcript's messages and how many of them
+    were sent before the first train; :attr:`events` shows them."""
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
@@ -474,9 +453,10 @@ class Network:
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
         self._session_rng = session
         self._n_frames = 0  # the window's frame count, set by the first train
-        # client -> its (pulse, gate) trains, each (time_ns, kind, port, channel, detail)
+        # client -> its (pulse, gate) trains, each (time, kind, port, channel, detail)
         self._trains: dict[int, tuple[tuple[int, str, str, str, str], ...]] = {}
         self._messages: list[ClassicalMessage] | None = None  # the transcript's
+        self._n_before = 0  # messages sent before the first train
 
     @property
     def n_ports(self) -> int:
@@ -494,19 +474,17 @@ class Network:
         period = self.spec.frame_period_ns
         window = (period, period, self._n_frames)  # it opens one frame after t = 0
         trains = itertools.chain.from_iterable(self._trains.values())
-        return EventLog(self._labels, window, trains, self._messages or ())
-
-    def _now_ns(self) -> int:
-        """The time of a message sent now: 0 before the quantum window
-        opens, the window's end after."""
-        return (self._n_frames + 1) * self.spec.frame_period_ns if self._n_frames else 0
+        messages = self._messages or ()
+        # with no train sent, every message came before the window
+        n_before = self._n_before if self._n_frames else len(messages)
+        return EventLog(self._labels, window, trains, messages, n_before)
 
     def new_transcript(self) -> Transcript:
-        """The session's transcript, timed by the Network, which keeps its
-        message list alone; a second one raises ValueError."""
+        """The session's transcript, whose message list the Network keeps
+        alone; a second one raises ValueError."""
         if self._messages is not None:
             raise ValueError("the Network already ran a session; a Network runs one session")
-        transcript = Transcript(clock=self._now_ns)
+        transcript = Transcript()
         self._messages = transcript.messages
         return transcript
 
@@ -563,6 +541,8 @@ class Network:
             (start, "gate-open", self.port_label(client), channel,
              f"width_ns={self.spec.detectors[client].gate_width_ns}"),
         )
+        if not self._n_frames:  # the first train opens the window
+            self._n_before = len(self._messages or ())
         self._n_frames = n_frames
         return clicks
 

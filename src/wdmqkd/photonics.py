@@ -45,7 +45,6 @@ DEFAULT_REP_RATE_HZ = 1.0e6
 DEFAULT_EFFICIENCY = 0.10
 DEFAULT_GATE_WIDTH_NS = 2.5
 DEFAULT_CLIENT_DARK_RATES_HZ = (41.7, 18.00, 15.40)
-DEFAULT_FIBER_ALPHA_DB_PER_KM = 0.2
 
 
 @dataclass(frozen=True)
@@ -289,12 +288,8 @@ def sample_clicks(
     return _trusted(ClickRecord, n_frames, frames, tx_bases, tx_bits, rx_bases, rx_bits)
 
 
-def attenuation_to_length(
-    extra_db: float, fiber_alpha: float = DEFAULT_FIBER_ALPHA_DB_PER_KM
-) -> float:
-    """Fiber length whose attenuation equals ``extra_db`` at ``fiber_alpha`` dB/km."""
-    if not fiber_alpha > 0:
-        raise ValueError(f"fiber attenuation must be > 0 dB/km, got {fiber_alpha}")
+def attenuation_to_length(extra_db: float) -> float:
+    """Length of standard fiber, at 0.2 dB/km, whose attenuation equals ``extra_db``."""
     if not extra_db >= 0:
         raise ValueError(f"attenuation must be >= 0 dB, got {extra_db}")
-    return extra_db / fiber_alpha
+    return extra_db / 0.2

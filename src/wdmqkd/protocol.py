@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -251,7 +251,6 @@ class ClassicalMessage(NamedTuple):
     dataclass; :meth:`Transcript.append` checks the kind."""
 
     seq: int
-    time_ns: int
     kind: str
     sender: int | None
     receiver: int | None
@@ -273,16 +272,11 @@ def _payload_repr(payload: Mapping[str, object]) -> str:
 class Transcript:
     """Append-only log of every classical message in a session: the one
     record of classical traffic, which an event log renders from the
-    messages' fields.
+    messages' fields."""
 
-    ``clock`` supplies timestamps (defaults to the sequence number as a
-    logical clock).
-    """
-
-    def __init__(self, clock: Callable[[], int] | None = None):
+    def __init__(self) -> None:
         self.messages: list[ClassicalMessage] = []
         self._parity_bits: dict[tuple[int, int] | None, int] = {}  # per link
-        self._clock = clock
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -300,10 +294,8 @@ class Transcript:
     ) -> ClassicalMessage:
         if kind not in _KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
-        seq = len(self.messages)
-        time_ns = int(self._clock()) if self._clock is not None else seq
         payload = dict(payload)
-        msg = ClassicalMessage(seq, time_ns, kind, sender, receiver, link, payload)
+        msg = ClassicalMessage(len(self.messages), kind, sender, receiver, link, payload)
         self.messages.append(msg)
         if kind in PARITY_KINDS:
             bits = self._parity_bits
@@ -323,7 +315,7 @@ class Transcript:
             dst = "-" if m.receiver is None else str(m.receiver)
             lk = "-" if m.link is None else f"{m.link[0]}-{m.link[1]}"
             lines.append(
-                f"{m.seq} {m.time_ns} {m.kind} {src}>{dst} link={lk} "
+                f"{m.seq} {m.kind} {src}>{dst} link={lk} "
                 f"{_payload_repr(m.payload)}".rstrip()
             )
         return "\n".join(lines) + ("\n" if lines else "")
@@ -702,8 +694,8 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
     - ``new_transcript() -> Transcript``, the session's record of classical
-      traffic; the handle times its messages and may keep it, and a handle
-      that runs one session raises ValueError on a second call
+      traffic; the handle may keep its messages, and a handle that runs
+      one session raises ValueError on a second call
 
     The session draws its randomness from the handle alone, so ``cfg.seed``
     is read where the handle is built (see :func:`wdmqkd.netsim.run_network`).

@@ -1,7 +1,5 @@
 """Shared fixtures: a minimal in-memory network handle for protocol tests."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,7 @@ class FakeNetwork:
 
     Quantum transmission is modeled directly with the photonics click
     sampler; there is no event log and no loss geometry, just fixed
-    per-link click probabilities.  Each transcript runs its own clock, ten
-    nanoseconds a message.
+    per-link click probabilities.
     """
 
     def __init__(
@@ -63,7 +60,7 @@ class FakeNetwork:
         return self._protocol_rng
 
     def new_transcript(self):
-        return protocol.Transcript(clock=itertools.count(10, 10).__next__)
+        return protocol.Transcript()
 
 
 @pytest.fixture

@@ -270,6 +270,30 @@ class TestSimulate:
             f"error: network.server must be a router port, 0..3, got {server}\n"
         )
 
+    @pytest.mark.parametrize("command, output, flags, name", [
+        ("sweep", "{csv: ''}", [], "output.csv"),
+        ("simulate", "{key_dir: ''}", [], "output.key_dir"),
+        ("sweep", "{}", ["--out", ""], "--out"),
+        ("simulate", "{}", ["--out", ""], "--out"),
+    ], ids=["csv", "key_dir", "sweep-out", "simulate-out"])
+    def test_empty_output_path_refused_before_any_session(
+        self, tmp_path, capsys, monkeypatch, command, output, flags, name
+    ):
+        # "" is the working directory: a sweep would run every point before
+        # it failed to write its CSV there, and keys would land in it
+        def session(*args):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(cli, "run_network", session)
+        monkeypatch.setattr(cli, "sweep_attenuation", session)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path, f"output: {output}\nsweep: {{start_db: 0, stop_db: 5, step_db: 5}}\n"
+        )
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {name} must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
     def test_window_past_the_time_limit(self, tmp_path, capsys):
         # 10**16 frames of 1000 ns put the quantum window past 2**61 ns
         cfg = write_config(tmp_path, "session: {n_frames: 10000000000000000}\n")
@@ -429,7 +453,7 @@ class TestSessionOutcomes:
         mode, clients = shape
         cfg = SessionConfig(server=0, clients=clients, mode=mode, n_frames=n_frames, seed=seed)
         try:
-            result = run_network(default_fourport_network(eatt_db=eatt_db), cfg).result
+            result = run_network(default_fourport_network().with_uniform_eatt(eatt_db), cfg).result
         except SessionError:
             pass
         else:

@@ -3,7 +3,9 @@
 import contextlib
 import gc
 import hashlib
+import itertools
 import math
+import types
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -55,6 +57,12 @@ def make_spec(n_ports=4, **kwargs):
     )
 
 
+def without_dark_counts(spec):
+    """``spec`` with every detector's dark rate at 0 Hz."""
+    detectors = {p: replace(d, dark_rate_hz=0.0) for p, d in spec.detectors.items()}
+    return replace(spec, detectors=detectors)
+
+
 class TestAssignTimeOffsets:
     def test_three_channels(self):
         offs = assign_time_offsets([0, 1, 2], 1000, 100)
@@ -97,15 +105,20 @@ def message_fields(m, labels):
 
 def reference_events(log):
     """Every event of ``log`` as (time, kind rank, append order, kind, port,
-    channel, detail), expanded line by line and sorted.  A message and a
-    train line never share a time, so append order within each list is
-    the log's: the trains' append order, and the messages' send order."""
-    _, period, count = log._window
+    channel, detail), expanded line by line and sorted.  Messages sent
+    before the window are at 0 and rank before every train line; the rest
+    are at the window's end.  Append order within each list is the log's:
+    the trains' append order, and the messages' send order."""
+    f, period, count = log._window
     events = [
         (t0 + i * period, netsim._TRAIN_KINDS.index(kind), j, kind, *fields)
         for j, (t0, kind, *fields) in enumerate(log._trains) for i in range(count)
     ]
-    events += [(m.time_ns, 2, j, *message_fields(m, log._labels)) for j, m in enumerate(log._messages)]
+    events += [
+        (0, -1, j, *message_fields(m, log._labels)) if j < log._n_before
+        else (f + count * period, 2, j, *message_fields(m, log._labels))
+        for j, m in enumerate(log._messages)
+    ]
     return sorted(events, key=lambda x: x[:3])
 
 
@@ -146,27 +159,29 @@ PAYLOAD = st.dictionaries(
 )
 
 
-def make_log(trains, messages=(), labels=LABELS):
+def make_log(trains, messages=(), n_before=0, labels=LABELS):
     """A log as a Network builds it: ``trains`` of (time, period, count,
     kind, port, channel, detail) that share the period and the count of
-    the first and start in its frame, and ``messages`` of (time, kind,
-    sender, receiver, link, payload) in send order."""
+    the first and start in its frame, and ``messages`` of (kind, sender,
+    receiver, link, payload) in send order, the first ``n_before`` sent
+    before the window."""
     time0, period, count = trains[0][:3] if trains else (0, 1, 0)
     f = time0 - time0 % period
     assert all((p, n) == (period, count) and f <= t < f + period for t, p, n, *_ in trains)
-    sent = [ClassicalMessage(seq, t, *fields) for seq, (t, *fields) in enumerate(messages)]
-    return EventLog(labels, (f, period, count), [(t, *rest) for t, _, _, *rest in trains], sent)
+    sent = [ClassicalMessage(seq, *fields) for seq, fields in enumerate(messages)]
+    return EventLog(labels, (f, period, count), [(t, *rest) for t, _, _, *rest in trains],
+                    sent, n_before)
 
 
 @st.composite
 def window_logs(draw):
     """A log like the ones ``Network`` writes: k channels inside one frame,
     each a pulse train and a gate train of one count at equal times
-    appended in either order, and messages before and after the window in
-    any send order.  Offsets are distinct, as ``Network`` writes them,
-    or may repeat; channel and port labels may repeat.  The window may
-    straddle a power of ten, start at 0 or at or above 2**32, reach 2**61,
-    and span a dozen decades of D."""
+    appended in either order, and messages sent before and after the
+    window, earlier ones first.  Offsets are distinct, as ``Network``
+    writes them, or may repeat; channel and port labels may repeat.  The
+    window may straddle a power of ten, start at 0 or at or above 2**32,
+    reach 2**61, and span a dozen decades of D."""
     k = draw(st.integers(1, 3))
     period = draw(PERIOD.filter(lambda p: p >= k))
     count = draw(st.integers(1, 150))
@@ -190,15 +205,12 @@ def window_logs(draw):
             for kind in ("pulse-arrival", "gate-open")
         ]
         trains += pair[::draw(st.sampled_from([1, -1]))]  # either appended first
-    end = f + span
-    where = [st.integers(max(f - 60, 0), f - 1)] if f > 0 else []
-    where += [st.integers(end, min(end + 60, LIMIT - 1))] if end < LIMIT else []
-    times = [draw(st.one_of(*where)) for _ in range(draw(st.integers(0, 6)) if where else 0)]
     messages = [
-        (t, draw(st.sampled_from(MESSAGE_KINDS)), draw(SENDER), None, draw(LINK), draw(PAYLOAD))
-        for t in times
+        (draw(st.sampled_from(MESSAGE_KINDS)), draw(SENDER), None, draw(LINK), draw(PAYLOAD))
+        for _ in range(draw(st.integers(0, 6)))
     ]
-    return make_log(trains, messages, draw(st.lists(FIELD, min_size=4, max_size=4)))
+    n_before = draw(st.integers(0, len(messages)))
+    return make_log(trains, messages, n_before, draw(st.lists(FIELD, min_size=4, max_size=4)))
 
 
 DECADE_PERIODS = (1, 2, 4, 5, 10, 20, 25, 50, 100)
@@ -209,7 +221,7 @@ def decade_logs(draw):
     """A quantum window whose period divides a power of ten D, and a window
     cap under which its blocks are cut at multiples of D: it spans up to a
     dozen decades and may start at 0 or below D, or cross a power of ten in
-    its leading digits, with messages just before or after it."""
+    its leading digits, with messages before or after it."""
     period = draw(st.sampled_from(DECADE_PERIODS))
     k = draw(st.integers(1, min(3, period)))
     rows = next(10**j for j in range(3) if 10**j % period == 0) // period
@@ -227,13 +239,11 @@ def decade_logs(draw):
         (f + off, period, span // period, kind, "A", f"λ{off}", "")
         for off in offsets for kind in ("pulse-arrival", "gate-open")
     ]
-    where = [st.integers(f + span, min(f + span + period, LIMIT - 1))]
-    where += [st.integers(max(f - period, 0), f - 1)] if f > 0 else []
     messages = [
-        (draw(st.one_of(*where)), draw(st.sampled_from(MESSAGE_KINDS)), 1, None, draw(LINK), draw(PAYLOAD))
+        (draw(st.sampled_from(MESSAGE_KINDS)), 1, None, draw(LINK), draw(PAYLOAD))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    return make_log(trains, messages), cap
+    return make_log(trains, messages, draw(st.integers(0, len(messages)))), cap
 
 
 def assert_matches_reference(log, caps, guards):
@@ -254,14 +264,14 @@ def assert_matches_reference(log, caps, guards):
                 assert np.count_nonzero(chunk == ord("\n")) <= max(cap, len(log._trains))
 
 
-def window_log(singles_before=(), singles_after=()):
+def window_log(n_before=0, n_after=0):
     """A pulse train of 5 frames of 1000 ns from 1000 ns, so the window is
-    [1000, 6000), and classical messages at the given times around it:
-    key requests from A, then basis lists from B."""
+    [1000, 6000), and classical messages around it: key requests from A
+    sent before it, then basis lists from B sent after it."""
     return make_log(
         [(1000, 1000, 5, "pulse-arrival", "A", "λ1", "dest=B")],
-        [(t, "KeyRequest", 0, 1, (0, 1), {}) for t in singles_before]
-        + [(t, "BasisList", 1, 0, (0, 1), {}) for t in singles_after],
+        [("KeyRequest", 0, 1, (0, 1), {})] * n_before + [("BasisList", 1, 0, (0, 1), {})] * n_after,
+        n_before,
     )
 
 
@@ -270,26 +280,27 @@ class TestEventLog:
         log = make_log(
             [(100, 100, 2, "gate-open", "B", "λ1", ""),
              (100, 100, 2, "pulse-arrival", "A", "λ1", "dest=B")],
-            [(300, "Abort", 0, 1, (0, 1), {}), (50, "KeyRequest", 0, 1, None, {}),
-             (10, "KeyRequest", 1, 0, (0, 1), {}), (300, "Abort", None, 0, (0, 1), {})],
+            [("KeyRequest", 1, 0, (0, 1), {}), ("KeyRequest", 0, 1, None, {}),
+             ("Abort", 0, 1, (0, 1), {}), ("Abort", None, 0, (0, 1), {})],
+            n_before=2,
         )
         assert list(log.render_lines()) == [
-            "10 classical-message B - kind=KeyRequest link=A-B seq=2 payload=" + EMPTY,
-            "50 classical-message A - kind=KeyRequest link=- seq=1 payload=" + EMPTY,
+            "0 classical-message B - kind=KeyRequest link=A-B seq=0 payload=" + EMPTY,
+            "0 classical-message A - kind=KeyRequest link=- seq=1 payload=" + EMPTY,
             "100 pulse-arrival A λ1 dest=B",
             "100 gate-open B λ1",
             "200 pulse-arrival A λ1 dest=B",
             "200 gate-open B λ1",
-            "300 classical-message A - kind=Abort link=A-B seq=0 payload=" + EMPTY,
+            "300 classical-message A - kind=Abort link=A-B seq=2 payload=" + EMPTY,
             "300 classical-message - - kind=Abort link=A-B seq=3 payload=" + EMPTY,
         ]
         assert len(log) == 8
 
     def test_train_expansion(self):
-        log = window_log(singles_before=[500], singles_after=[6000])
+        log = window_log(n_before=1, n_after=1)
         lines = list(log.render_lines())
         assert lines == [
-            "500 classical-message A - kind=KeyRequest link=A-B seq=0 payload=" + EMPTY,
+            "0 classical-message A - kind=KeyRequest link=A-B seq=0 payload=" + EMPTY,
             *(f"{t} pulse-arrival A λ1 dest=B" for t in range(1000, 6000, 1000)),
             "6000 classical-message B - kind=BasisList link=A-B seq=1 payload=" + EMPTY,
         ]
@@ -306,7 +317,7 @@ class TestEventLog:
     def test_digest_matches_render(self):
         log = make_log(
             [(0, 10, 5, "pulse-arrival", "A", "λ1", "dest=D")],
-            [(50, "BasisList", 3, 0, (0, 3), {"frames": b"\x01"})],
+            [("BasisList", 3, 0, (0, 3), {"frames": b"\x01"})],
         )
         manual = hashlib.sha256()
         for line in log.render_lines():
@@ -380,15 +391,14 @@ class TestEventLog:
             return write(times, *args)
 
         monkeypatch.setattr(netsim, "_write_block", counting)
-        text = log.render_text(max_lines=5)
-        assert text == "".join(f"{t} pulse-arrival A λ1 dest=B\n" for t in range(1000, 6000, 1000))
+        head = list(itertools.islice(log.render_lines(), 5))
+        assert head == [f"{t} pulse-arrival A λ1 dest=B" for t in range(1000, 6000, 1000)]
         assert windows == [999]  # the frames before the first decade boundary, 10**6 ns
-        assert log.render_text(max_lines=0) == ""
 
     def test_single_inside_unit_period_stretch(self):
         """A message at the end of a window of 1 ns frames renders after
         its last frame."""
-        log = make_log([(0, 1, 10, "gate-open", "B", "λ1", "")], [(10, "Abort", 0, 1, (0, 1), {})])
+        log = make_log([(0, 1, 10, "gate-open", "B", "λ1", "")], [("Abort", 0, 1, (0, 1), {})])
         for cap in (1, 2, 3):
             with mock.patch.object(netsim, "_WINDOW_LINES", cap):
                 assert list(log.render_lines()) == list(reference_lines(log))
@@ -401,8 +411,9 @@ class TestEventLog:
         log = make_log(
             [(2**61 - 7, 3, 2, "gate-open", "B", "λ2", ""),  # window [2**61 - 8, 2**61 - 2)
              (2**61 - 8, 3, 2, "pulse-arrival", "A", "λ1", "dest=B")],
-            [(0, "KeyRequest", 0, 1, (0, 1), {}), (2**61 - 1, "Abort", 2, 0, (0, 2), {}),
-             (2**61 - 2, "Abort", 1, 0, (0, 1), {})],
+            [("KeyRequest", 0, 1, (0, 1), {}), ("Abort", 1, 0, (0, 1), {}),
+             ("Abort", 2, 0, (0, 2), {})],
+            n_before=1,
         )
         expected = list(reference_lines(log))
         with mock.patch.object(netsim, "_WINDOW_LINES", 2):
@@ -410,8 +421,8 @@ class TestEventLog:
         assert expected[0] == "0 classical-message A - kind=KeyRequest link=A-B seq=0 payload=" + EMPTY
         assert expected[-3:] == [
             f"{2**61 - 4} gate-open B λ2",
-            f"{2**61 - 2} classical-message B - kind=Abort link=A-B seq=2 payload=" + EMPTY,
-            f"{2**61 - 1} classical-message C - kind=Abort link=A-C seq=1 payload=" + EMPTY,
+            f"{2**61 - 2} classical-message B - kind=Abort link=A-B seq=1 payload=" + EMPTY,
+            f"{2**61 - 2} classical-message C - kind=Abort link=A-C seq=2 payload=" + EMPTY,
         ]
 
     def test_guard_violations_detected(self):
@@ -523,9 +534,8 @@ class TestNetworkSpec:
 
 class TestNetwork:
     def test_noiseless_broadcast_zero_errors(self):
-        spec = default_fourport_network(
-            e_opt=0.0, dark_rates_hz=(0.0, 0.0, 0.0)
-        )
+        spec = without_dark_counts(default_fourport_network())
+        spec = replace(spec, source=replace(spec.source, e_opt=0.0))
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=60_000, seed=3)
         run = run_network(spec, cfg)
         keys = list(run.result.client_keys.values())
@@ -551,7 +561,7 @@ class TestNetwork:
         assert not np.array_equal(r1.result.final_key, r2.result.final_key)
 
     def test_loss_composition_recoverable_from_log(self):
-        spec = default_fourport_network(eatt_db=5.0)
+        spec = default_fourport_network().with_uniform_eatt(5.0)
         net = Network(spec, seed=4)
         for client in (1, 2, 3):
             net.transmit_train(0, client, 100)
@@ -610,7 +620,7 @@ class TestNetwork:
         assert not run.events.guard_violations(spec.guard_ns)
 
     def test_link_parameters_match_closed_form(self):
-        spec = default_fourport_network(eatt_db=3.0)
+        spec = default_fourport_network().with_uniform_eatt(3.0)
         net = Network(spec, seed=1)
         params = net.link_parameters(0, 1)
         assert params.total_loss_db == pytest.approx(1.70 + 3.0, rel=1e-12)
@@ -637,22 +647,41 @@ class TestNetwork:
         with pytest.raises(error) if error else contextlib.nullcontext():
             result = run_session(cfg, net)
         assert_matches_reference(net.events, (netsim._WINDOW_LINES,), (spec.guard_ns, 1000))
-        # the log renders the session's transcript, a failed one's too, and
-        # no message falls inside the window
+        # the log renders the session's transcript, a failed one's too: the
+        # key requests and train announcements at 0, before the first train,
+        # and the rest at the window's end, or every message at 0 if no
+        # train was sent
         messages = net.events._messages
         if error is None:
             assert tuple(result.transcript.messages) == messages
+        f, period, count = net.events._window
+        n_before = 2 * len(cfg.clients) if count else len(messages)
+        times = [0] * n_before + [f + count * period] * (len(messages) - n_before)
         labels = [port.label for port in spec.router.assignment.ports]
-        expected = [f"{m.time_ns} " + " ".join(message_fields(m, labels)) for m in messages]
+        expected = [f"{t} " + " ".join(message_fields(m, labels)) for t, m in zip(times, messages)]
         lines = list(net.events.render_lines())
         assert [line for line in lines if " classical-message " in line] == expected
-        f, period, count = net.events._window
-        assert not [m for m in messages if f <= m.time_ns < f + count * period]
+
+    def test_transcript_refers_to_no_network(self):
+        # a SessionResult keeps its transcript: through it, the Network and
+        # its random streams would stay alive as long as the result
+        net = Network(default_fourport_network(), seed=1)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
+        transcript = run_session(cfg, net).transcript
+        assert transcript.messages
+        seen, todo = set(), [transcript]
+        while todo:  # everything the transcript refers to, short of types and modules
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, Network)
+            todo += gc.get_referents(obj)
 
     def test_network_is_freed_without_the_cycle_collector(self):
-        # the transcript's clock refers to the Network, so the Network must
-        # not refer to the transcript: each sweep point's Network, its random
-        # streams and its messages would wait for a collection
+        # the Network keeps the transcript's messages, so no message may
+        # refer back to it: each sweep point's Network, its random streams
+        # and its messages would wait for a collection
         net = Network(default_fourport_network(), seed=1)
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1)
         gc.disable()
@@ -781,7 +810,8 @@ class TestSweep:
         assert lengths == [0.0, 20.0, 50.0]
 
     def test_aborted_points_keep_measured_qber(self):
-        spec = default_fourport_network(e_opt=0.3)
+        spec = default_fourport_network()
+        spec = replace(spec, source=replace(spec.source, e_opt=0.3))
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=150_000, seed=13)
         rows = sweep_attenuation(spec, cfg, [0.0])
         assert len(rows) == 3
@@ -792,7 +822,7 @@ class TestSweep:
             assert row.sift_rate_hz > 0
 
     def test_dead_links_marked_nan(self):
-        spec = default_fourport_network(dark_rates_hz=(0.0, 0.0, 0.0))
+        spec = without_dark_counts(default_fourport_network())
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=2_000, seed=14)
         rows = sweep_attenuation(spec, cfg, [200.0])
         assert len(rows) == 3

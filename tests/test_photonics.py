@@ -294,16 +294,12 @@ class TestAttenuationToLength:
         assert attenuation_to_length(0.0) == 0.0
 
     def test_standard_fiber(self):
-        assert attenuation_to_length(10.0, 0.2) == 50.0
-        assert attenuation_to_length(4.0, 0.2) == 20.0
+        assert attenuation_to_length(10.0) == 50.0
+        assert attenuation_to_length(4.0) == 20.0
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            attenuation_to_length(10.0, 0.0)
-        with pytest.raises(ValueError):
-            attenuation_to_length(10.0, -0.2)
-        with pytest.raises(ValueError):
-            attenuation_to_length(-1.0, 0.2)
+            attenuation_to_length(-1.0)
 
 
 class TestModels:

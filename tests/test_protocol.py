@@ -823,8 +823,6 @@ class TestRunSession:
         result = run_session(cfg, net)
         seqs = [m.seq for m in result.transcript]
         assert seqs == list(range(len(seqs)))
-        times = [m.time_ns for m in result.transcript]
-        assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
         assert result.transcript.messages[0].kind == "KeyRequest"
 
     def test_ports_validated_against_network(self, fake_network):
@@ -869,15 +867,6 @@ class TestTranscript:
             assert t.parity_bit_count(link=link) == scan(link)
         assert t.parity_bit_count() == scan() > 0
 
-    def test_clock_stamps_messages(self):
-        t = Transcript(clock=iter(range(100, 200)).__next__)
-        t.append("KeyRequest", 1, 0, (0, 1), {"mode": "unicast"})
-        t.append("Abort", 0, 1, (0, 1), {"reason": "test"})
-        assert [(m.seq, m.time_ns) for m in t] == [(0, 100), (1, 101)]
-        # without a clock the sequence number is the time
-        t = Transcript()
-        assert t.append("Abort", 0, 1, (0, 1), {}).time_ns == 0
-
     def test_messages_are_immutable(self):
         t = Transcript()
         msg = t.append("KeyRequest", 1, 0, (0, 1), {"mode": "unicast"})
@@ -891,6 +880,6 @@ class TestTranscript:
         t.append("ParityReply", 0, 1, (0, 1), {"n_bits": 2, "parities": b"\xa0"})
         text = t.render_text()
         assert text.splitlines() == [
-            "0 0 KeyRequest 1>0 link=0-1 mode='broadcast' n_frames=10",
-            "1 1 ParityReply 0>1 link=0-1 n_bits=2 parities=0xa0",
+            "0 KeyRequest 1>0 link=0-1 mode='broadcast' n_frames=10",
+            "1 ParityReply 0>1 link=0-1 n_bits=2 parities=0xa0",
         ]

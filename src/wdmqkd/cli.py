@@ -28,6 +28,7 @@ import yaml
 from .netsim import (
     NetworkSpec,
     SweepRow,
+    default_client_detectors,
     run_network,
     sweep_attenuation,
     sweep_rows_to_csv,
@@ -235,10 +236,7 @@ def _build_detectors(node: Any, clients: Sequence[int]) -> dict[int, DetectorMod
                 "network.detectors is required unless the router has exactly "
                 f"{len(DEFAULT_CLIENT_DARK_RATES_HZ)} clients"
             )
-        return {
-            c: DetectorModel(dark_rate_hz=rate)
-            for c, rate in zip(clients, DEFAULT_CLIENT_DARK_RATES_HZ)
-        }
+        return default_client_detectors(clients)
     data = _by_port(_require_mapping(node, "network.detectors"), "network.detectors")
     out = {}
     for port, value in data.items():

@@ -69,6 +69,7 @@ __all__ = [
     "SchedulingInfeasibleError",
     "SweepRow",
     "assign_time_offsets",
+    "default_client_detectors",
     "default_fourport_network",
     "run_network",
     "sweep_attenuation",
@@ -417,6 +418,13 @@ class NetworkSpec:
         return replace(self, eatt_db={c: float(db) for c in self.clients})
 
 
+def default_client_detectors(clients: Sequence[int]) -> dict[int, DetectorModel]:
+    """The shipped detectors: ``DEFAULT_CLIENT_DARK_RATES_HZ`` assigned to
+    the client ports in port order, every other figure at its default."""
+    rates = zip(sorted(clients), DEFAULT_CLIENT_DARK_RATES_HZ, strict=True)
+    return {c: DetectorModel(dark_rate_hz=rate) for c, rate in rates}
+
+
 def default_fourport_network() -> NetworkSpec:
     """The shipped 4-port star: server at port A, measured losses, no
     eATT, and three clients whose detectors carry the calibrated dark rates
@@ -425,10 +433,7 @@ def default_fourport_network() -> NetworkSpec:
         router=fourport_router_spec(),
         server=0,
         source=SourceModel(),
-        detectors={
-            port: DetectorModel(dark_rate_hz=rate)
-            for port, rate in zip((1, 2, 3), DEFAULT_CLIENT_DARK_RATES_HZ)
-        },
+        detectors=default_client_detectors((1, 2, 3)),
         eatt_db={1: 0.0, 2: 0.0, 3: 0.0},
     )
 
@@ -609,47 +614,29 @@ def sweep_attenuation(
         raise ValueError("attenuations must be nonnegative")
     rows: list[SweepRow] = []
     for i, db in enumerate(sorted(db_list)):
-        point_spec = spec.with_uniform_eatt(db)
         point_seed = int(
             np.random.SeedSequence((cfg.seed, i)).generate_state(1, np.uint64)[0]
         )
         length_km = attenuation_to_length(db)
         try:
-            run = run_network(point_spec, replace(cfg, seed=point_seed))
-            reports = run.result.links
-            status = "ok"
+            run = run_network(spec.with_uniform_eatt(db), replace(cfg, seed=point_seed))
+            reports, status = run.result.links, "ok"
         except SessionAbortError as err:
-            reports = err.diagnostics
-            status = "abort"
+            reports, status = err.diagnostics, "abort"
         except InsufficientDetectionsError:
-            reports, status = None, "no-detections"
+            reports, status = (None,) * len(cfg.clients), "no-detections"
         except ReconciliationError:
-            reports, status = None, "reconcile-failed"
-        if reports is None:
-            for client in cfg.clients:
-                rows.append(
-                    SweepRow(
-                        atten_db=float(db),
-                        channel_nm=spec.router.assignment.pair_channel(cfg.server, client).nm,
-                        qber=float("nan"),
-                        sift_rate_hz=0.0,
-                        leaked_bits=0,
-                        length_km=length_km,
-                        client=client,
-                        status=status,
-                    )
-                )
-            continue
-        for link in reports:
+            reports, status = (None,) * len(cfg.clients), "reconcile-failed"
+        for client, link in zip(cfg.clients, reports):
             rows.append(
                 SweepRow(
                     atten_db=float(db),
-                    channel_nm=link.channel_nm,
-                    qber=link.qber_measured,
-                    sift_rate_hz=link.sift_rate_hz,
-                    leaked_bits=link.leaked_bits,
+                    channel_nm=spec.router.assignment.pair_channel(cfg.server, client).nm,
+                    qber=float("nan") if link is None else link.qber_measured,
+                    sift_rate_hz=0.0 if link is None else link.sift_rate_hz,
+                    leaked_bits=0 if link is None else link.leaked_bits,
                     length_km=length_km,
-                    client=link.client,
+                    client=client,
                     status=status,
                 )
             )

@@ -16,7 +16,7 @@ contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -325,18 +325,20 @@ class Transcript:
 # Reconciliation (interactive parity protocol with backtracking)
 
 
+N_PASSES = 4  # Cascade passes per reconciliation
+FINAL_CHECK_SUBSETS = 64  # random-subset parities compared after the last pass
+
+
 def reconcile(
     a: KeyBlock,
     b: KeyBlock,
     qber_estimate: float,
     transcript: Transcript,
-    rng: np.random.Generator | None = None,
-    n_passes: int = 4,
-    final_check_bits: int = 64,
-) -> tuple[KeyBlock, KeyBlock, int]:
+    rng: np.random.Generator,
+) -> KeyBlock:
     """Drive ``b`` into agreement with ``a`` by exchanging parities.
 
-    Runs ``n_passes`` passes.  Each pass shuffles with a permutation whose
+    Runs ``N_PASSES`` passes.  Each pass shuffles with a permutation whose
     seed is put on the transcript, splits into blocks (first pass sized
     0.73 / max(estimate, 0.005); doubling afterwards, but never beyond
     half the key, so every pass can still separate an error pair), and
@@ -348,8 +350,8 @@ def reconcile(
     side, and the flips reopen the blocks of other passes containing those
     bits; rounds then bisect the first pass with odd blocks until none is
     left, so error pairs missed early are unwound later.  A final check
-    sends ``a``'s parities over ``final_check_bits`` random subsets, one
-    row of packed bits each, drawn as the check seed's first bytes.
+    sends ``a``'s parities over ``FINAL_CHECK_SUBSETS`` random subsets,
+    one row of packed bits each, drawn as the check seed's first bytes.
 
     Sparse error tracking: ``b``'s parity over a range is ``a``'s XOR that
     of the errors in it, and each flip removes an error, so a pass keeps
@@ -358,8 +360,8 @@ def reconcile(
     level, which carries each open range's first error, one ``searchsorted``
     and three ``np.where`` over the open ranges.
 
-    Returns ``(a, corrected_b, leaked_bits)`` where ``leaked_bits`` counts
-    every parity bit put on the transcript, final check included.
+    Returns the corrected ``b``.  The transcript is the one record of what
+    leaked: every parity bit sent, final check included, is on it.
     """
     if not a.aligned_with(b):
         raise BlockAlignmentError("blocks to reconcile must share their frame list")
@@ -368,10 +370,6 @@ def reconcile(
         raise ValueError("cannot reconcile empty blocks")
     if not 0 <= qber_estimate <= 1:
         raise ValueError(f"error estimate must be a fraction, got {qber_estimate}")
-    if n_passes < 1:
-        raise ValueError("need at least one pass")
-    if rng is None:
-        rng = np.random.default_rng(0x5EC0)
     link = a.link
     server = link[0] if link else None
     client = link[1] if link else None
@@ -380,7 +378,6 @@ def reconcile(
     err = ab != b.bits
     k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
     k_cap = max(k1, n // 2)
-    leaked = 0
     # per pass: block size, a's prefix parities (None if the pass starts error-free),
     # and the errors left as sorted shuffled positions and the key index at each
     passes: list[tuple[int, np.ndarray | None, np.ndarray, np.ndarray]] = []
@@ -388,7 +385,6 @@ def reconcile(
     def bisect_and_flip(q: int, odd: np.ndarray) -> None:
         """Bisect the odd blocks of pass ``q`` together, one query and one
         reply per level, then flip the wrong bit found in each block."""
-        nonlocal leaked
         k, pre_a, pos, index = passes[q]
         # the open ranges [lo, hi), and the index in pos of each one's first error
         lo = odd * k
@@ -415,7 +411,6 @@ def reconcile(
                 {"pass": q, "parities": np.packbits(pre_a[mid] ^ pre_a[lo]).tobytes(),
                  "n_bits": mid.size},
             )
-            leaked += mid.size
             to_mid = pos.searchsorted(mid)
             left = (to_mid - at) & 1  # an odd count of errors in [lo, mid)
             lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
@@ -434,7 +429,7 @@ def reconcile(
                 return q, odd
         return None
 
-    for p in range(n_passes):
+    for p in range(N_PASSES):
         k = min(k1 << p, k_cap)
         seed = int(rng.integers(0, 2**63))
         transcript.append(
@@ -455,7 +450,6 @@ def reconcile(
                 "n_bits": starts.size,
             },
         )
-        leaked += starts.size
         pos = err[perm].nonzero()[0]
         pre_a = None  # flips only remove errors: an error-free pass is never bisected
         if pos.size:  # entry i is the parity of a's first i shuffled bits
@@ -471,12 +465,12 @@ def reconcile(
     check_seed = int(rng.integers(0, 2**63))
     transcript.append(
         "FinalCheck", client, server, link,
-        {"seed": check_seed, "n_subsets": final_check_bits},
+        {"seed": check_seed, "n_subsets": FINAL_CHECK_SUBSETS},
     )
     # the check seed's first bytes as Generator.bytes draws them, at half the cost:
     # a fresh stream yields each raw 64-bit draw as two uint32 words, low word first
     n_bytes = (n + 7) // 8
-    size = final_check_bits * n_bytes
+    size = FINAL_CHECK_SUBSETS * n_bytes
     words = np.random.default_rng(check_seed).bit_generator.random_raw(-(-size // 8))
     masks = words.astype("<u8", copy=False).view(np.uint8)[:size].reshape(-1, n_bytes)
     # a subset's parity is that of the XOR of its masked key bytes
@@ -486,18 +480,17 @@ def reconcile(
         {
             "seed": check_seed,
             "digest": np.packbits(ones & 1).tobytes(),
-            "n_bits": final_check_bits,
+            "n_bits": FINAL_CHECK_SUBSETS,
         },
     )
-    leaked += final_check_bits
     # b's subset parity differs from a's by that of the errors left in it
     if (residual := err.nonzero()[0]).size:
         in_subset = masks[:, residual >> 3] >> (7 - (residual & 7)).astype(np.uint8) & 1
         if mismatched := np.count_nonzero(in_subset.sum(axis=1) & 1):
             raise ReconciliationError(
-                f"final check failed on {mismatched} of {final_check_bits} subset parities"
+                f"final check failed on {mismatched} of {FINAL_CHECK_SUBSETS} subset parities"
             )
-    return a, _trusted(KeyBlock, ab ^ err, b.frames, b.link), leaked
+    return _trusted(KeyBlock, ab ^ err, b.frames, b.link)
 
 
 # ---------------------------------------------------------------------------
@@ -660,27 +653,11 @@ class SessionResult:
     def key_length(self) -> int:
         return int(self.final_key.size)
 
-    @property
-    def total_leaked_bits(self) -> int:
-        return sum(l.leaked_bits for l in self.links)
-
     def link_for(self, client: int) -> LinkReport:
         for l in self.links:
             if l.client == client:
                 return l
         raise KeyError(f"no link report for client {client}")
-
-
-@dataclass
-class _LinkState:
-    client: int
-    params: LinkParameters
-    n_clicked: int = 0
-    n_sifted: int = 0
-    n_errors: int = 0  # differing bits of the sifted blocks
-    estimate: QberEstimate | None = None
-    corrected_b: KeyBlock | None = None  # reconcile leaves a's block as it is
-    leaked: int = 0
 
 
 def run_session(cfg: SessionConfig, network) -> SessionResult:
@@ -704,9 +681,11 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     frames that clicked and its bases, the server sifts on basis match, and
     both run sample-based error estimation; if any estimate reaches
     the abort threshold the session aborts with full diagnostics; the
-    surviving blocks are reconciled, truncated to the shortest link, and
-    every client receives a flip mask rotating its key onto the lowest-
-    numbered client's key.
+    surviving blocks are reconciled (a link whose final check fails once
+    is reconciled again), truncated to the shortest link, and every client
+    receives a flip mask rotating its key onto the lowest-numbered client's
+    key.  Each report's ``leaked_bits`` is its link's parity bit count on
+    the transcript, so a retried link counts both attempts.
     """
     n_ports = int(network.n_ports)
     if not 0 <= cfg.server < n_ports:
@@ -724,7 +703,10 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
 
     transcript = network.new_transcript()
     rng = network.protocol_rng()
-    links: dict[int, _LinkState] = {}
+    params: dict[int, LinkParameters] = {}
+    estimates: dict[int, QberEstimate] = {}
+    reports: dict[int, LinkReport] = {}  # as of the estimate, in client order
+    corrected: dict[int, KeyBlock] = {}  # each client's reconciled block
 
     # A: requests and train announcements
     for c in cfg.clients:
@@ -733,48 +715,42 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
             {"mode": cfg.mode, "n_frames": cfg.n_frames},
         )
     for c in cfg.clients:
-        params = network.link_parameters(cfg.server, c)
-        links[c] = _LinkState(client=c, params=params)
+        params[c] = p = network.link_parameters(cfg.server, c)
         transcript.append(
             "TrainAnnounce", cfg.server, c, (cfg.server, c),
             {
                 "n_frames": cfg.n_frames,
-                "channel": params.channel.index,
-                "offset_ns": params.offset_ns,
+                "channel": p.channel.index,
+                "offset_ns": p.offset_ns,
             },
         )
 
     # B: quantum transmission, C: sift and estimate
     for c in cfg.clients:
-        st = links[c]
         link = (cfg.server, c)
         clicks = network.transmit_train(cfg.server, c, cfg.n_frames)
-        st.n_clicked = len(clicks)
         transcript.append(
             "BasisList", c, cfg.server, link,
             {
-                "n_clicked": st.n_clicked,
+                "n_clicked": len(clicks),
                 "frames": clicks.frames.tobytes(),
                 "bases": np.packbits(clicks.rx_bases).tobytes(),
             },
         )
         a, b = sift(clicks, link=link)
-        st.n_sifted = len(a)
         transcript.append(
             "SiftIndexSet", cfg.server, c, link,
-            {"n_sifted": st.n_sifted, "frames": a.frames.tobytes()},
+            {"n_sifted": len(a), "frames": a.frames.tobytes()},
         )
-        if st.n_sifted == 0:
+        if len(a) == 0:
             transcript.append(
                 "Abort", cfg.server, c, link, {"reason": "no sifted bits"}
             )
             raise InsufficientDetectionsError(
                 f"link to port {network.port_label(c)} sifted down to nothing "
-                f"({st.n_clicked} clicks in {cfg.n_frames} frames)"
+                f"({len(clicks)} clicks in {cfg.n_frames} frames)"
             )
-        st.n_errors = int(np.count_nonzero(a.bits != b.bits))
-        est = estimate_qber(a, b, cfg.sample_fraction, rng)
-        st.estimate = est
+        estimates[c] = est = estimate_qber(a, b, cfg.sample_fraction, rng)
         transcript.append(
             "SampleDisclosure", cfg.server, c, link,
             {
@@ -793,60 +769,68 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
             )
             raise InsufficientDetectionsError(
                 f"link to port {network.port_label(c)} has no bits left after "
-                f"sampling {est.n_sampled} of {st.n_sifted} sifted bits"
+                f"sampling {est.n_sampled} of {len(a)} sifted bits"
             )
+        p = params[c]
+        reports[c] = LinkReport(
+            server=cfg.server,
+            client=c,
+            channel_index=p.channel.index,
+            channel_nm=p.channel.nm,
+            n_frames=cfg.n_frames,
+            n_clicked=len(clicks),
+            n_sifted=len(a),
+            n_sampled=est.n_sampled,
+            sample_mismatches=est.n_mismatched,
+            qber_estimate=est.estimate,
+            qber_measured=int(np.count_nonzero(a.bits != b.bits)) / len(a),
+            leaked_bits=0,
+            n_corrected=0,
+            final_length=0,
+            p_sig=p.p_sig,
+            p_dark=p.p_dark,
+            total_loss_db=p.total_loss_db,
+            rep_rate_hz=p.rep_rate_hz,
+        )
 
     # abort gate: every link was estimated first, so diagnostics are complete
-    bad = [c for c in cfg.clients if links[c].estimate.estimate >= cfg.qber_abort_threshold]
+    bad = [c for c in cfg.clients if estimates[c].estimate >= cfg.qber_abort_threshold]
     if bad:
         for c in bad:
             transcript.append(
                 "Abort", cfg.server, c, (cfg.server, c),
                 {
                     "reason": "error rate at or above threshold",
-                    "estimate": links[c].estimate.estimate,
+                    "estimate": estimates[c].estimate,
                     "threshold": cfg.qber_abort_threshold,
                 },
             )
-        reports = tuple(
-            _link_report(cfg, links[c], final_length=0) for c in cfg.clients
-        )
         labels = ", ".join(network.port_label(c) for c in bad)
         raise SessionAbortError(
             f"estimated error rate at or above {cfg.qber_abort_threshold} "
             f"on link(s) to {labels}",
-            diagnostics=reports,
+            diagnostics=tuple(reports.values()),
         )
 
     # D: reconcile every link
     for c in cfg.clients:
-        st = links[c]
-        est = st.estimate
+        est = estimates[c]
         # size the passes with a small-sample-padded estimate: a lucky
         # sample must not starve the first pass of blocks
         sizing = (est.n_mismatched + 2) / (est.n_sampled + 4)
-        failure: ReconciliationError | None = None
-        for _ in range(2):
-            try:
-                _, st.corrected_b, _ = reconcile(
-                    est.remaining_a, est.remaining_b, sizing, transcript, rng=rng
-                )
-                break
-            except ReconciliationError as err:
-                failure = err  # fresh permutations next attempt
-        else:
-            raise failure
-        # no parity bit of this link is on the transcript before this stage
-        st.leaked = transcript.parity_bit_count(link=(cfg.server, c))
+        args = (est.remaining_a, est.remaining_b, sizing, transcript, rng)
+        try:
+            corrected[c] = reconcile(*args)
+        except ReconciliationError:  # once more, with the stream's next permutations
+            corrected[c] = reconcile(*args)
 
     # E: truncate to the shortest link and publish flip masks
-    final_length = min(len(links[c].corrected_b) for c in cfg.clients)
+    final_length = min(len(corrected[c]) for c in cfg.clients)
     reference = cfg.clients[0]
-    ref_block = links[reference].estimate.remaining_a.truncate(final_length)
+    ref_block = estimates[reference].remaining_a.truncate(final_length)
     client_keys: dict[int, np.ndarray] = {}
     for c in cfg.clients:
-        st = links[c]
-        mask = compute_flip_mask(ref_block, st.estimate.remaining_a.truncate(final_length))
+        mask = compute_flip_mask(ref_block, estimates[c].remaining_a.truncate(final_length))
         transcript.append(
             "FlipMask", cfg.server, c, (cfg.server, c),
             {
@@ -855,8 +839,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 "positions": mask.positions.tobytes(),
             },
         )
-        final = apply_flip_mask(st.corrected_b.truncate(final_length), mask)
-        client_keys[c] = final.bits
+        client_keys[c] = apply_flip_mask(corrected[c].truncate(final_length), mask).bits
 
     for c in cfg.clients:
         if not np.array_equal(client_keys[c], ref_block.bits):
@@ -865,39 +848,21 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 "reference after masking"
             )
 
-    reports = tuple(
-        _link_report(cfg, links[c], final_length=final_length) for c in cfg.clients
+    links = tuple(
+        replace(
+            reports[c],
+            # the transcript holds every attempt's parities, a retry's too
+            leaked_bits=transcript.parity_bit_count(link=(cfg.server, c)),
+            n_corrected=int(np.count_nonzero(corrected[c].bits != estimates[c].remaining_b.bits)),
+            final_length=final_length,
+        )
+        for c in cfg.clients
     )
     return SessionResult(
         config=cfg,
         final_key=ref_block.bits,
         reference_client=reference,
         client_keys=client_keys,
-        links=reports,
+        links=links,
         transcript=transcript,
-    )
-
-
-def _link_report(cfg: SessionConfig, st: _LinkState, final_length: int) -> LinkReport:
-    est = st.estimate
-    return LinkReport(
-        server=cfg.server,
-        client=st.client,
-        channel_index=st.params.channel.index,
-        channel_nm=st.params.channel.nm,
-        n_frames=cfg.n_frames,
-        n_clicked=st.n_clicked,
-        n_sifted=st.n_sifted,
-        n_sampled=est.n_sampled,
-        sample_mismatches=est.n_mismatched,
-        qber_estimate=est.estimate,
-        qber_measured=st.n_errors / st.n_sifted,
-        leaked_bits=st.leaked,
-        # a completed link corrects every error the sample left in its key
-        n_corrected=st.n_errors - est.n_mismatched if st.corrected_b is not None else 0,
-        final_length=final_length,
-        p_sig=st.params.p_sig,
-        p_dark=st.params.p_dark,
-        total_loss_db=st.params.total_loss_db,
-        rep_rate_hz=st.params.rep_rate_hz,
     )

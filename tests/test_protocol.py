@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wdmqkd.photonics import ClickRecord, expected_qber, sample_clicks
 from wdmqkd.protocol import (
+    FINAL_CHECK_SUBSETS,
+    N_PASSES,
     BlockAlignmentError,
     FlipMask,
     InsufficientDetectionsError,
@@ -83,9 +85,7 @@ def final_check_reference(seed, bits, n_subsets):
     return ((masks.astype(np.int64) @ bits.astype(np.int64)) & 1).astype(np.uint8)
 
 
-def reference_reconcile(
-    a, b, qber_estimate, transcript, rng=None, n_passes=4, final_check_bits=64
-):
+def reference_reconcile(a, b, qber_estimate, transcript, rng):
     """The dense form of ``reconcile``: every round recomputes b's prefix
     parities of the pass it bisects, every pass keeps an int64 block map,
     and the final check takes both digests by matrix product over the
@@ -97,10 +97,6 @@ def reference_reconcile(
         raise ValueError("cannot reconcile empty blocks")
     if not 0 <= qber_estimate <= 1:
         raise ValueError(f"error estimate must be a fraction, got {qber_estimate}")
-    if n_passes < 1:
-        raise ValueError("need at least one pass")
-    if rng is None:
-        rng = np.random.default_rng(0x5EC0)
     link = a.link
     server = link[0] if link else None
     client = link[1] if link else None
@@ -114,11 +110,9 @@ def reference_reconcile(
     bb = b.bits.copy()
     k1 = min(n, max(1, math.ceil(0.73 / max(qber_estimate, 0.005))))
     k_cap = max(k1, n // 2)
-    leaked = 0
     passes = []  # (block size, perm, block_of, prefix parities of a, odd flags)
 
     def bisect_and_flip(q):
-        nonlocal leaked
         k, perm, _, pre_a, odd = passes[q]
         pre_b = prefix_parities(bb, perm)
         lo = np.flatnonzero(odd) * k
@@ -135,7 +129,6 @@ def reference_reconcile(
                 "ParityReply", server, client, link,
                 {"pass": q, "parities": np.packbits(par_a).tobytes(), "n_bits": mid.size},
             )
-            leaked += mid.size
             left = par_a != pre_b[mid] ^ pre_b[qlo]
             hi[open_[left]] = mid[left]
             lo[open_[~left]] = mid[~left]
@@ -144,7 +137,7 @@ def reference_reconcile(
         for _, _, block_of, _, other_odd in passes:
             np.bitwise_xor.at(other_odd, block_of[wrong], True)
 
-    for p in range(n_passes):
+    for p in range(N_PASSES):
         k = min(k1 << p, k_cap)
         seed = int(rng.integers(0, 2**63))
         transcript.append("PermutationSeed", client, server, link, {"pass": p, "seed": seed})
@@ -165,7 +158,6 @@ def reference_reconcile(
                 "n_bits": starts.size,
             },
         )
-        leaked += starts.size
         pre_b = prefix_parities(bb, perm)
         passes.append((k, perm, block_of, pre_a, server_par != pre_b[ends] ^ pre_b[starts]))
         while odd_passes := [r for r, (*_, odd) in enumerate(passes) if odd.any()]:
@@ -173,26 +165,29 @@ def reference_reconcile(
 
     check_seed = int(rng.integers(0, 2**63))
     transcript.append(
-        "FinalCheck", client, server, link, {"seed": check_seed, "n_subsets": final_check_bits}
+        "FinalCheck", client, server, link,
+        {"seed": check_seed, "n_subsets": FINAL_CHECK_SUBSETS},
     )
-    digest_a = final_check_reference(check_seed, ab, final_check_bits)
+    digest_a = final_check_reference(check_seed, ab, FINAL_CHECK_SUBSETS)
     transcript.append(
         "FinalCheck", server, client, link,
-        {"seed": check_seed, "digest": np.packbits(digest_a).tobytes(), "n_bits": final_check_bits},
+        {
+            "seed": check_seed,
+            "digest": np.packbits(digest_a).tobytes(),
+            "n_bits": FINAL_CHECK_SUBSETS,
+        },
     )
-    leaked += final_check_bits
-    digest_b = final_check_reference(check_seed, bb, final_check_bits)
+    digest_b = final_check_reference(check_seed, bb, FINAL_CHECK_SUBSETS)
     if not np.array_equal(digest_a, digest_b):
         raise ReconciliationError("final check failed")
-    return a, b.with_bits(bb), leaked
+    return b.with_bits(bb)
 
 
 def reconcile_outcome(fn, a, b, estimate, seed):
     """(transcript rows, result or None)."""
     t = Transcript()
     try:
-        _, cb, leaked = fn(a, b, estimate, t, rng=np.random.default_rng(seed))
-        result = (cb.bits.tolist(), leaked)
+        result = fn(a, b, estimate, t, rng=np.random.default_rng(seed)).bits.tolist()
     except ReconciliationError:
         result = None
     return [(m.seq, m.kind, m.sender, m.receiver, m.link, m.payload) for m in t], result
@@ -368,10 +363,11 @@ class TestDerivedBlocks:
         assert_derived(est.remaining_b)
         if len(est.remaining_a) == 0:
             return
+        ra = est.remaining_a
         try:
-            ra, rb, _ = reconcile(est.remaining_a, est.remaining_b, 0.05, Transcript(), rng)
+            rb = reconcile(ra, est.remaining_b, 0.05, Transcript(), rng)
         except ReconciliationError:
-            ra, rb = est.remaining_a, est.remaining_b
+            rb = est.remaining_b
         assert_derived(rb)
         length = int(cut * len(ra))
         ta, tb = ra.truncate(length), rb.truncate(length)
@@ -472,13 +468,12 @@ class TestReconcile:
         bits = rng.integers(0, 2, 256, dtype=np.uint8)
         a, b = make_blocks(bits, bits.copy(), link=(0, 1))
         t = Transcript()
-        ca, cb, leaked = reconcile(a, b, 0.0, t, rng=np.random.default_rng(1))
+        cb = reconcile(a, b, 0.0, t, rng=np.random.default_rng(1))
         assert np.array_equal(cb.bits, bits)
         # estimate 0 clamps to the 0.005 floor: every pass uses 146-bit
         # blocks (doubling is capped), so 4 passes of 2 block parities
         # plus the 64 final-check bits
-        assert leaked == 72
-        assert leaked == t.parity_bit_count()
+        assert t.parity_bit_count() == disclosed_parity_bits(t, bits) == 72
 
     def test_single_error_found_and_flipped(self):
         rng = np.random.default_rng(2)
@@ -486,9 +481,8 @@ class TestReconcile:
         wrong = bits.copy()
         wrong[137] ^= 1
         a, b = make_blocks(bits, wrong, link=(0, 1))
-        ca, cb, _ = reconcile(a, b, 1 / 256, Transcript(), rng=np.random.default_rng(3))
+        cb = reconcile(a, b, 1 / 256, Transcript(), rng=np.random.default_rng(3))
         assert np.array_equal(cb.bits, bits)
-        assert np.array_equal(ca.bits, a.bits)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_three_percent_converges(self, trial):
@@ -498,9 +492,9 @@ class TestReconcile:
         wrong[rng.choice(2048, size=61, replace=False)] ^= 1
         a, b = make_blocks(bits, wrong)
         t = Transcript()
-        ca, cb, leaked = reconcile(a, b, 0.03, t, rng=rng)
-        assert np.array_equal(ca.bits, cb.bits)
-        assert leaked == t.parity_bit_count()
+        cb = reconcile(a, b, 0.03, t, rng=rng)
+        assert np.array_equal(cb.bits, bits)
+        assert t.parity_bit_count() == disclosed_parity_bits(t, bits)
 
     def test_inputs_not_mutated(self):
         rng = np.random.default_rng(4)
@@ -512,24 +506,25 @@ class TestReconcile:
         assert b.bits[5] == wrong[5]
 
     def test_undetectable_pair_fails_final_check(self):
-        # two errors in one block with a single pass: parities agree, the
-        # binary search never runs, and only the final check can object
+        # two errors in a 16-bit key: at estimate 0 every pass is one block
+        # holding both, so its parities agree, the binary search never runs,
+        # and only the final check can object
         bits = np.zeros(16, dtype=np.uint8)
         wrong = bits.copy()
         wrong[3] ^= 1
         wrong[11] ^= 1
         a, b = make_blocks(bits, wrong)
         with pytest.raises(ReconciliationError):
-            reconcile(a, b, 0.0, Transcript(), rng=np.random.default_rng(0), n_passes=1)
+            reconcile(a, b, 0.0, Transcript(), rng=np.random.default_rng(0))
 
     def test_empty_and_misaligned_rejected(self):
         empty = KeyBlock(np.array([], dtype=np.uint8), np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
-            reconcile(empty, empty, 0.0, Transcript())
+            reconcile(empty, empty, 0.0, Transcript(), rng=np.random.default_rng(0))
         a, _ = make_blocks([0, 1], [0, 1])
         c = KeyBlock(np.array([0, 1], dtype=np.uint8), np.array([4, 7], dtype=np.int64))
         with pytest.raises(BlockAlignmentError):
-            reconcile(a, c, 0.0, Transcript())
+            reconcile(a, c, 0.0, Transcript(), rng=np.random.default_rng(0))
 
     @given(
         n=st.integers(min_value=32, max_value=512),
@@ -546,11 +541,11 @@ class TestReconcile:
         a, b = make_blocks(bits, wrong)
         t = Transcript()
         try:
-            ca, cb, leaked = reconcile(a, b, min(n_err, n) / n, t, rng=rng)
+            cb = reconcile(a, b, min(n_err, n) / n, t, rng=rng)
         except ReconciliationError:
             return  # rare non-convergence still keeps accounting elsewhere
-        assert leaked == t.parity_bit_count() == disclosed_parity_bits(t, bits)
-        assert np.array_equal(cb.bits, ca.bits)
+        assert t.parity_bit_count() == disclosed_parity_bits(t, bits)
+        assert np.array_equal(cb.bits, bits)
 
     def test_bisection_levels_batched_in_message_pairs(self):
         rng = np.random.default_rng(10_000)
@@ -560,9 +555,9 @@ class TestReconcile:
         wrong[rng.choice(n, size=n_err, replace=False)] ^= 1
         a, b = make_blocks(bits, wrong)
         t = Transcript()
-        ca, cb, leaked = reconcile(a, b, n_err / n, t, rng=rng)
-        assert np.array_equal(cb.bits, ca.bits)
-        assert leaked == disclosed_parity_bits(t, bits)
+        cb = reconcile(a, b, n_err / n, t, rng=rng)
+        assert np.array_equal(cb.bits, bits)
+        assert t.parity_bit_count() == disclosed_parity_bits(t, bits)
         widths = [
             m.payload["n_bits"] for m in t
             if m.kind == "ParityReply" and "block_size" not in m.payload
@@ -579,8 +574,8 @@ class TestReconcile:
         wrong[rng.choice(n, size=240, replace=False)] ^= 1
         a, b = make_blocks(bits, wrong)
         t = Transcript()
-        ca, cb, _ = reconcile(a, b, 0.012, t, rng=rng)
-        assert np.array_equal(cb.bits, ca.bits)
+        cb = reconcile(a, b, 0.012, t, rng=rng)
+        assert np.array_equal(cb.bits, bits)
         assert len(t) <= 300
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 513, 10_000])
@@ -591,19 +586,12 @@ class TestReconcile:
         wrong[n // 2] ^= 1
         a, b = make_blocks(bits, wrong)
         t = Transcript()
-        ca, cb, _ = reconcile(a, b, 1 / n, t, rng=rng)
-        assert np.array_equal(cb.bits, ca.bits)
+        cb = reconcile(a, b, 1 / n, t, rng=rng)
+        assert np.array_equal(cb.bits, bits)
         reply = t.messages[-1]
         assert reply.kind == "FinalCheck"
         reference = final_check_reference(reply.payload["seed"], bits, 64)
         assert reply.payload["digest"] == np.packbits(reference).tobytes()
-
-    def test_final_check_of_no_subsets(self):
-        a, b = make_blocks([0, 1, 1, 0, 1], [0, 1, 1, 0, 1])
-        t = Transcript()
-        _, cb, leaked = reconcile(a, b, 0.0, t, rng=np.random.default_rng(0), final_check_bits=0)
-        assert t.messages[-1].payload["digest"] == b"" and t.messages[-1].payload["n_bits"] == 0
-        assert leaked == t.parity_bit_count() and cb.bits.tolist() == [0, 1, 1, 0, 1]
 
     @given(
         n=st.integers(min_value=1, max_value=5000),
@@ -636,7 +624,7 @@ class TestReconcile:
         a, b = make_blocks(bits, wrong)
         tracemalloc.start()
         try:
-            _, cb, _ = reconcile(a, b, 0.02, Transcript(), rng=rng)
+            cb = reconcile(a, b, 0.02, Transcript(), rng=rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -766,10 +754,38 @@ class TestRunSession:
             assert link.leaked_bits == result.transcript.parity_bit_count(
                 link=(0, link.client)
             )
+            # the sample's errors are disclosed; reconciliation corrects the rest
+            errors = round(link.qber_measured * link.n_sifted)
+            assert link.n_corrected == errors - link.sample_mismatches
             assert link.final_length <= link.n_sifted - link.n_sampled
             q = expected_qber(net.p_sig, net.p_dark, net.e_opt)
             sigma = np.sqrt(q * (1 - q) / link.n_sifted)
             assert abs(link.qber_measured - q) < 5 * sigma
+        assert any(link.n_corrected > 0 for link in result.links)
+
+    def test_retried_link_counts_both_attempts(self, fake_network, monkeypatch):
+        # the first reconciliation of link 0-2 runs in full, then fails
+        attempts = []  # (link, parity bits counted from that attempt's payloads)
+
+        def flaky(a, b, qber_estimate, transcript, *args, **kwargs):
+            start = len(transcript)
+            out = reconcile(a, b, qber_estimate, transcript, *args, **kwargs)
+            attempts.append((a.link, disclosed_parity_bits(transcript.messages[start:], a.bits)))
+            if [link for link, _ in attempts] == [(0, 1), (0, 2)]:
+                raise ReconciliationError("final check failed")
+            return out
+
+        monkeypatch.setattr("wdmqkd.protocol.reconcile", flaky)
+        net = fake_network(n_ports=4, seed=3, p_sig=0.05, p_dark=1e-4, e_opt=0.02)
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=20_000, seed=3)
+        result = run_session(cfg, net)
+        assert [link for link, _ in attempts] == [(0, 1), (0, 2), (0, 2), (0, 3)]
+        for c, key in result.client_keys.items():
+            assert np.array_equal(key, result.final_key)
+            counted = [bits for link, bits in attempts if link == (0, c)]
+            assert result.link_for(c).leaked_bits == sum(counted) > 0
+        seeds = [m for m in result.transcript if m.kind == "PermutationSeed"]
+        assert [m.link for m in seeds].count((0, 2)) == 8
 
     def test_abort_on_injected_errors(self, fake_network):
         net = fake_network(n_ports=4, seed=4, p_sig=0.1, e_opt=0.3)
@@ -779,7 +795,7 @@ class TestRunSession:
         diag = exc_info.value.diagnostics
         assert {d.client for d in diag} == {1, 2, 3}
         assert all(d.qber_estimate >= 0.11 for d in diag)
-        assert all(d.final_length == 0 for d in diag)
+        assert all(d.n_corrected == d.leaked_bits == d.final_length == 0 for d in diag)
 
     def test_insufficient_detections(self, fake_network):
         net = fake_network(n_ports=4, seed=5, p_sig=0.0, p_dark=0.0)

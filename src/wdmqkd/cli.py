@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import math
 import sys
-import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from .netsim import (
     sweep_rows_to_csv,
 )
 from .photonics import DEFAULT_CLIENT_DARK_RATES_HZ, DetectorModel, SourceModel
-from .protocol import SessionAbortError, SessionConfig, SessionError
+from .protocol import SessionConfig, SessionError
 from .router import (
     DEFAULT_UNIFORM_LOSS_DB,
     FOURPORT_CHANNEL_NM,
@@ -43,6 +42,7 @@ from .router import (
     format_assignment_table,
     fourport_router_spec,
     import_loss_matrix,
+    port_label,
     uniform_router_spec,
     wdm_requirements,
 )
@@ -164,17 +164,10 @@ _PARSERS = {
 @functools.cache
 def _field_parsers(cls) -> dict[str, Any]:
     """Each field of dataclass ``cls`` mapped to the parser that
-    ``_PARSERS`` holds for its annotation (``X | None`` counts as ``X``),
-    or to None when the caller must parse the field."""
+    ``_PARSERS`` holds for its annotation, or to None when the caller must
+    parse the field."""
     hints = typing.get_type_hints(cls)
-    parsers = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if typing.get_origin(hint) in (typing.Union, types.UnionType):
-            args = [a for a in typing.get_args(hint) if a is not type(None)]
-            hint = args[0] if len(args) == 1 else hint
-        parsers[f.name] = _PARSERS.get(hint)
-    return parsers
+    return {f.name: _PARSERS.get(hints[f.name]) for f in dataclasses.fields(cls)}
 
 
 def _build(cls, section: Mapping, where: str, fixed: Sequence[str] = (), **given):
@@ -380,32 +373,17 @@ def cmd_router_table(ports: int, out: str | None) -> int:
 def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
     """One session over the configured network; keys land in per-client files."""
     cfg = run_cfg.session
-    assignment = run_cfg.spec.router.assignment
-    label = lambda port: assignment.port(port).label
     _warn_low_frames(cfg.n_frames)
-    try:
-        run = run_network(run_cfg.spec, cfg)
-    except SessionAbortError as err:
-        print(f"abort: {err}", file=sys.stderr)
-        for rep in err.diagnostics:
-            print(
-                f"  link {label(rep.server)}-{label(rep.client)}  "
-                f"qber_estimate {rep.qber_estimate:.6f}  "
-                f"qber_measured {rep.qber_measured:.6f}",
-                file=sys.stderr,
-            )
-        return EXIT_ABORT
-
-    result = run.result
-    clients = ",".join(label(c) for c in cfg.clients)
+    result = run_network(run_cfg.spec, cfg).result
+    clients = ",".join(port_label(c) for c in cfg.clients)
     print(
-        f"mode {cfg.mode}  server {label(cfg.server)}  clients {clients}  "
+        f"mode {cfg.mode}  server {port_label(cfg.server)}  clients {clients}  "
         f"seed {cfg.seed}  frames {cfg.n_frames}"
     )
     for link in result.links:
         nm = "" if link.channel_nm is None else f" {link.channel_nm}nm"
         print(
-            f"link {label(link.server)}-{label(link.client)}  "
+            f"link {port_label(link.server)}-{port_label(link.client)}  "
             f"ch λ{link.channel_index + 1}{nm}  "
             f"loss_db {link.total_loss_db:.2f}  "
             f"sifted {link.n_sifted}  "
@@ -415,13 +393,13 @@ def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
         )
     print(
         f"final key: {result.key_length} bits, "
-        f"reference client {label(result.reference_client)}"
+        f"reference client {port_label(result.reference_client)}"
     )
     out_dir = Path(out if out is not None else run_cfg.key_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for client in sorted(result.client_keys):
         bits = result.client_keys[client]
-        path = out_dir / f"key_{label(client)}.hex"
+        path = out_dir / f"key_{port_label(client)}.hex"
         payload = np.packbits(bits).tobytes().hex()
         path.write_text(f"bits {bits.size}\n{payload}\n", encoding="utf-8")
         print(f"wrote {path}")
@@ -510,6 +488,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_sweep(run_cfg, args.out)
     except SessionError as err:
         print(f"abort: {err}", file=sys.stderr)
+        for rep in err.diagnostics:
+            print(
+                f"  link {port_label(rep.server)}-{port_label(rep.client)}  "
+                f"qber_estimate {rep.qber_estimate:.6f}  "
+                f"qber_measured {rep.qber_measured:.6f}",
+                file=sys.stderr,
+            )
         return EXIT_ABORT
     except Exception as err:  # exit codes are a contract: anything else is 2
         print(f"error: {err}", file=sys.stderr)

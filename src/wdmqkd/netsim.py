@@ -49,11 +49,9 @@ from .photonics import (
 )
 from .protocol import (
     ClassicalMessage,
-    InsufficientDetectionsError,
     LinkParameters,
-    ReconciliationError,
-    SessionAbortError,
     SessionConfig,
+    SessionError,
     SessionResult,
     Transcript,
     _payload_repr,
@@ -66,7 +64,6 @@ __all__ = [
     "Network",
     "NetworkRun",
     "NetworkSpec",
-    "SchedulingInfeasibleError",
     "SweepRow",
     "assign_time_offsets",
     "default_client_detectors",
@@ -75,10 +72,6 @@ __all__ = [
     "sweep_attenuation",
     "sweep_rows_to_csv",
 ]
-
-
-class SchedulingInfeasibleError(ValueError):
-    """The requested channels cannot be spaced inside one frame period."""
 
 
 DEFAULT_GUARD_NS = 100
@@ -117,7 +110,7 @@ def assign_time_offsets(
     if guard_ns <= 0:
         raise ValueError(f"guard_ns must be positive, got {guard_ns}")
     if len(idx) * guard_ns > frame_period_ns:
-        raise SchedulingInfeasibleError(
+        raise ValueError(
             f"{len(idx)} channels at {guard_ns} ns guard do not fit in a "
             f"{frame_period_ns} ns frame"
         )
@@ -563,8 +556,8 @@ class NetworkRun:
 def run_network(spec: NetworkSpec, cfg: SessionConfig) -> NetworkRun:
     """Run one session over ``spec``, seeded by ``cfg.seed``.
 
-    Session failures (abort, no detections) propagate as exceptions; their
-    diagnostics carry the per-link measurements.
+    A failed session raises its :class:`~wdmqkd.protocol.SessionError`,
+    whose ``status`` and ``diagnostics`` say how it failed.
     """
     net = Network(spec, seed=cfg.seed)
     result = run_session(cfg, net)
@@ -603,10 +596,10 @@ def sweep_attenuation(
 ) -> list[SweepRow]:
     """Rerun the session once per eATT value, collecting per-channel rows.
 
-    Every point runs with a fresh seed derived from ``cfg.seed``.  Aborted
-    points contribute rows with their measured QBER and zero leaked bits;
-    points with no detections or a failed reconciliation contribute NaN
-    QBER markers.  Rows are ordered by dB, then client port.
+    Every point runs with a fresh seed derived from ``cfg.seed``.  A failed
+    point's rows carry its error's ``status``, and its diagnostics where it
+    has them (an abort's measured QBER, with zero leaked bits); without
+    them, NaN QBER markers.  Rows are ordered by dB, then client port.
     """
     if not db_list:
         raise ValueError("db_list must be nonempty")
@@ -621,12 +614,8 @@ def sweep_attenuation(
         try:
             run = run_network(spec.with_uniform_eatt(db), replace(cfg, seed=point_seed))
             reports, status = run.result.links, "ok"
-        except SessionAbortError as err:
-            reports, status = err.diagnostics, "abort"
-        except InsufficientDetectionsError:
-            reports, status = (None,) * len(cfg.clients), "no-detections"
-        except ReconciliationError:
-            reports, status = (None,) * len(cfg.clients), "reconcile-failed"
+        except SessionError as err:
+            reports, status = err.diagnostics or (None,) * len(cfg.clients), err.status
         for client, link in zip(cfg.clients, reports):
             rows.append(
                 SweepRow(

@@ -23,7 +23,6 @@ __all__ = [
     "LinkBudget",
     "ClickRecord",
     "SourceModel",
-    "UndefinedRateError",
     "attenuation_to_length",
     "expected_qber",
     "p_dark_per_gate",
@@ -31,10 +30,6 @@ __all__ = [
     "sample_clicks",
     "transmittance",
 ]
-
-
-class UndefinedRateError(ValueError):
-    """An error fraction was requested for a link that never clicks."""
 
 
 # Shipped-system defaults.  Dark rates are per client in port order; the
@@ -157,7 +152,7 @@ def expected_qber(p_sig: float, p_dark: float, e_opt: float) -> float:
     if not 0 <= e_opt < 0.5:
         raise ValueError(f"e_opt must be in [0, 0.5), got {e_opt}")
     if p_sig + p_dark == 0:
-        raise UndefinedRateError("no clicks at all: error fraction undefined")
+        raise ValueError("no clicks at all: error fraction undefined")
     return (e_opt * p_sig + 0.5 * p_dark) / (p_sig + p_dark)
 
 

@@ -25,19 +25,15 @@ from .photonics import ClickRecord, _trusted
 from .router import ChannelId
 
 __all__ = [
-    "BlockAlignmentError",
     "ClassicalMessage",
     "FlipMask",
     "InsufficientDetectionsError",
     "KeyBlock",
-    "LengthMismatchError",
     "LinkParameters",
     "LinkReport",
     "MESSAGE_KINDS",
-    "ProtocolError",
     "QberEstimate",
     "ReconciliationError",
-    "SampleSizeError",
     "SessionAbortError",
     "SessionConfig",
     "SessionError",
@@ -52,45 +48,40 @@ __all__ = [
 ]
 
 
-class ProtocolError(Exception):
-    """Base for everything this module raises on protocol-level failure."""
+class SessionError(Exception):
+    """A session ended without producing a shared key.
 
+    Each kind names its ``status``, the word its points carry in a sweep.
+    ``diagnostics`` holds one :class:`LinkReport` per link when every link
+    was measured before the session failed, and is empty otherwise.
+    """
 
-class BlockAlignmentError(ProtocolError, ValueError):
-    """Two key blocks that must share a frame list do not."""
+    status: str
 
-
-class SampleSizeError(ProtocolError, ValueError):
-    """Requested error-estimation sample cannot be drawn from the block."""
-
-
-class LengthMismatchError(ProtocolError, ValueError):
-    """A flip mask or block pair has inconsistent lengths."""
-
-
-class SessionError(ProtocolError):
-    """A session ended without producing a shared key."""
+    def __init__(self, message: str, diagnostics: tuple["LinkReport", ...] = ()):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class ReconciliationError(SessionError):
     """The final parity check failed: blocks still differ after all passes."""
 
+    status = "reconcile-failed"
+
 
 class InsufficientDetectionsError(SessionError):
     """A link has no key material: nothing sifted, or nothing left after sampling."""
+
+    status = "no-detections"
 
 
 class SessionAbortError(SessionError):
     """Error rate at or above the abort threshold on at least one link.
 
-    Carries one :class:`LinkReport` per link so the operator can see which
-    channel went bad and how badly.
+    Its diagnostics show which channel went bad and how badly.
     """
 
-    def __init__(self, reason: str, diagnostics: tuple["LinkReport", ...]):
-        super().__init__(reason)
-        self.reason = reason
-        self.diagnostics = diagnostics
+    status = "abort"
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -141,7 +132,7 @@ class KeyBlock:
 
     def truncate(self, length: int) -> "KeyBlock":
         if not 0 <= length <= len(self):
-            raise LengthMismatchError(
+            raise ValueError(
                 f"cannot truncate a {len(self)}-bit block to {length} bits"
             )
         return _trusted(KeyBlock, self.bits[:length], self.frames[:length], self.link)
@@ -194,12 +185,12 @@ def estimate_qber(
     blocks), though sessions keep it well below that.
     """
     if not a.aligned_with(b):
-        raise BlockAlignmentError("blocks to compare must share their frame list")
+        raise ValueError("blocks to compare must share their frame list")
     n = len(a)
     if n == 0:
-        raise SampleSizeError("cannot sample an empty block")
+        raise ValueError("cannot sample an empty block")
     if not 0 < sample_fraction <= 1:
-        raise SampleSizeError(f"sample fraction must be in (0, 1], got {sample_fraction}")
+        raise ValueError(f"sample fraction must be in (0, 1], got {sample_fraction}")
     k = min(n, max(1, int(round(sample_fraction * n))))
     idx = np.sort(rng.choice(n, size=k, replace=False))
     idx.setflags(write=False)
@@ -364,7 +355,7 @@ def reconcile(
     leaked: every parity bit sent, final check included, is on it.
     """
     if not a.aligned_with(b):
-        raise BlockAlignmentError("blocks to reconcile must share their frame list")
+        raise ValueError("blocks to reconcile must share their frame list")
     n = len(a)
     if n == 0:
         raise ValueError("cannot reconcile empty blocks")
@@ -526,7 +517,7 @@ class FlipMask:
 def compute_flip_mask(reference: KeyBlock, other: KeyBlock) -> FlipMask:
     """Positions where ``other`` differs from ``reference`` (their XOR)."""
     if len(reference) != len(other):
-        raise LengthMismatchError(
+        raise ValueError(
             f"blocks differ in length: {len(reference)} vs {len(other)}"
         )
     return _trusted(FlipMask, len(reference), np.flatnonzero(reference.bits ^ other.bits))
@@ -535,7 +526,7 @@ def compute_flip_mask(reference: KeyBlock, other: KeyBlock) -> FlipMask:
 def apply_flip_mask(k: KeyBlock, m: FlipMask) -> KeyBlock:
     """Invert ``k`` at the masked positions; an involution for fixed mask."""
     if len(k) != m.length:
-        raise LengthMismatchError(
+        raise ValueError(
             f"mask of length {m.length} cannot apply to a {len(k)}-bit block"
         )
     bits = k.bits.copy()
@@ -624,8 +615,6 @@ class LinkReport:
     leaked_bits: int
     n_corrected: int
     final_length: int
-    p_sig: float
-    p_dark: float
     total_loss_db: float
     rep_rate_hz: float
 
@@ -787,8 +776,6 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
             leaked_bits=0,
             n_corrected=0,
             final_length=0,
-            p_sig=p.p_sig,
-            p_dark=p.p_dark,
             total_loss_db=p.total_loss_db,
             rep_rate_hz=p.rep_rate_hz,
         )

@@ -140,11 +140,18 @@ class TestSimulate:
         assert out.count("link A-") == 3
 
     def test_forced_abort_exits_three(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "session: {n_frames: 50000, qber_abort_threshold: 0.0}\n")
+        cfg = write_config(
+            tmp_path, "session: {n_frames: 200000, qber_abort_threshold: 0.0, seed: 4}\n"
+        )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "abort" in captured.err
+        assert captured.err == (
+            "abort: estimated error rate at or above 0.0 on link(s) to B, C, D\n"
+            "  link A-B  qber_estimate 0.011236  qber_measured 0.015471\n"
+            "  link A-C  qber_estimate 0.014599  qber_measured 0.007299\n"
+            "  link A-D  qber_estimate 0.000000  qber_measured 0.005093\n"
+        )
         assert not (tmp_path / "k").exists()
 
     def test_reconcile_failure_exits_three(self, tmp_path, capsys, monkeypatch):
@@ -238,6 +245,12 @@ class TestSimulate:
             ("simulate", "output: 0", "output must be a mapping, got int"),
             ("simulate", "network: {router: {loss_file: 5}}",
              "network.router.loss_file must be a string, got 5"),
+            ("simulate", "network: {router: {loss_file: nope.txt}}",
+             "network.router.loss_file not found: "),
+            ("simulate", "network: {router: {ports: 1}}",
+             "network.router.ports must be at least 2, got 1"),
+            ("simulate", "network: {router: {ports: 5}}",
+             "network.detectors is required unless the router has exactly 3 clients"),
             ("simulate", "session: {mode: 1}", "session.mode must be a string, got 1"),
         ],
     )
@@ -415,6 +428,21 @@ class TestSweep:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
         assert capsys.readouterr().out.count("no QBER (reconcile-failed)") == 3
+
+    def test_no_detections_summary(self, tmp_path, capsys):
+        # at 20 dB, 300 frames give no sifted bit on any link
+        cfg = write_config(
+            tmp_path,
+            "session: {n_frames: 300}\nsweep: {start_db: 20, stop_db: 20, step_db: 1}\n",
+        )
+        csv_path = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"sweep 20..20 dB step 1: 3 rows -> {csv_path}\n"
+            "channel 1510.0nm: no detections\n"
+            "channel 1530.0nm: no detections\n"
+            "channel 1550.0nm: no detections\n"
+        )
 
     def test_shipped_sweep_pinned(self, tmp_path, capsys):
         # seed 7, 1M frames, 0-25 dB: a new digest means a changed seed -> output mapping

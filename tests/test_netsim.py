@@ -20,7 +20,6 @@ from wdmqkd.netsim import (
     EventLog,
     Network,
     NetworkSpec,
-    SchedulingInfeasibleError,
     SWEEP_CSV_HEADER,
     assign_time_offsets,
     default_fourport_network,
@@ -36,6 +35,7 @@ from wdmqkd.protocol import (
     KeyBlock,
     SessionAbortError,
     SessionConfig,
+    SessionError,
     _payload_repr,
     run_session,
 )
@@ -74,7 +74,7 @@ class TestAssignTimeOffsets:
         assert assign_time_offsets([0], 1000, 100) == {0: 0}
 
     def test_too_many_channels(self):
-        with pytest.raises(SchedulingInfeasibleError):
+        with pytest.raises(ValueError, match="11 channels at 100 ns guard do not fit in a 1000 ns frame"):
             assign_time_offsets(range(11), 1000, 100)
 
     def test_exactly_full_frame_fits(self):
@@ -510,7 +510,7 @@ class TestNetworkSpec:
 
     def test_offsets_derive_from_guard(self):
         assert make_spec(guard_ns=300).offsets_ns == {0: 0, 1: 300, 2: 600}
-        with pytest.raises(SchedulingInfeasibleError):
+        with pytest.raises(ValueError, match="3 channels at 400 ns guard do not fit in a 1000 ns frame"):
             make_spec(guard_ns=400)  # three 400 ns slots in a 1000 ns frame
 
     @pytest.mark.parametrize("field, value, message", [
@@ -866,6 +866,38 @@ class TestSweep:
             assert math.isnan(row.qber)
             assert row.sift_rate_hz == 0.0 and row.leaked_bits == 0
             assert row.channel_nm == rows[row.client - 1].channel_nm
+
+    @pytest.mark.parametrize("status", ["abort", "no-detections", "reconcile-failed"])
+    def test_error_status_is_its_rows_status(self, status, request, monkeypatch):
+        spec = default_fourport_network()
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=150_000, seed=13)
+        db = 0.0
+        if status == "abort":
+            spec = replace(spec, source=replace(spec.source, e_opt=0.3))
+        elif status == "no-detections":
+            spec, cfg, db = without_dark_counts(spec), replace(cfg, n_frames=2_000), 200.0
+        else:
+            request.getfixturevalue("reconcile_fails_at_5db")
+            db = 5.0
+        errors, run = [], netsim.run_network
+
+        def spy(*args, **kwargs):
+            try:
+                return run(*args, **kwargs)
+            except SessionError as err:
+                errors.append(err)
+                raise
+
+        monkeypatch.setattr(netsim, "run_network", spy)
+        rows = sweep_attenuation(spec, cfg, [db])
+        [err] = errors
+        assert type(err).status == status
+        assert [r.status for r in rows] == [status] * 3
+        if status == "abort":
+            assert [r.qber for r in rows] == [rep.qber_measured for rep in err.diagnostics]
+        else:
+            assert err.diagnostics == ()
+        assert not hasattr(SessionError, "status")  # nothing raises the base
 
     def test_sweep_deterministic(self):
         spec = default_fourport_network()

@@ -11,6 +11,7 @@ import numpy as np
 
 from wdmqkd.netsim import default_fourport_network, run_network
 from wdmqkd.protocol import SessionConfig, SessionError
+from wdmqkd.router import port_label
 
 
 def main():
@@ -32,10 +33,9 @@ def main():
         raise SystemExit(f"session failed: {err}")
 
     result = run.result
-    label = spec.router.assignment.port
     for link in result.links:
         print(
-            f"link {label(link.server).label}-{label(link.client).label} "
+            f"link {port_label(link.server)}-{port_label(link.client)} "
             f"ch λ{link.channel_index + 1} ({link.channel_nm} nm): "
             f"loss {link.total_loss_db:.2f} dB, "
             f"sifted {link.n_sifted}, "

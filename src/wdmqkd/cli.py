@@ -195,6 +195,11 @@ def _section(node: Any, where: str) -> dict:
     return {} if node is None else _require_mapping(node, where)
 
 
+def _build_assignment(ports: int):
+    """The design of a ``ports``-port router; the shipped unit's at 4 ports."""
+    return build_assignment(ports, nm=FOURPORT_CHANNEL_NM if ports == 4 else None)
+
+
 def _build_router(node: Any, base_dir: Path):
     if node is None or node == "fourport":
         return fourport_router_spec()
@@ -208,8 +213,7 @@ def _build_router(node: Any, base_dir: Path):
     )
     if not loss >= 0:
         raise ConfigError(f"network.router.uniform_loss_db must be >= 0 dB, got {loss}")
-    nm = FOURPORT_CHANNEL_NM if ports == 4 else None
-    assignment = build_assignment(ports, nm=nm)
+    assignment = _build_assignment(ports)
     if "loss_file" in data:
         path = base_dir / _as_str(data["loss_file"], "network.router.loss_file")
         if not path.is_file():
@@ -340,13 +344,6 @@ def load_config(path: str | Path) -> RunConfig:
 # Subcommands
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def _warn_low_frames(n_frames: int) -> None:
     if n_frames < 1000:
         print(
@@ -357,8 +354,7 @@ def _warn_low_frames(n_frames: int) -> None:
 
 def cmd_router_table(ports: int, out: str | None) -> int:
     """Human table, machine listing, and the WDM count for an N-port router."""
-    nm = FOURPORT_CHANNEL_NM if ports == 4 else None
-    assignment = build_assignment(ports, nm=nm)
+    assignment = _build_assignment(ports)
     n_wdms, per_wdm = wdm_requirements(ports)
     text = (
         format_assignment_table(assignment)
@@ -366,7 +362,10 @@ def cmd_router_table(ports: int, out: str | None) -> int:
         + export_assignment(assignment)
         + f"\n{n_wdms} WDMs × {per_wdm} channels\n"
     )
-    _emit(text, out)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

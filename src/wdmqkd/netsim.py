@@ -57,7 +57,7 @@ from .protocol import (
     _payload_repr,
     run_session,
 )
-from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db
+from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db, port_label
 
 __all__ = [
     "EventLog",
@@ -194,23 +194,22 @@ class EventLog:
     one order, (time, kind rank, append order).  ``messages`` keep their
     send order: the first ``n_before`` at 0, the rest at the window's end.
     A message's line is ``time classical-message S - kind=K link=A-B seq=N
-    payload=D``: S and A-B the ``labels`` of its sender and link ports, or
-    -, and D the first 16 hex digits of the SHA-256 of its payload as
-    :meth:`Transcript.render_text` prints it.
+    payload=D``: S and A-B the :func:`~wdmqkd.router.port_label` of its
+    sender and link ports, or -, and D the first 16 hex digits of the
+    SHA-256 of its payload as :meth:`Transcript.render_text` prints it.
     """
 
-    def __init__(self, labels: Sequence[str], window: tuple[int, int, int],
+    def __init__(self, window: tuple[int, int, int],
                  trains: Iterable[tuple[int, str, str, str, str]],
                  messages: Iterable[ClassicalMessage], n_before: int) -> None:
-        self._labels = tuple(labels)
         self._window = window
         self._trains = tuple(trains)
         self._messages = tuple(messages)
         self._n_before = n_before
 
     def _message_line(self, time: int, m: ClassicalMessage) -> str:
-        port = "-" if m.sender is None else self._labels[m.sender]
-        link = "-" if m.link is None else "-".join(self._labels[p] for p in m.link)
+        port = "-" if m.sender is None else port_label(m.sender)
+        link = "-" if m.link is None else "-".join(map(port_label, m.link))
         payload = hashlib.sha256(_payload_repr(m.payload).encode()).hexdigest()[:16]
         return (f"{time} classical-message {port} - kind={m.kind} link={link} "
                 f"seq={m.seq} payload={payload}\n")
@@ -445,7 +444,6 @@ class Network:
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
         self._assignment = spec.router.assignment
-        self._labels = tuple(port.label for port in self._assignment.ports)
         streams = np.random.SeedSequence(int(seed)).spawn(self._assignment.n_ports + 1)
         *ports, session = map(np.random.default_rng, streams)
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
@@ -460,9 +458,6 @@ class Network:
     def n_ports(self) -> int:
         return self._assignment.n_ports
 
-    def port_label(self, port: int) -> str:
-        return self._labels[port]
-
     def protocol_rng(self) -> np.random.Generator:
         return self._session_rng
 
@@ -475,7 +470,7 @@ class Network:
         messages = self._messages or ()
         # with no train sent, every message came before the window
         n_before = self._n_before if self._n_frames else len(messages)
-        return EventLog(self._labels, window, trains, messages, n_before)
+        return EventLog(window, trains, messages, n_before)
 
     def new_transcript(self) -> Transcript:
         """The session's transcript, whose message list the Network keeps
@@ -489,8 +484,8 @@ class Network:
     def link_parameters(self, server: int, client: int) -> LinkParameters:
         if server != self.spec.server:
             raise ValueError(
-                f"port {self.port_label(server)} holds no source; the server "
-                f"is {self.port_label(self.spec.server)}"
+                f"port {port_label(server)} holds no source; the server "
+                f"is {port_label(self.spec.server)}"
             )
         channel = self._assignment.pair_channel(server, client)
         det = self.spec.detectors[client]
@@ -517,7 +512,7 @@ class Network:
         params = self.link_parameters(server, client)
         n_frames = operator.index(n_frames)
         if client in self._trains:
-            raise ValueError(f"the train to port {self.port_label(client)} was already sent; "
+            raise ValueError(f"the train to port {port_label(client)} was already sent; "
                              "a Network runs one session")
         if self._n_frames and n_frames != self._n_frames:
             raise ValueError(f"a train of the quantum window has {self._n_frames} frames, "
@@ -533,10 +528,10 @@ class Network:
         start, channel = period + params.offset_ns, params.channel.label
         router_db = float(path_loss_db(self.spec.router, server, client))
         self._trains[client] = (
-            (start, "pulse-arrival", self.port_label(server), channel,
-             f"dest={self.port_label(client)} router_db={router_db} "
+            (start, "pulse-arrival", port_label(server), channel,
+             f"dest={port_label(client)} router_db={router_db} "
              f"eatt_db={float(self.spec.eatt_db[client])} loss_db={params.total_loss_db}"),
-            (start, "gate-open", self.port_label(client), channel,
+            (start, "gate-open", port_label(client), channel,
              f"width_ns={self.spec.detectors[client].gate_width_ns}"),
         )
         if not self._n_frames:  # the first train opens the window

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .photonics import ClickRecord, _trusted
-from .router import ChannelId
+from .router import ChannelId, port_label
 
 __all__ = [
     "ClassicalMessage",
@@ -654,8 +654,9 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
 
     The handle must provide:
 
-    - ``n_ports`` (int) and ``port_label(port) -> str``
-    - ``link_parameters(server, client) -> LinkParameters``
+    - ``n_ports`` (int)
+    - ``link_parameters(server, client) -> LinkParameters``, asked of every
+      link before the transcript, so a link it refuses sends no message
     - ``transmit_train(server, client, n_frames) -> ClickRecord``, the
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
@@ -690,9 +691,9 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 f"got {cfg.clients}"
             )
 
+    params = {c: network.link_parameters(cfg.server, c) for c in cfg.clients}
     transcript = network.new_transcript()
     rng = network.protocol_rng()
-    params: dict[int, LinkParameters] = {}
     estimates: dict[int, QberEstimate] = {}
     reports: dict[int, LinkReport] = {}  # as of the estimate, in client order
     corrected: dict[int, KeyBlock] = {}  # each client's reconciled block
@@ -703,8 +704,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
             "KeyRequest", c, cfg.server, (cfg.server, c),
             {"mode": cfg.mode, "n_frames": cfg.n_frames},
         )
-    for c in cfg.clients:
-        params[c] = p = network.link_parameters(cfg.server, c)
+    for c, p in params.items():
         transcript.append(
             "TrainAnnounce", cfg.server, c, (cfg.server, c),
             {
@@ -736,7 +736,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 "Abort", cfg.server, c, link, {"reason": "no sifted bits"}
             )
             raise InsufficientDetectionsError(
-                f"link to port {network.port_label(c)} sifted down to nothing "
+                f"link to port {port_label(c)} sifted down to nothing "
                 f"({len(clicks)} clicks in {cfg.n_frames} frames)"
             )
         estimates[c] = est = estimate_qber(a, b, cfg.sample_fraction, rng)
@@ -757,7 +757,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                 "Abort", cfg.server, c, link, {"reason": "no bits left after sampling"}
             )
             raise InsufficientDetectionsError(
-                f"link to port {network.port_label(c)} has no bits left after "
+                f"link to port {port_label(c)} has no bits left after "
                 f"sampling {est.n_sampled} of {len(a)} sifted bits"
             )
         p = params[c]
@@ -792,7 +792,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
                     "threshold": cfg.qber_abort_threshold,
                 },
             )
-        labels = ", ".join(network.port_label(c) for c in bad)
+        labels = ", ".join(port_label(c) for c in bad)
         raise SessionAbortError(
             f"estimated error rate at or above {cfg.qber_abort_threshold} "
             f"on link(s) to {labels}",
@@ -831,7 +831,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     for c in cfg.clients:
         if not np.array_equal(client_keys[c], ref_block.bits):
             raise ReconciliationError(
-                f"client {network.port_label(c)} key disagrees with the "
+                f"client {port_label(c)} key disagrees with the "
                 "reference after masking"
             )
 

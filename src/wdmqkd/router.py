@@ -29,6 +29,7 @@ __all__ = [
     "fourport_router_spec",
     "import_loss_matrix",
     "path_loss_db",
+    "port_label",
     "route",
     "uniform_router_spec",
     "verify_assignment",
@@ -168,30 +169,24 @@ def build_assignment(
 ) -> WavelengthAssignment:
     """Construct the wavelength assignment for an ``n_ports``-port router.
 
-    Uses the circle method of round-robin scheduling: the last port is
-    fixed and the rest rotate, every rotation becoming one channel.  For
-    even N this yields N-1 channels, for odd N it yields N channels (one
-    port sits out per rotation), both proper by construction.
+    Uses the circle method of round-robin scheduling: a wheel of an odd
+    number of ports rotates around a fixed hub, and every rotation becomes
+    one channel.  Even N is the wheel of N-1 ports and its hub;
+    odd N is the wheel of N ports with no hub, so one port sits out of
+    each rotation.  Either way the channel count is
+    :func:`wdm_requirements`'s, and the design is proper by construction.
 
     ``nm`` optionally tags channels with physical wavelengths, in channel
     order; it must provide one value per channel.
     """
-    if n_ports < 2:
-        raise ValueError(f"a router needs at least 2 ports, got {n_ports}")
+    _, n_channels = wdm_requirements(n_ports)
+    hub = n_channels  # the wheel's hub, a port of the router for even N alone
     rounds: dict[tuple[int, int], int] = {}
-    if n_ports % 2 == 0:
-        m = n_ports - 1  # rotating wheel size; port n-1 is the fixed hub
-        for r in range(m):
-            rounds[_pair_key(n_ports - 1, r)] = r
-            for k in range(1, n_ports // 2):
-                rounds[_pair_key((r + k) % m, (r - k) % m)] = r
-        n_channels = m
-    else:
-        for r in range(n_ports):
-            # port r sits out of round r
-            for k in range(1, (n_ports - 1) // 2 + 1):
-                rounds[_pair_key((r + k) % n_ports, (r - k) % n_ports)] = r
-        n_channels = n_ports
+    for r in range(n_channels):
+        if hub < n_ports:
+            rounds[(r, hub)] = r
+        for k in range(1, (n_channels + 1) // 2):
+            rounds[_pair_key((r + k) % n_channels, (r - k) % n_channels)] = r
 
     relabel = _FOURPORT_CHANNEL_RELABEL if n_ports == 4 else tuple(range(n_channels))
     if nm is not None:
@@ -319,7 +314,7 @@ def verify_assignment(assignment: WavelengthAssignment) -> VerificationReport:
         )
     )
 
-    want = n - 1 if n % 2 == 0 else n
+    _, want = wdm_requirements(n)
     used = len({ch.index for ch in assignment.channel_of.values()})
     checks.append(
         CheckResult(
@@ -413,7 +408,7 @@ def path_loss_db(
 def format_assignment_table(assignment: WavelengthAssignment) -> str:
     """Human-readable matrix: rows/columns are ports, cells are channels."""
     labels = [p.label for p in assignment.ports]
-    width = max(6, max(len(s) for s in labels) + 1, 4)
+    width = max(6, max(len(s) for s in labels) + 1)
     head = "Port".ljust(width + 5)
     header = head + "".join(f"Port {s}".ljust(width + 5) for s in labels)
     lines = [header.rstrip()]

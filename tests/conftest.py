@@ -37,9 +37,6 @@ class FakeNetwork:
             np.random.SeedSequence((seed, 0xFACE))
         )
 
-    def port_label(self, port):
-        return self.assignment.port(port).label
-
     def link_parameters(self, server, client):
         return LinkParameters(
             channel=self.assignment.pair_channel(server, client),

@@ -39,7 +39,7 @@ from wdmqkd.protocol import (
     _payload_repr,
     run_session,
 )
-from wdmqkd.router import build_assignment, path_loss_db, uniform_router_spec
+from wdmqkd.router import build_assignment, path_loss_db, port_label, uniform_router_spec
 
 
 def make_spec(n_ports=4, **kwargs):
@@ -93,12 +93,12 @@ class TestAssignTimeOffsets:
             assign_time_offsets([0], 1000, 0)
 
 
-def message_fields(m, labels):
+def message_fields(m):
     """A classical message's (kind, port, channel, detail) in the log, from
     its fields: its sender's label, and its kind, link, sequence number and
     the SHA-256 of its payload as the transcript renders it."""
-    port = "-" if m.sender is None else labels[m.sender]
-    link = "-" if m.link is None else f"{labels[m.link[0]]}-{labels[m.link[1]]}"
+    port = "-" if m.sender is None else port_label(m.sender)
+    link = "-" if m.link is None else f"{port_label(m.link[0])}-{port_label(m.link[1])}"
     payload = hashlib.sha256(_payload_repr(m.payload).encode()).hexdigest()[:16]
     return "classical-message", port, "-", f"kind={m.kind} link={link} seq={m.seq} payload={payload}"
 
@@ -115,8 +115,8 @@ def reference_events(log):
         for j, (t0, kind, *fields) in enumerate(log._trains) for i in range(count)
     ]
     events += [
-        (0, -1, j, *message_fields(m, log._labels)) if j < log._n_before
-        else (f + count * period, 2, j, *message_fields(m, log._labels))
+        (0, -1, j, *message_fields(m)) if j < log._n_before
+        else (f + count * period, 2, j, *message_fields(m))
         for j, m in enumerate(log._messages)
     ]
     return sorted(events, key=lambda x: x[:3])
@@ -147,7 +147,6 @@ PERIOD = st.one_of(st.sampled_from((1, 2, 4, 5, 10, 20, 25, 50, 100)), st.intege
 # window caps: one-frame blocks, decades of a few frames, and the default
 CAP = st.one_of(st.integers(1, 9), st.integers(10, 300), st.just(netsim._WINDOW_LINES))
 LIMIT = 2**61
-LABELS = ("A", "B", "C", "D")
 EMPTY = "e3b0c44298fc1c14"  # the payload digest of an empty payload, SHA-256 of ""
 # a message's sender and link: none, or ports of a four-port star
 SENDER = st.one_of(st.none(), st.integers(0, 3))
@@ -159,7 +158,7 @@ PAYLOAD = st.dictionaries(
 )
 
 
-def make_log(trains, messages=(), n_before=0, labels=LABELS):
+def make_log(trains, messages=(), n_before=0):
     """A log as a Network builds it: ``trains`` of (time, period, count,
     kind, port, channel, detail) that share the period and the count of
     the first and start in its frame, and ``messages`` of (kind, sender,
@@ -169,7 +168,7 @@ def make_log(trains, messages=(), n_before=0, labels=LABELS):
     f = time0 - time0 % period
     assert all((p, n) == (period, count) and f <= t < f + period for t, p, n, *_ in trains)
     sent = [ClassicalMessage(seq, *fields) for seq, fields in enumerate(messages)]
-    return EventLog(labels, (f, period, count), [(t, *rest) for t, _, _, *rest in trains],
+    return EventLog((f, period, count), [(t, *rest) for t, _, _, *rest in trains],
                     sent, n_before)
 
 
@@ -210,7 +209,7 @@ def window_logs(draw):
         for _ in range(draw(st.integers(0, 6)))
     ]
     n_before = draw(st.integers(0, len(messages)))
-    return make_log(trains, messages, n_before, draw(st.lists(FIELD, min_size=4, max_size=4)))
+    return make_log(trains, messages, n_before)
 
 
 DECADE_PERIODS = (1, 2, 4, 5, 10, 20, 25, 50, 100)
@@ -634,12 +633,41 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.link_parameters(1, 2)
 
+    def test_session_with_the_wrong_server_sends_nothing(self):
+        # every link is refused before the transcript, so the Network can
+        # still run a session
+        net = Network(default_fourport_network(), seed=1)
+        with pytest.raises(ValueError, match="port B holds no source; the server is A"):
+            run_session(SessionConfig(server=1, clients=(0, 2, 3), n_frames=2000), net)
+        assert len(net.events) == 0
+        result = run_session(SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1), net)
+        assert result.key_length > 0
+
+    def test_ports_past_z_named(self):
+        # a 30-port star whose link to the last port is cut: the log and the
+        # error name ports past Z as P26, P27, ...
+        eatt = {c: 0.0 for c in range(1, 29)} | {29: math.inf}
+        spec = without_dark_counts(make_spec(30, guard_ns=30, eatt_db=eatt))
+        net = Network(spec, seed=2)
+        cfg = SessionConfig(server=0, clients=tuple(range(1, 30)), n_frames=20_000)
+        with pytest.raises(InsufficientDetectionsError, match="link to port P29 sifted down"):
+            run_session(cfg, net)
+        lines = list(net.events.render_lines())
+        for c in range(26, 30):
+            name, channel = port_label(c), spec.router.assignment.pair_channel(0, c).label
+            assert name == f"P{c}"
+            assert any(f" pulse-arrival A {channel} dest={name} " in line for line in lines)
+            assert any(f" gate-open {name} {channel} " in line for line in lines)
+            assert any(f" classical-message {name} - kind=KeyRequest link=A-{name} " in line
+                       for line in lines)
+        assert any(" classical-message A - kind=Abort link=A-P29 " in line for line in lines)
+
     @pytest.mark.parametrize("cfg, error", [
         (SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1), None),
         (SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1, qber_abort_threshold=0),
          SessionAbortError),
         (SessionConfig(server=0, clients=(1, 2, 3), n_frames=600, seed=0), InsufficientDetectionsError),
-        (SessionConfig(server=1, clients=(2,), mode="unicast", seed=0), ValueError),
+        (SessionConfig(server=0, clients=(2,), mode="unicast", n_frames=2**60, seed=0), ValueError),
     ], ids=["delay-0", "aborted", "sampled-away", "before-any-train"])
     def test_logs_match_reference(self, cfg, error):
         spec = default_fourport_network()
@@ -657,8 +685,7 @@ class TestNetwork:
         f, period, count = net.events._window
         n_before = 2 * len(cfg.clients) if count else len(messages)
         times = [0] * n_before + [f + count * period] * (len(messages) - n_before)
-        labels = [port.label for port in spec.router.assignment.ports]
-        expected = [f"{t} " + " ".join(message_fields(m, labels)) for t, m in zip(times, messages)]
+        expected = [f"{t} " + " ".join(message_fields(m)) for t, m in zip(times, messages)]
         lines = list(net.events.render_lines())
         assert [line for line in lines if " classical-message " in line] == expected
 

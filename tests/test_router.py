@@ -40,6 +40,34 @@ def proper_by_exhaustion(assignment: WavelengthAssignment) -> bool:
     return True
 
 
+def reference_build_assignment(n_ports, nm=None):
+    """The circle method with an even and an odd branch, pair -> channel.
+
+    Even N rotates a wheel of N-1 ports around the last port, odd N a wheel
+    of all N ports, one sitting out of each round; at N = 4 the rounds map
+    to channels (0, 2, 1) to match the shipped unit.  The channels set the
+    time offsets and so the bytes of every event log.
+    """
+    rounds = {}
+    if n_ports % 2 == 0:
+        m = n_ports - 1
+        for r in range(m):
+            rounds[(r, n_ports - 1)] = r
+            for k in range(1, n_ports // 2):
+                rounds[tuple(sorted(((r + k) % m, (r - k) % m)))] = r
+        n_channels = m
+    else:
+        for r in range(n_ports):
+            for k in range(1, (n_ports - 1) // 2 + 1):
+                rounds[tuple(sorted(((r + k) % n_ports, (r - k) % n_ports)))] = r
+        n_channels = n_ports
+    relabel = (0, 2, 1) if n_ports == 4 else tuple(range(n_channels))
+    return {
+        pair: ChannelId(relabel[r], None if nm is None else nm[relabel[r]])
+        for pair, r in rounds.items()
+    }
+
+
 # Fixed design of the 4-port unit: unordered pair -> channel index.
 FOURPORT_TABLE = {
     ("A", "B"): 1,
@@ -69,6 +97,15 @@ class TestBuildAssignment:
         a = build_assignment(2)
         assert wavelength_for(a, 0, 1).index == 0
         assert len(a.channels) == 1
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 127, 128, 255, 256])
+    def test_every_pair_channel_pinned(self, n):
+        _, n_channels = wdm_requirements(n)
+        nm = tuple(1500.0 + 0.5 * c for c in range(n_channels))
+        for tags in (None, nm):
+            a = build_assignment(n, nm=tags)
+            assert a.channel_of == reference_build_assignment(n, nm=tags)
+            assert len(a.channels) == n_channels
 
     def test_channel_counts_follow_parity(self):
         for n in range(2, 13):

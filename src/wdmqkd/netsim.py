@@ -482,12 +482,12 @@ class Network:
         return transcript
 
     def link_parameters(self, server: int, client: int) -> LinkParameters:
+        channel = self._assignment.pair_channel(server, client)  # refuses a port outside
         if server != self.spec.server:
             raise ValueError(
                 f"port {port_label(server)} holds no source; the server "
                 f"is {port_label(self.spec.server)}"
             )
-        channel = self._assignment.pair_channel(server, client)
         det = self.spec.detectors[client]
         budget = LinkBudget.of(
             ("router", path_loss_db(self.spec.router, server, client)),

@@ -571,6 +571,11 @@ class SessionConfig:
             raise ValueError("unicast serves one client or relays between two")
         if self.mode == "multicast" and len(clients) < 2:
             raise ValueError("multicast needs at least two clients")
+        for name in ("n_frames", "seed"):  # kept as plain ints: the transcript prints them
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_frames <= 0:
             raise ValueError(f"n_frames must be positive, got {self.n_frames}")
         if self.seed < 0:  # numpy's SeedSequence takes no negative seed
@@ -656,7 +661,8 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
 
     - ``n_ports`` (int)
     - ``link_parameters(server, client) -> LinkParameters``, asked of every
-      link before the transcript, so a link it refuses sends no message
+      link before the transcript; it refuses a port outside the network,
+      and a link it refuses sends no message
     - ``transmit_train(server, client, n_frames) -> ClickRecord``, the
       link's clicked frames (see :func:`wdmqkd.photonics.sample_clicks`)
     - ``protocol_rng() -> numpy Generator`` (one stream per session)
@@ -677,21 +683,14 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     key.  Each report's ``leaked_bits`` is its link's parity bit count on
     the transcript, so a retried link counts both attempts.
     """
-    n_ports = int(network.n_ports)
-    if not 0 <= cfg.server < n_ports:
-        raise ValueError(f"server port {cfg.server} outside the network")
-    for c in cfg.clients:
-        if not 0 <= c < n_ports:
-            raise ValueError(f"client port {c} outside the network")
+    params = {c: network.link_parameters(cfg.server, c) for c in cfg.clients}
     if cfg.mode == "broadcast":
-        everyone = tuple(p for p in range(n_ports) if p != cfg.server)
+        everyone = tuple(p for p in range(int(network.n_ports)) if p != cfg.server)
         if cfg.clients != everyone:
             raise ValueError(
                 f"broadcast must address every non-server port {everyone}, "
                 f"got {cfg.clients}"
             )
-
-    params = {c: network.link_parameters(cfg.server, c) for c in cfg.clients}
     transcript = network.new_transcript()
     rng = network.protocol_rng()
     estimates: dict[int, QberEstimate] = {}

@@ -11,6 +11,7 @@ stores the per-path insertion-loss figures of a physical unit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -51,13 +52,14 @@ class PortId:
     """One I/O port of the router (the common channel of one WDM)."""
 
     index: int
-    label: str
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"port index must be nonnegative, got {self.index}")
-        if not self.label:
-            raise ValueError("port label must be nonempty")
+
+    @property
+    def label(self) -> str:
+        return port_label(self.index)
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,13 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _integer(ref, expected: str) -> int:
+    """``ref`` as an int; a bool or a non-integral number is refused."""
+    if isinstance(ref, bool) or not isinstance(ref, numbers.Integral):
+        raise ValueError(f"expected {expected}, got {ref!r}")
+    return int(ref)
+
+
 # The raw circle method for 4 ports emits round colors (0, 1, 2) on the pair
 # classes ({A,D},{B,C}), ({A,C},{B,D}), ({A,B},{C,D}).  The shipped 4-port
 # hardware fixture wires those classes to channels 1, 3, 2, so this relabeling
@@ -114,16 +123,10 @@ class WavelengthAssignment:
     channel_of: Mapping[tuple[int, int], ChannelId]
 
     def __post_init__(self) -> None:
-        if self.n_ports < 2:
-            raise ValueError(f"a router needs at least 2 ports, got {self.n_ports}")
+        wdm_requirements(self.n_ports)  # refuses fewer than 2 ports
         for (i, j) in self.channel_of:
             if not (0 <= i < j < self.n_ports):
                 raise ValueError(f"invalid pair key ({i}, {j})")
-
-    @cached_property
-    def ports(self) -> tuple[PortId, ...]:
-        """Every port, in index order, named by :func:`port_label`."""
-        return tuple(PortId(i, port_label(i)) for i in range(self.n_ports))
 
     @cached_property
     def channels(self) -> tuple[ChannelId, ...]:
@@ -143,25 +146,32 @@ class WavelengthAssignment:
 
     @cached_property
     def _by_label(self) -> dict[str, int]:
-        return {p.label: p.index for p in self.ports}
+        return {port_label(i): i for i in range(self.n_ports)}
 
-    def port(self, ref: int | str | PortId) -> PortId:
-        """Resolve an index, label, or PortId to the canonical PortId."""
-        if isinstance(ref, PortId):
-            ref = ref.index
+    def _index(self, ref: int | str | PortId) -> int:
+        """The index of a port reference (an index, a label or a PortId);
+        a reference to no port of this router raises ValueError."""
         if isinstance(ref, str):
             if ref not in self._by_label:
                 raise ValueError(f"unknown port label {ref!r}")
-            ref = self._by_label[ref]
-        if not 0 <= ref < self.n_ports:
-            raise ValueError(f"port index {ref} out of range [0, {self.n_ports})")
-        return self.ports[ref]
+            return self._by_label[ref]
+        index = ref.index if isinstance(ref, PortId) else ref
+        if type(index) is not int:  # a numpy integer, or a bool or float to refuse
+            index = _integer(index, "a port index, label or PortId")
+        if not 0 <= index < self.n_ports:
+            raise ValueError(f"port index {index} out of range [0, {self.n_ports})")
+        return index
+
+    def port(self, ref: int | str | PortId) -> PortId:
+        """Resolve an index, label, or PortId to the canonical PortId."""
+        return PortId(self._index(ref))
 
     def pair_channel(self, i: int | str | PortId, j: int | str | PortId) -> ChannelId:
-        pi, pj = self.port(i), self.port(j)
-        if pi.index == pj.index:
-            raise ValueError(f"no channel from port {pi.label} to itself")
-        return self.channel_of[_pair_key(pi.index, pj.index)]
+        """Channel connecting ports ``i`` and ``j``; symmetric in its arguments."""
+        a, b = self._index(i), self._index(j)
+        if a == b:
+            raise ValueError(f"no channel from port {port_label(a)} to itself")
+        return self.channel_of[_pair_key(a, b)]
 
 
 def build_assignment(
@@ -202,13 +212,7 @@ def build_assignment(
     return WavelengthAssignment(n_ports=n_ports, channel_of=channel_of)
 
 
-def wavelength_for(
-    assignment: WavelengthAssignment,
-    i: int | str | PortId,
-    j: int | str | PortId,
-) -> ChannelId:
-    """Channel connecting ports ``i`` and ``j``; symmetric in its arguments."""
-    return assignment.pair_channel(i, j)
+wavelength_for = WavelengthAssignment.pair_channel
 
 
 def route(
@@ -222,14 +226,12 @@ def route(
     connected at that port (the photon would be discarded by the WDM).
     """
     assignment = router.assignment if isinstance(router, RouterSpec) else router
-    pin = assignment.port(in_port)
-    ch_index = channel.index if isinstance(channel, ChannelId) else int(channel)
-    dest = assignment._routes.get((pin.index, ch_index))
+    pin = assignment._index(in_port)
+    ch = channel.index if isinstance(channel, ChannelId) else _integer(channel, "a channel")
+    dest = assignment._routes.get((pin, ch))
     if dest is None:
-        raise UnroutableWavelengthError(
-            f"channel {ch_index} is not connected at port {pin.label}"
-        )
-    return assignment.ports[dest]
+        raise UnroutableWavelengthError(f"channel {ch} is not connected at port {port_label(pin)}")
+    return PortId(dest)
 
 
 def wdm_requirements(n_ports: int) -> tuple[int, int]:
@@ -286,26 +288,18 @@ def verify_assignment(assignment: WavelengthAssignment) -> VerificationReport:
         for j in range(i + 1, n)
         if (i, j) not in assignment.channel_of
     ]
-    extra = [k for k in assignment.channel_of if not (0 <= k[0] < k[1] < n)]
-    checks.append(
-        CheckResult(
-            "totality",
-            not missing and not extra,
-            "" if not missing and not extra else f"missing={missing} extra={extra}",
-        )
-    )
+    checks.append(CheckResult("totality", not missing, f"missing={missing}" if missing else ""))
 
-    improper = []
-    if not missing:
-        for i in range(n):
-            seen: set[int] = set()
-            for j in range(n):
-                if i == j:
-                    continue
-                c = assignment.channel_of[_pair_key(i, j)].index
-                if c in seen:
-                    improper.append((assignment.ports[i].label, c))
-                seen.add(c)
+    improper = []  # over the pairs present, so a partial design is checked too
+    for i in range(n):
+        seen: set[int] = set()
+        for j in range(n):
+            ch = assignment.channel_of.get(_pair_key(i, j))  # None at i == j too
+            if ch is None:
+                continue
+            if ch.index in seen:
+                improper.append((port_label(i), ch.index))
+            seen.add(ch.index)
     checks.append(
         CheckResult(
             "properness",
@@ -383,9 +377,9 @@ FOURPORT_LOSS_DB: dict[tuple[str, str], float] = {
 def fourport_router_spec() -> RouterSpec:
     """The canonical 4-port unit: measured losses, 1510/1530/1550 nm channels."""
     assignment = build_assignment(4, nm=FOURPORT_CHANNEL_NM)
-    by_label = {p.label: p.index for p in assignment.ports}
     losses = {
-        (by_label[a], by_label[b]): db for (a, b), db in FOURPORT_LOSS_DB.items()
+        (assignment._index(a), assignment._index(b)): db
+        for (a, b), db in FOURPORT_LOSS_DB.items()
     }
     return RouterSpec(assignment, losses)
 
@@ -395,10 +389,10 @@ def path_loss_db(
 ) -> float:
     """Directed insertion loss through the router, in dB."""
     a = spec.assignment
-    pi, po = a.port(in_port), a.port(out_port)
-    if pi.index == po.index:
-        raise ValueError(f"no loss figure from port {pi.label} to itself")
-    return spec.insertion_loss_db[(pi.index, po.index)]
+    i, o = a._index(in_port), a._index(out_port)
+    if i == o:
+        raise ValueError(f"no loss figure from port {port_label(i)} to itself")
+    return spec.insertion_loss_db[(i, o)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +401,7 @@ def path_loss_db(
 
 def format_assignment_table(assignment: WavelengthAssignment) -> str:
     """Human-readable matrix: rows/columns are ports, cells are channels."""
-    labels = [p.label for p in assignment.ports]
+    labels = [port_label(i) for i in range(assignment.n_ports)]
     width = max(6, max(len(s) for s in labels) + 1)
     head = "Port".ljust(width + 5)
     header = head + "".join(f"Port {s}".ljust(width + 5) for s in labels)
@@ -427,25 +421,20 @@ def export_assignment(assignment: WavelengthAssignment) -> str:
     """Machine-readable listing: ``port_i port_j channel_index nm`` per line."""
     lines = [
         "# wavelength assignment: port_i port_j channel nm",
-        f"# ports: {' '.join(p.label for p in assignment.ports)}",
+        f"# ports: {' '.join(map(port_label, range(assignment.n_ports)))}",
     ]
     for (i, j) in sorted(assignment.channel_of):
         ch = assignment.channel_of[(i, j)]
         nm = repr(ch.nm) if ch.nm is not None else "-"
-        lines.append(
-            f"{assignment.ports[i].label} {assignment.ports[j].label} {ch.index} {nm}"
-        )
+        lines.append(f"{port_label(i)} {port_label(j)} {ch.index} {nm}")
     return "\n".join(lines) + "\n"
 
 
 def export_loss_matrix(spec: RouterSpec) -> str:
     """Directed loss entries, one ``in out dB`` line each; round-trip exact."""
-    a = spec.assignment
     lines = ["# insertion loss: in_port out_port dB"]
     for (i, j) in sorted(spec.insertion_loss_db):
-        lines.append(
-            f"{a.ports[i].label} {a.ports[j].label} {spec.insertion_loss_db[(i, j)]!r}"
-        )
+        lines.append(f"{port_label(i)} {port_label(j)} {spec.insertion_loss_db[(i, j)]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -457,6 +446,7 @@ def import_loss_matrix(
     """Parse directed ``in out dB`` lines; absent pairs get ``default_db``."""
     n = assignment.n_ports
     losses = {(i, j): default_db for i in range(n) for j in range(n) if i != j}
+    named: dict[tuple[int, int], int] = {}  # each path given in the text -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -465,12 +455,17 @@ def import_loss_matrix(
         if len(parts) != 3:
             raise ValueError(f"loss matrix line {lineno}: expected 'in out dB', got {raw!r}")
         try:
-            pi, po, db = assignment.port(parts[0]), assignment.port(parts[1]), float(parts[2])
+            path = assignment._index(parts[0]), assignment._index(parts[1])
+            db = float(parts[2])
         except ValueError as err:  # an unknown port label or a bad number
             raise ValueError(f"loss matrix line {lineno}: {err}") from None
-        if pi.index == po.index:
+        if path[0] == path[1]:
             raise ValueError(f"loss matrix line {lineno}: diagonal entry {parts[0]}")
         if not db >= 0:
             raise ValueError(f"loss matrix line {lineno}: loss must be >= 0 dB, got {db}")
-        losses[(pi.index, po.index)] = db
+        if path in named:
+            raise ValueError(f"loss matrix line {lineno}: path {parts[0]} {parts[1]} "
+                             f"already given on line {named[path]}")
+        named[path] = lineno
+        losses[path] = db
     return RouterSpec(assignment, losses)

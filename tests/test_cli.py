@@ -585,14 +585,16 @@ session:
         ("A B", "expected 'in out dB', got 'A B'"),
         ("B B 1.0", "diagonal entry B"),
         ("A B -1.0", "loss must be >= 0 dB, got -1.0"),
+        ("A B 1.0\nA B 9.0", "path A B already given on line 2"),
     ])
     def test_bad_loss_file_line_named(self, tmp_path, capsys, row, reason):
         loss = tmp_path / "loss.txt"
         loss.write_text(f"# in out dB\n{row}\n", encoding="utf-8")
         cfg = write_config(tmp_path, "network: {router: {loss_file: loss.txt}}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
+        lineno = 2 + row.count("\n")  # the row's last line
         assert capsys.readouterr().err == (
-            f"error: network.router.loss_file {loss}: loss matrix line 2: {reason}\n"
+            f"error: network.router.loss_file {loss}: loss matrix line {lineno}: {reason}\n"
         )
 
     def test_yaml_loaders_agree(self):

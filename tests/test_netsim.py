@@ -366,6 +366,14 @@ class TestEventLog:
             "728e1de2e6f54e57697b41a86f3d9561bf6d861715f8ea34800afe20ae3f9cd1"
         )
 
+    def test_numpy_integer_session_logs_as_plain_ints(self):
+        # the transcript prints n_frames: np.int64(20000) would change the digest
+        cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=np.int64(20000),
+                            seed=np.int64(3))
+        assert run_network(default_fourport_network(), cfg).events.digest() == (
+            "728e1de2e6f54e57697b41a86f3d9561bf6d861715f8ea34800afe20ae3f9cd1"
+        )
+
     def test_payload_digest_tells_sessions_apart(self):
         # seeds 3 and 5 send the same message kinds at the same times; only
         # the payloads, and so the keys, differ
@@ -642,6 +650,16 @@ class TestNetwork:
         assert len(net.events) == 0
         result = run_session(SessionConfig(server=0, clients=(1, 2, 3), n_frames=2000, seed=1), net)
         assert result.key_length > 0
+
+    @pytest.mark.parametrize("cfg", [
+        SessionConfig(server=9, clients=(1, 2, 3), n_frames=2000),
+        SessionConfig(server=0, clients=(9,), mode="unicast", n_frames=2000),
+    ], ids=["server", "client"])
+    def test_session_with_a_port_outside_sends_nothing(self, cfg):
+        net = Network(default_fourport_network(), seed=1)
+        with pytest.raises(ValueError, match=r"^port index 9 out of range \[0, 4\)$"):
+            run_session(cfg, net)
+        assert len(net.events) == 0
 
     def test_ports_past_z_named(self):
         # a 30-port star whose link to the last port is cut: the log and the

@@ -709,6 +709,19 @@ class TestSessionConfig:
             SessionConfig(server=0, clients=(1,), seed=-5)
         assert SessionConfig(server=0, clients=(1,), seed=0).seed == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_frames", 2000.5), ("n_frames", 2000.0), ("n_frames", True),
+        ("seed", 1.5), ("seed", False), ("seed", "3"),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SessionConfig(server=0, clients=(1,), **{field: value})
+
+    def test_numpy_integer_counts_kept_as_ints(self):
+        cfg = SessionConfig(server=0, clients=(1,), n_frames=np.int64(2000), seed=np.uint32(3))
+        assert (cfg.n_frames, cfg.seed) == (2000, 3)
+        assert type(cfg.n_frames) is int and type(cfg.seed) is int
+
     def test_clients_sorted_and_deduplicated(self):
         cfg = SessionConfig(server=0, clients=(3, 1, 2), mode="multicast")
         assert cfg.clients == (1, 2, 3)

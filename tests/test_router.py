@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,15 @@ class TestVerification:
         report = verify_assignment(partial)
         assert not report.ok
         assert any(c.name == "totality" for c in report.failures())
+        assert "[FAIL] totality: missing=[(0, 2), (1, 2)]\n" in str(report)
+
+    def test_properness_checked_over_the_pairs_present(self):
+        # port A sees λ1 on both of its pairs; pair (1, 2) is missing
+        partial = WavelengthAssignment(
+            n_ports=3, channel_of={(0, 1): ChannelId(0), (0, 2): ChannelId(0)}
+        )
+        failures = {c.name: c.detail for c in verify_assignment(partial).failures()}
+        assert failures["properness"] == "repeated channel at [('A', 0)]"
 
     def test_wrong_channel_count_detected(self):
         # proper but wasteful: C(3,2) pairs, 3 distinct channels is the rule
@@ -351,9 +361,9 @@ class TestTextFormats:
 class TestIds:
     def test_port_id_validation(self):
         with pytest.raises(ValueError):
-            PortId(-1, "A")
-        with pytest.raises(ValueError):
-            PortId(0, "")
+            PortId(-1)
+        assert PortId(2).label == "C"
+        assert PortId(29).label == "P29"
 
     def test_channel_id_validation(self):
         with pytest.raises(ValueError):
@@ -370,6 +380,42 @@ class TestIds:
             a.port("Z")
         with pytest.raises(ValueError):
             a.port(9)
+
+    def test_port_references_past_z(self):
+        a = build_assignment(30)
+        assert a.port("P29").index == 29
+        assert a.port(PortId(29)) == PortId(29)
+        with pytest.raises(ValueError, match="unknown port label 'P5'"):
+            a.port("P5")  # port 5 is F
+        assert a.port(5).label == "F"
+        ch = a.pair_channel("A", "P29")
+        assert route(a, "A", ch).label == "P29"
+        assert route(a, 0, ch.index) == PortId(29)
+
+    @pytest.mark.parametrize("ref", [True, False, 2.0, 1.5, None, "2"])
+    def test_port_reference_must_be_an_index_label_or_port_id(self, ref):
+        a = build_assignment(4)
+        with pytest.raises(ValueError):
+            a.port(ref)
+        with pytest.raises(ValueError):
+            a.pair_channel(ref, 3)
+        with pytest.raises(ValueError):
+            path_loss_db(uniform_router_spec(a), 3, ref)
+
+    @pytest.mark.parametrize("channel", [True, 1.5, 1.0])
+    def test_route_channel_must_be_an_index_or_channel_id(self, channel):
+        with pytest.raises(ValueError, match="expected a channel, got "):
+            route(build_assignment(4), "A", channel)
+
+    def test_numpy_integer_references_resolve(self):
+        a = build_assignment(4)
+        assert a.port(np.int64(2)) == PortId(2)
+        assert a.pair_channel(np.int32(0), np.int64(3)) == a.pair_channel(0, 3)
+        assert route(a, np.int64(0), np.int64(0)).label == "D"
+        assert path_loss_db(fourport_router_spec(), np.int16(0), np.uint8(1)) == 1.70
+
+    def test_wavelength_for_is_pair_channel(self):
+        assert wavelength_for is WavelengthAssignment.pair_channel
 
     def test_measured_loss_fixture_is_total(self):
         labels = "ABCD"

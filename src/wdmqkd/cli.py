@@ -36,7 +36,6 @@ from .photonics import DEFAULT_CLIENT_DARK_RATES_HZ, DetectorModel, SourceModel
 from .protocol import SessionConfig, SessionError
 from .router import (
     DEFAULT_UNIFORM_LOSS_DB,
-    FOURPORT_CHANNEL_NM,
     build_assignment,
     export_assignment,
     format_assignment_table,
@@ -195,25 +194,21 @@ def _section(node: Any, where: str) -> dict:
     return {} if node is None else _require_mapping(node, where)
 
 
-def _build_assignment(ports: int):
-    """The design of a ``ports``-port router; the shipped unit's at 4 ports."""
-    return build_assignment(ports, nm=FOURPORT_CHANNEL_NM if ports == 4 else None)
-
-
 def _build_router(node: Any, base_dir: Path):
     if node is None or node == "fourport":
         return fourport_router_spec()
     data = _require_mapping(node, "network.router")
     _check_keys(data, _ROUTER_KEYS, "network.router")
     ports = _as_int(data.get("ports", 4), "network.router.ports")
-    if ports < 2:
-        raise ConfigError(f"network.router.ports must be at least 2, got {ports}")
+    try:
+        assignment = build_assignment(ports)
+    except ValueError as err:  # fewer than 2 ports
+        raise ConfigError(f"network.router.ports: {err}") from err
     loss = _as_float(
         data.get("uniform_loss_db", DEFAULT_UNIFORM_LOSS_DB), "network.router.uniform_loss_db"
     )
     if not loss >= 0:
         raise ConfigError(f"network.router.uniform_loss_db must be >= 0 dB, got {loss}")
-    assignment = _build_assignment(ports)
     if "loss_file" in data:
         path = base_dir / _as_str(data["loss_file"], "network.router.loss_file")
         if not path.is_file():
@@ -352,9 +347,20 @@ def _warn_low_frames(n_frames: int) -> None:
         )
 
 
+def _output_path(out: str | None, configured: str, key: str, is_dir: bool) -> Path:
+    """``--out``, else ``output.<key>``, refused before any session runs unless it is a
+    directory just when ``is_dir`` and its nearest existing ancestor is a directory."""
+    where, path = ("--out", Path(out)) if out is not None else (f"output.{key}", Path(configured))
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    want_dir = is_dir or existing != path
+    if existing.is_dir() != want_dir:
+        raise ConfigError(f"{where}: {existing} is {'not ' if want_dir else ''}a directory")
+    return path
+
+
 def cmd_router_table(ports: int, out: str | None) -> int:
     """Human table, machine listing, and the WDM count for an N-port router."""
-    assignment = _build_assignment(ports)
+    assignment = build_assignment(ports)
     n_wdms, per_wdm = wdm_requirements(ports)
     text = (
         format_assignment_table(assignment)
@@ -371,6 +377,7 @@ def cmd_router_table(ports: int, out: str | None) -> int:
 
 def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
     """One session over the configured network; keys land in per-client files."""
+    out_dir = _output_path(out, run_cfg.key_dir, "key_dir", is_dir=True)
     cfg = run_cfg.session
     _warn_low_frames(cfg.n_frames)
     result = run_network(run_cfg.spec, cfg).result
@@ -394,7 +401,6 @@ def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
         f"final key: {result.key_length} bits, "
         f"reference client {port_label(result.reference_client)}"
     )
-    out_dir = Path(out if out is not None else run_cfg.key_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for client in sorted(result.client_keys):
         bits = result.client_keys[client]
@@ -409,12 +415,12 @@ def cmd_sweep(run_cfg: RunConfig, out: str | None) -> int:
     """QBER versus eATT sweep; CSV artifact plus a per-channel summary."""
     if run_cfg.sweep_db is None:
         raise ConfigError("the config has no sweep section")
+    path = _output_path(out, run_cfg.csv_path, "csv", is_dir=False)
     start, stop, step = run_cfg.sweep_db
     n_points = int(math.floor((stop - start) / step + 1e-9)) + 1
     db_list = [start + i * step for i in range(n_points)]
     _warn_low_frames(run_cfg.session.n_frames)
     rows = sweep_attenuation(run_cfg.spec, run_cfg.session, db_list)
-    path = Path(out if out is not None else run_cfg.csv_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     print(

@@ -57,7 +57,7 @@ from .protocol import (
     _payload_repr,
     run_session,
 )
-from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db, port_label
+from .router import ChannelId, RouterSpec, _integer, fourport_router_spec, path_loss_db, port_label
 
 __all__ = [
     "EventLog",
@@ -100,13 +100,14 @@ def assign_time_offsets(
     the frame boundary) so pulses of different wavelengths never share a
     time slot at the router.
     """
-    idx = [c.index if isinstance(c, ChannelId) else int(c) for c in channels]
+    idx = [c.index if isinstance(c, ChannelId) else _integer(c, "channel") for c in channels]
     if len(set(idx)) != len(idx):
         raise ValueError("channels must be distinct")
     if not idx:
         raise ValueError("need at least one channel")
     if frame_period_ns <= 0:
         raise ValueError(f"frame period must be positive, got {frame_period_ns} ns")
+    guard_ns = _integer(guard_ns, "guard_ns")
     if guard_ns <= 0:
         raise ValueError(f"guard_ns must be positive, got {guard_ns}")
     if len(idx) * guard_ns > frame_period_ns:
@@ -354,13 +355,11 @@ class NetworkSpec:
     guard_ns: int = DEFAULT_GUARD_NS
 
     def __post_init__(self) -> None:
-        a = self.router.assignment
-        n = a.n_ports
-        if not 0 <= self.server < n:
+        for name in ("server", "guard_ns"):  # plain ints: guard_ns sets the logged offsets
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not 0 <= self.server < self.router.assignment.n_ports:
             raise ValueError(f"server port {self.server} outside the router")
         clients = self.clients
-        if isinstance(self.guard_ns, bool) or not isinstance(self.guard_ns, (int, np.integer)):
-            raise ValueError(f"guard_ns must be an integer > 0, got {self.guard_ns!r}")
 
         period = 1e9 / self.source.rep_rate_hz
         if abs(period - round(period)) > 1e-9:
@@ -444,7 +443,7 @@ class Network:
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
         self._assignment = spec.router.assignment
-        streams = np.random.SeedSequence(int(seed)).spawn(self._assignment.n_ports + 1)
+        streams = np.random.SeedSequence(_integer(seed, "seed")).spawn(self._assignment.n_ports + 1)
         *ports, session = map(np.random.default_rng, streams)
         self._quantum_rng = dict(enumerate(ports))  # one stream per port
         self._session_rng = session
@@ -510,7 +509,7 @@ class Network:
         by 2**61 ns: a train that breaks a rule raises ValueError before it
         samples."""
         params = self.link_parameters(server, client)
-        n_frames = operator.index(n_frames)
+        n_frames = _integer(n_frames, "n_frames")
         if client in self._trains:
             raise ValueError(f"the train to port {port_label(client)} was already sent; "
                              "a Network runs one session")

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .photonics import ClickRecord, _trusted
-from .router import ChannelId, port_label
+from .router import ChannelId, _integer, port_label
 
 __all__ = [
     "ClassicalMessage",
@@ -557,7 +557,9 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        clients = tuple(sorted({int(c) for c in self.clients}))
+        for name in ("server", "n_frames", "seed"):  # plain ints: the transcript prints them
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        clients = tuple(sorted({_integer(c, "client port") for c in self.clients}))
         if len(clients) != len(self.clients):
             raise ValueError("client ports must be distinct")
         object.__setattr__(self, "clients", clients)
@@ -571,11 +573,6 @@ class SessionConfig:
             raise ValueError("unicast serves one client or relays between two")
         if self.mode == "multicast" and len(clients) < 2:
             raise ValueError("multicast needs at least two clients")
-        for name in ("n_frames", "seed"):  # kept as plain ints: the transcript prints them
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if self.n_frames <= 0:
             raise ValueError(f"n_frames must be positive, got {self.n_frames}")
         if self.seed < 0:  # numpy's SeedSequence takes no negative seed

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "ChannelId",
@@ -54,6 +54,7 @@ class PortId:
     index: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", _integer(self.index, "port index"))
         if self.index < 0:
             raise ValueError(f"port index must be nonnegative, got {self.index}")
 
@@ -70,6 +71,7 @@ class ChannelId:
     nm: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", _integer(self.index, "channel index"))
         if self.index < 0:
             raise ValueError(f"channel index must be nonnegative, got {self.index}")
         if self.nm is not None and self.nm <= 0:
@@ -91,11 +93,13 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _integer(ref, expected: str) -> int:
-    """``ref`` as an int; a bool or a non-integral number is refused."""
-    if isinstance(ref, bool) or not isinstance(ref, numbers.Integral):
-        raise ValueError(f"expected {expected}, got {ref!r}")
-    return int(ref)
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int; a bool or a non-integral number is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # The raw circle method for 4 ports emits round colors (0, 1, 2) on the pair
@@ -123,7 +127,7 @@ class WavelengthAssignment:
     channel_of: Mapping[tuple[int, int], ChannelId]
 
     def __post_init__(self) -> None:
-        wdm_requirements(self.n_ports)  # refuses fewer than 2 ports
+        object.__setattr__(self, "n_ports", wdm_requirements(self.n_ports)[0])  # a plain int >= 2
         for (i, j) in self.channel_of:
             if not (0 <= i < j < self.n_ports):
                 raise ValueError(f"invalid pair key ({i}, {j})")
@@ -155,9 +159,7 @@ class WavelengthAssignment:
             if ref not in self._by_label:
                 raise ValueError(f"unknown port label {ref!r}")
             return self._by_label[ref]
-        index = ref.index if isinstance(ref, PortId) else ref
-        if type(index) is not int:  # a numpy integer, or a bool or float to refuse
-            index = _integer(index, "a port index, label or PortId")
+        index = ref.index if isinstance(ref, PortId) else _integer(ref, "port index")
         if not 0 <= index < self.n_ports:
             raise ValueError(f"port index {index} out of range [0, {self.n_ports})")
         return index
@@ -174,9 +176,7 @@ class WavelengthAssignment:
         return self.channel_of[_pair_key(a, b)]
 
 
-def build_assignment(
-    n_ports: int, nm: Sequence[float] | None = None
-) -> WavelengthAssignment:
+def build_assignment(n_ports: int) -> WavelengthAssignment:
     """Construct the wavelength assignment for an ``n_ports``-port router.
 
     Uses the circle method of round-robin scheduling: a wheel of an odd
@@ -186,10 +186,11 @@ def build_assignment(
     each rotation.  Either way the channel count is
     :func:`wdm_requirements`'s, and the design is proper by construction.
 
-    ``nm`` optionally tags channels with physical wavelengths, in channel
-    order; it must provide one value per channel.
+    At 4 ports this is the shipped unit: its channels are relabelled and
+    tagged with ``FOURPORT_CHANNEL_NM`` as the hardware is wired.  Every
+    other N keeps the identity labelling and untagged channels.
     """
-    _, n_channels = wdm_requirements(n_ports)
+    n_ports, n_channels = wdm_requirements(n_ports)
     hub = n_channels  # the wheel's hub, a port of the router for even N alone
     rounds: dict[tuple[int, int], int] = {}
     for r in range(n_channels):
@@ -198,16 +199,10 @@ def build_assignment(
         for k in range(1, (n_channels + 1) // 2):
             rounds[_pair_key((r + k) % n_channels, (r - k) % n_channels)] = r
 
-    relabel = _FOURPORT_CHANNEL_RELABEL if n_ports == 4 else tuple(range(n_channels))
-    if nm is not None:
-        if len(nm) != n_channels:
-            raise ValueError(
-                f"need {n_channels} wavelength tags for {n_ports} ports, got {len(nm)}"
-            )
-        channels = tuple(ChannelId(c, float(nm[c])) for c in range(n_channels))
-    else:
-        channels = tuple(ChannelId(c) for c in range(n_channels))
-
+    shipped = n_ports == 4
+    relabel = _FOURPORT_CHANNEL_RELABEL if shipped else range(n_channels)
+    nm = FOURPORT_CHANNEL_NM if shipped else (None,) * n_channels
+    channels = tuple(map(ChannelId, range(n_channels), nm))
     channel_of = {pair: channels[relabel[r]] for pair, r in rounds.items()}
     return WavelengthAssignment(n_ports=n_ports, channel_of=channel_of)
 
@@ -227,7 +222,7 @@ def route(
     """
     assignment = router.assignment if isinstance(router, RouterSpec) else router
     pin = assignment._index(in_port)
-    ch = channel.index if isinstance(channel, ChannelId) else _integer(channel, "a channel")
+    ch = channel.index if isinstance(channel, ChannelId) else _integer(channel, "channel")
     dest = assignment._routes.get((pin, ch))
     if dest is None:
         raise UnroutableWavelengthError(f"channel {ch} is not connected at port {port_label(pin)}")
@@ -239,6 +234,7 @@ def wdm_requirements(n_ports: int) -> tuple[int, int]:
 
     Even N takes N (N-1)-channel WDMs; odd N takes N N-channel WDMs.
     """
+    n_ports = _integer(n_ports, "n_ports")
     if n_ports < 2:
         raise ValueError(f"a router needs at least 2 ports, got {n_ports}")
     return (n_ports, n_ports - 1 if n_ports % 2 == 0 else n_ports)
@@ -376,7 +372,7 @@ FOURPORT_LOSS_DB: dict[tuple[str, str], float] = {
 
 def fourport_router_spec() -> RouterSpec:
     """The canonical 4-port unit: measured losses, 1510/1530/1550 nm channels."""
-    assignment = build_assignment(4, nm=FOURPORT_CHANNEL_NM)
+    assignment = build_assignment(4)
     losses = {
         (assignment._index(a), assignment._index(b)): db
         for (a, b), db in FOURPORT_LOSS_DB.items()

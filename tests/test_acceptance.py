@@ -39,7 +39,6 @@ from wdmqkd.protocol import (
     sift,
 )
 from wdmqkd.router import (
-    FOURPORT_CHANNEL_NM,
     build_assignment,
     export_loss_matrix,
     fourport_router_spec,
@@ -124,7 +123,7 @@ def test_criterion_05_loss_matrix_round_trip():
         assert path_loss_db(spec, "B", "A") == 2.17
         assert len(spec.insertion_loss_db) == 12
         text = export_loss_matrix(spec)
-        back = import_loss_matrix(text, build_assignment(4, nm=FOURPORT_CHANNEL_NM))
+        back = import_loss_matrix(text, build_assignment(4))
         assert back.insertion_loss_db == spec.insertion_loss_db
 
 

@@ -248,7 +248,7 @@ class TestSimulate:
             ("simulate", "network: {router: {loss_file: nope.txt}}",
              "network.router.loss_file not found: "),
             ("simulate", "network: {router: {ports: 1}}",
-             "network.router.ports must be at least 2, got 1"),
+             "network.router.ports: a router needs at least 2 ports, got 1"),
             ("simulate", "network: {router: {ports: 5}}",
              "network.detectors is required unless the router has exactly 3 clients"),
             ("simulate", "session: {mode: 1}", "session.mode must be a string, got 1"),
@@ -306,6 +306,35 @@ class TestSimulate:
         assert main([command, "--config", str(cfg), *flags]) == 2
         assert capsys.readouterr().err == f"error: {name} must not be empty\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command, output, flags, message", [
+        ("simulate", "{}", ["--out", "file"], "--out: file is not a directory"),
+        ("simulate", "{key_dir: file}", [], "output.key_dir: file is not a directory"),
+        ("simulate", "{}", ["--out", "file/keys"], "--out: file is not a directory"),
+        ("sweep", "{}", ["--out", "folder"], "--out: folder is a directory"),
+        ("sweep", "{csv: folder}", [], "output.csv: folder is a directory"),
+        ("sweep", "{csv: file/sweep.csv}", [], "output.csv: file is not a directory"),
+    ], ids=["simulate-out", "key_dir", "key_dir-under-file", "sweep-out", "csv", "csv-under-file"])
+    def test_unwritable_output_path_refused_before_any_session(
+        self, tmp_path, capsys, monkeypatch, command, output, flags, message
+    ):
+        # the keys or the CSV would fail to land only after the whole run
+        def session(*args):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(cli, "run_network", session)
+        monkeypatch.setattr(cli, "sweep_attenuation", session)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "folder").mkdir()
+        cfg = write_config(
+            tmp_path, f"output: {output}\nsweep: {{start_db: 0, stop_db: 5, step_db: 5}}\n"
+        )
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "file", "folder"]
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+        assert not any((tmp_path / "folder").iterdir())
 
     def test_window_past_the_time_limit(self, tmp_path, capsys):
         # 10**16 frames of 1000 ns put the quantum window past 2**61 ns

@@ -41,8 +41,8 @@ def proper_by_exhaustion(assignment: WavelengthAssignment) -> bool:
     return True
 
 
-def reference_build_assignment(n_ports, nm=None):
-    """The circle method with an even and an odd branch, pair -> channel.
+def reference_build_assignment(n_ports):
+    """The circle method with an even and an odd branch, pair -> channel index.
 
     Even N rotates a wheel of N-1 ports around the last port, odd N a wheel
     of all N ports, one sitting out of each round; at N = 4 the rounds map
@@ -63,10 +63,7 @@ def reference_build_assignment(n_ports, nm=None):
                 rounds[tuple(sorted(((r + k) % n_ports, (r - k) % n_ports)))] = r
         n_channels = n_ports
     relabel = (0, 2, 1) if n_ports == 4 else tuple(range(n_channels))
-    return {
-        pair: ChannelId(relabel[r], None if nm is None else nm[relabel[r]])
-        for pair, r in rounds.items()
-    }
+    return {pair: relabel[r] for pair, r in rounds.items()}
 
 
 # Fixed design of the 4-port unit: unordered pair -> channel index.
@@ -88,7 +85,7 @@ class TestBuildAssignment:
             assert wavelength_for(a, y, x).index == ch
 
     def test_fourport_wavelength_tags(self):
-        a = build_assignment(4, nm=(1510.0, 1530.0, 1550.0))
+        a = build_assignment(4)
         assert wavelength_for(a, "A", "D").nm == 1510.0
         assert wavelength_for(a, "A", "B").nm == 1530.0
         assert wavelength_for(a, "A", "C").nm == 1550.0
@@ -101,12 +98,13 @@ class TestBuildAssignment:
 
     @pytest.mark.parametrize("n", [*range(2, 65), 127, 128, 255, 256])
     def test_every_pair_channel_pinned(self, n):
-        _, n_channels = wdm_requirements(n)
-        nm = tuple(1500.0 + 0.5 * c for c in range(n_channels))
-        for tags in (None, nm):
-            a = build_assignment(n, nm=tags)
-            assert a.channel_of == reference_build_assignment(n, nm=tags)
-            assert len(a.channels) == n_channels
+        a = build_assignment(n)
+        indices = {pair: ch.index for pair, ch in a.channel_of.items()}
+        assert indices == reference_build_assignment(n)
+        assert len(a.channels) == wdm_requirements(n)[1]
+        # the shipped unit's channels carry its wavelengths; no other N's do
+        tags = (1510.0, 1530.0, 1550.0) if n == 4 else (None,) * len(a.channels)
+        assert tuple(ch.nm for ch in a.channels) == tags
 
     def test_channel_counts_follow_parity(self):
         for n in range(2, 13):
@@ -130,12 +128,6 @@ class TestBuildAssignment:
         for i in range(5):
             used = {a.pair_channel(i, j).index for j in range(5) if j != i}
             assert len(used) == 4  # one of the 5 channels is dark at each port
-
-    def test_wavelength_tag_count_must_match(self):
-        with pytest.raises(ValueError):
-            build_assignment(4, nm=(1510.0, 1530.0))
-        with pytest.raises(ValueError):
-            build_assignment(5, nm=(1510.0, 1530.0, 1550.0, 1570.0))
 
     def test_too_few_ports(self):
         with pytest.raises(ValueError):
@@ -339,7 +331,7 @@ class TestTextFormats:
         assert path_loss_db(spec, "A", "B") == 3.0
 
     def test_assignment_export_lists_every_pair(self):
-        a = build_assignment(4, nm=(1510.0, 1530.0, 1550.0))
+        a = build_assignment(4)
         text = export_assignment(a)
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(rows) == 6
@@ -404,7 +396,7 @@ class TestIds:
 
     @pytest.mark.parametrize("channel", [True, 1.5, 1.0])
     def test_route_channel_must_be_an_index_or_channel_id(self, channel):
-        with pytest.raises(ValueError, match="expected a channel, got "):
+        with pytest.raises(ValueError, match="^channel must be an integer, got "):
             route(build_assignment(4), "A", channel)
 
     def test_numpy_integer_references_resolve(self):

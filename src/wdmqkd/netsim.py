@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._numbers import _integer, _real
 from .photonics import (
     DEFAULT_CLIENT_DARK_RATES_HZ,
     ClickRecord,
@@ -57,7 +58,7 @@ from .protocol import (
     _payload_repr,
     run_session,
 )
-from .router import ChannelId, RouterSpec, _integer, fourport_router_spec, path_loss_db, port_label
+from .router import ChannelId, RouterSpec, fourport_router_spec, path_loss_db, port_label
 
 __all__ = [
     "EventLog",
@@ -105,11 +106,8 @@ def assign_time_offsets(
         raise ValueError("channels must be distinct")
     if not idx:
         raise ValueError("need at least one channel")
-    if frame_period_ns <= 0:
-        raise ValueError(f"frame period must be positive, got {frame_period_ns} ns")
-    guard_ns = _integer(guard_ns, "guard_ns")
-    if guard_ns <= 0:
-        raise ValueError(f"guard_ns must be positive, got {guard_ns}")
+    frame_period_ns = _integer(frame_period_ns, "frame_period_ns", 1)
+    guard_ns = _integer(guard_ns, "guard_ns", 1)
     if len(idx) * guard_ns > frame_period_ns:
         raise ValueError(
             f"{len(idx)} channels at {guard_ns} ns guard do not fit in a "
@@ -355,10 +353,10 @@ class NetworkSpec:
     guard_ns: int = DEFAULT_GUARD_NS
 
     def __post_init__(self) -> None:
-        for name in ("server", "guard_ns"):  # plain ints: guard_ns sets the logged offsets
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 0 <= self.server < self.router.assignment.n_ports:
-            raise ValueError(f"server port {self.server} outside the router")
+        # plain ints: guard_ns sets the logged offsets
+        n_ports = self.router.assignment.n_ports
+        object.__setattr__(self, "server", _integer(self.server, "server", 0, n_ports - 1))
+        object.__setattr__(self, "guard_ns", _integer(self.guard_ns, "guard_ns", 1))
         clients = self.clients
 
         period = 1e9 / self.source.rep_rate_hz
@@ -384,9 +382,9 @@ class NetworkSpec:
                 f"eatt_db must cover exactly the client ports {clients}, "
                 f"got {sorted(self.eatt_db)}"
             )
-        for p, db in self.eatt_db.items():
-            if not db >= 0:
-                raise ValueError(f"eatt_db at port {p} must be >= 0 dB, got {db}")
+        eatt = {p: _real(db, f"eatt_db at port {p}", 0, unit="dB")
+                for p, db in self.eatt_db.items()}
+        object.__setattr__(self, "eatt_db", eatt)
         self.offsets_ns  # the channels must fit in the frame
 
     @property
@@ -406,7 +404,7 @@ class NetworkSpec:
         )
 
     def with_uniform_eatt(self, db: float) -> "NetworkSpec":
-        return replace(self, eatt_db={c: float(db) for c in self.clients})
+        return replace(self, eatt_db=dict.fromkeys(self.clients, db))
 
 
 def default_client_detectors(clients: Sequence[int]) -> dict[int, DetectorModel]:
@@ -490,7 +488,7 @@ class Network:
         det = self.spec.detectors[client]
         budget = LinkBudget.of(
             ("router", path_loss_db(self.spec.router, server, client)),
-            ("eATT", float(self.spec.eatt_db[client])),
+            ("eATT", self.spec.eatt_db[client]),
         )
         return LinkParameters(
             channel=channel,
@@ -525,11 +523,11 @@ class Network:
             n_frames, params.p_sig, params.p_dark, params.e_opt, self._quantum_rng[client]
         )
         start, channel = period + params.offset_ns, params.channel.label
-        router_db = float(path_loss_db(self.spec.router, server, client))
+        router_db = path_loss_db(self.spec.router, server, client)
         self._trains[client] = (
             (start, "pulse-arrival", port_label(server), channel,
              f"dest={port_label(client)} router_db={router_db} "
-             f"eatt_db={float(self.spec.eatt_db[client])} loss_db={params.total_loss_db}"),
+             f"eatt_db={self.spec.eatt_db[client]} loss_db={params.total_loss_db}"),
             (start, "gate-open", port_label(client), channel,
              f"width_ns={self.spec.detectors[client].gate_width_ns}"),
         )
@@ -586,7 +584,7 @@ class SweepRow:
 def sweep_attenuation(
     spec: NetworkSpec,
     cfg: SessionConfig,
-    db_list: Sequence[float],
+    db_list: Iterable[float],
 ) -> list[SweepRow]:
     """Rerun the session once per eATT value, collecting per-channel rows.
 
@@ -595,10 +593,9 @@ def sweep_attenuation(
     has them (an abort's measured QBER, with zero leaked bits); without
     them, NaN QBER markers.  Rows are ordered by dB, then client port.
     """
+    db_list = [_real(db, "attenuation", 0, unit="dB") for db in db_list]
     if not db_list:
         raise ValueError("db_list must be nonempty")
-    if not all(db >= 0 for db in db_list):
-        raise ValueError("attenuations must be nonnegative")
     rows: list[SweepRow] = []
     for i, db in enumerate(sorted(db_list)):
         point_seed = int(
@@ -613,7 +610,7 @@ def sweep_attenuation(
         for client, link in zip(cfg.clients, reports):
             rows.append(
                 SweepRow(
-                    atten_db=float(db),
+                    atten_db=db,
                     channel_nm=spec.router.assignment.pair_channel(cfg.server, client).nm,
                     qber=float("nan") if link is None else link.qber_measured,
                     sift_rate_hz=0.0 if link is None else link.sift_rate_hz,

@@ -12,11 +12,14 @@ clicked frames ever reach the protocol.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._numbers import _integer, _real
 
 __all__ = [
     "DetectorModel",
@@ -55,20 +58,15 @@ class SourceModel:
     e_opt: float = DEFAULT_E_OPT
 
     def __post_init__(self) -> None:
-        if not 0 < self.mean_photon_number < float("inf"):
-            raise ValueError(
-                f"mean_photon_number must be finite and > 0, got {self.mean_photon_number}"
-            )
+        for name, high, bounds in (("mean_photon_number", math.inf, "()"),
+                                   ("rep_rate_hz", math.inf, "()"), ("e_opt", 0.5, "[)")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, high, bounds))
         if self.mean_photon_number > 1:
             warnings.warn(
                 f"mean photon number {self.mean_photon_number} > 1 is far from the "
                 "pseudo-single-photon regime this model assumes",
                 stacklevel=2,
             )
-        if not 0 < self.rep_rate_hz < float("inf"):
-            raise ValueError(f"rep_rate_hz must be finite and > 0, got {self.rep_rate_hz}")
-        if not 0 <= self.e_opt < 0.5:
-            raise ValueError(f"e_opt must be in [0, 0.5), got {self.e_opt}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +78,9 @@ class DetectorModel:
     gate_width_ns: float = DEFAULT_GATE_WIDTH_NS
 
     def __post_init__(self) -> None:
-        if not 0 < self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not self.dark_rate_hz >= 0:
-            raise ValueError(f"dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
-        if not 0 < self.gate_width_ns < float("inf"):
-            raise ValueError(f"gate_width_ns must be finite and > 0, got {self.gate_width_ns}")
+        for name, high, bounds in (("efficiency", 1, "(]"), ("dark_rate_hz", math.inf, "[]"),
+                                   ("gate_width_ns", math.inf, "()")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, high, bounds))
 
 
 @dataclass(frozen=True)
@@ -95,11 +90,9 @@ class LinkBudget:
     components: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple((str(lbl), float(db)) for lbl, db in self.components)
+        norm = tuple((str(lbl), _real(db, f"loss component {lbl!r}", 0, unit="dB"))
+                     for lbl, db in self.components)
         object.__setattr__(self, "components", norm)
-        for lbl, db in self.components:
-            if not db >= 0:
-                raise ValueError(f"loss component {lbl!r} must be >= 0 dB, got {db}")
 
     @classmethod
     def of(cls, *components: tuple[str, float]) -> "LinkBudget":
@@ -116,9 +109,7 @@ class LinkBudget:
 
 def transmittance(loss_db: float) -> float:
     """Power transmittance of a ``loss_db`` attenuation: 10^(-dB/10)."""
-    if not loss_db >= 0:
-        raise ValueError(f"loss must be >= 0 dB, got {loss_db}")
-    return float(10.0 ** (-loss_db / 10.0))
+    return 10.0 ** (-_real(loss_db, "loss_db", 0, unit="dB") / 10.0)
 
 
 def p_signal_click(src: SourceModel, budget: LinkBudget, det: DetectorModel) -> float:
@@ -137,6 +128,12 @@ def p_dark_per_gate(src: SourceModel, det: DetectorModel) -> float:
     return det.dark_rate_hz / src.rep_rate_hz
 
 
+def _probabilities(p_sig, p_dark, e_opt) -> tuple[float, float, float]:
+    """Two click probabilities, each in [0, 1], and ``e_opt``, in [0, 0.5), as plain floats."""
+    return (_real(p_sig, "p_sig", 0, 1), _real(p_dark, "p_dark", 0, 1),
+            _real(e_opt, "e_opt", 0, 0.5, "[)"))
+
+
 def expected_qber(p_sig: float, p_dark: float, e_opt: float) -> float:
     """Analytic error fraction of sifted bits.
 
@@ -145,12 +142,7 @@ def expected_qber(p_sig: float, p_dark: float, e_opt: float) -> float:
 
         (e_opt p_sig + p_dark/2) / (p_sig + p_dark)
     """
-    if not 0 <= p_sig <= 1:
-        raise ValueError(f"p_sig must be a probability, got {p_sig}")
-    if not 0 <= p_dark <= 1:
-        raise ValueError(f"p_dark must be a probability, got {p_dark}")
-    if not 0 <= e_opt < 0.5:
-        raise ValueError(f"e_opt must be in [0, 0.5), got {e_opt}")
+    p_sig, p_dark, e_opt = _probabilities(p_sig, p_dark, e_opt)
     if p_sig + p_dark == 0:
         raise ValueError("no clicks at all: error fraction undefined")
     return (e_opt * p_sig + 0.5 * p_dark) / (p_sig + p_dark)
@@ -173,6 +165,7 @@ class ClickRecord:
     rx_bits: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_frames", _integer(self.n_frames, "n_frames", 1))
         frames = np.array(self.frames, dtype=np.int64)
         if frames.ndim != 1 or (
             frames.size
@@ -261,12 +254,8 @@ def sample_clicks(
     distribution.  How far ``rng`` advances depends on the clicks drawn,
     not on ``n_frames`` alone, and time and memory are O(clicks).
     """
-    if n_frames < 1:
-        raise ValueError(f"need at least one frame, got {n_frames}")
-    if not 0 <= p_sig <= 1 or not 0 <= p_dark <= 1:
-        raise ValueError("click probabilities must lie in [0, 1]")
-    if not 0 <= e_opt < 0.5:
-        raise ValueError(f"e_opt must be in [0, 0.5), got {e_opt}")
+    n_frames = _integer(n_frames, "n_frames", 1)
+    p_sig, p_dark, e_opt = _probabilities(p_sig, p_dark, e_opt)
     p_click = min(1.0, p_sig + p_dark * (1 - p_sig))
     k = int(rng.binomial(n_frames, p_click))
     frames = _distinct_sorted(n_frames, k, rng)
@@ -285,6 +274,4 @@ def sample_clicks(
 
 def attenuation_to_length(extra_db: float) -> float:
     """Length of standard fiber, at 0.2 dB/km, whose attenuation equals ``extra_db``."""
-    if not extra_db >= 0:
-        raise ValueError(f"attenuation must be >= 0 dB, got {extra_db}")
-    return extra_db / 0.2
+    return _real(extra_db, "extra_db", 0, unit="dB") / 0.2

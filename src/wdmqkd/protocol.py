@@ -21,8 +21,9 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from ._numbers import _integer, _real
 from .photonics import ClickRecord, _trusted
-from .router import ChannelId, _integer, port_label
+from .router import ChannelId, port_label
 
 __all__ = [
     "ClassicalMessage",
@@ -131,10 +132,7 @@ class KeyBlock:
         return _trusted(KeyBlock, self.bits[idx], self.frames[idx], self.link)
 
     def truncate(self, length: int) -> "KeyBlock":
-        if not 0 <= length <= len(self):
-            raise ValueError(
-                f"cannot truncate a {len(self)}-bit block to {length} bits"
-            )
+        length = _integer(length, "length", 0, len(self))
         return _trusted(KeyBlock, self.bits[:length], self.frames[:length], self.link)
 
     def with_bits(self, bits: np.ndarray) -> "KeyBlock":
@@ -189,8 +187,7 @@ def estimate_qber(
     n = len(a)
     if n == 0:
         raise ValueError("cannot sample an empty block")
-    if not 0 < sample_fraction <= 1:
-        raise ValueError(f"sample fraction must be in (0, 1], got {sample_fraction}")
+    sample_fraction = _real(sample_fraction, "sample_fraction", 0, 1, "(]")
     k = min(n, max(1, int(round(sample_fraction * n))))
     idx = np.sort(rng.choice(n, size=k, replace=False))
     idx.setflags(write=False)
@@ -359,8 +356,7 @@ def reconcile(
     n = len(a)
     if n == 0:
         raise ValueError("cannot reconcile empty blocks")
-    if not 0 <= qber_estimate <= 1:
-        raise ValueError(f"error estimate must be a fraction, got {qber_estimate}")
+    qber_estimate = _real(qber_estimate, "qber_estimate", 0, 1)
     link = a.link
     server = link[0] if link else None
     client = link[1] if link else None
@@ -496,8 +492,7 @@ class FlipMask:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("mask length must be nonnegative")
+        object.__setattr__(self, "length", _integer(self.length, "length", 0))
         pos = np.asarray(self.positions, dtype=np.int64)
         if pos.size:
             if pos.min() < 0 or pos.max() >= self.length:
@@ -557,10 +552,19 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("server", "n_frames", "seed"):  # plain ints: the transcript prints them
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        clients = tuple(sorted({_integer(c, "client port") for c in self.clients}))
-        if len(clients) != len(self.clients):
+        # plain numbers, as the transcript prints them; numpy's SeedSequence takes no
+        # negative seed, and a zero threshold aborts on any estimate, useful for drills
+        for name, low in (("server", -math.inf), ("n_frames", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        for name, high, bounds in (("sample_fraction", 1, "()"),
+                                   ("qber_abort_threshold", 0.5, "[]")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, high, bounds))
+        try:
+            given = list(self.clients)
+        except TypeError:
+            raise ValueError(f"clients must be a sequence of ports, got {self.clients!r}") from None
+        clients = tuple(sorted({_integer(c, "client port") for c in given}))
+        if len(clients) != len(given):
             raise ValueError("client ports must be distinct")
         object.__setattr__(self, "clients", clients)
         if not clients:
@@ -573,17 +577,6 @@ class SessionConfig:
             raise ValueError("unicast serves one client or relays between two")
         if self.mode == "multicast" and len(clients) < 2:
             raise ValueError("multicast needs at least two clients")
-        if self.n_frames <= 0:
-            raise ValueError(f"n_frames must be positive, got {self.n_frames}")
-        if self.seed < 0:  # numpy's SeedSequence takes no negative seed
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.sample_fraction < 1:
-            raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction}")
-        # zero forces an abort on any estimate, which is useful for drills
-        if not 0 <= self.qber_abort_threshold <= 0.5:
-            raise ValueError(
-                f"qber_abort_threshold must be in [0, 0.5], got {self.qber_abort_threshold}"
-            )
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ stores the per-path insertion-loss figures of a physical unit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
+
+from ._numbers import _integer, _real
 
 __all__ = [
     "ChannelId",
@@ -54,9 +55,7 @@ class PortId:
     index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", _integer(self.index, "port index"))
-        if self.index < 0:
-            raise ValueError(f"port index must be nonnegative, got {self.index}")
+        object.__setattr__(self, "index", _integer(self.index, "port index", 0))
 
     @property
     def label(self) -> str:
@@ -71,11 +70,9 @@ class ChannelId:
     nm: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", _integer(self.index, "channel index"))
-        if self.index < 0:
-            raise ValueError(f"channel index must be nonnegative, got {self.index}")
-        if self.nm is not None and self.nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.nm} nm")
+        object.__setattr__(self, "index", _integer(self.index, "channel index", 0))
+        if self.nm is not None:
+            object.__setattr__(self, "nm", _real(self.nm, "nm", 0, bounds="()"))
 
     @property
     def label(self) -> str:
@@ -91,15 +88,6 @@ def port_label(index: int) -> str:
 
 def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a plain int; a bool or a non-integral number is refused."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 # The raw circle method for 4 ports emits round colors (0, 1, 2) on the pair
@@ -234,9 +222,7 @@ def wdm_requirements(n_ports: int) -> tuple[int, int]:
 
     Even N takes N (N-1)-channel WDMs; odd N takes N N-channel WDMs.
     """
-    n_ports = _integer(n_ports, "n_ports")
-    if n_ports < 2:
-        raise ValueError(f"a router needs at least 2 ports, got {n_ports}")
+    n_ports = _integer(n_ports, "n_ports", 2)
     return (n_ports, n_ports - 1 if n_ports % 2 == 0 else n_ports)
 
 
@@ -345,9 +331,9 @@ class RouterSpec:
                 f"insertion loss must cover exactly the {len(want)} ordered pairs; "
                 f"missing={sorted(want - have)} extra={sorted(have - want)}"
             )
-        for pair, db in self.insertion_loss_db.items():
-            if not db >= 0:
-                raise ValueError(f"insertion loss at {pair} must be >= 0 dB, got {db}")
+        losses = {pair: _real(db, f"insertion loss at {pair}", 0, unit="dB")
+                  for pair, db in self.insertion_loss_db.items()}
+        object.__setattr__(self, "insertion_loss_db", losses)
 
 
 def uniform_router_spec(
@@ -452,13 +438,11 @@ def import_loss_matrix(
             raise ValueError(f"loss matrix line {lineno}: expected 'in out dB', got {raw!r}")
         try:
             path = assignment._index(parts[0]), assignment._index(parts[1])
-            db = float(parts[2])
-        except ValueError as err:  # an unknown port label or a bad number
+            db = _real(float(parts[2]), "loss", 0, unit="dB")
+        except ValueError as err:  # an unknown port label, a bad number or a negative loss
             raise ValueError(f"loss matrix line {lineno}: {err}") from None
         if path[0] == path[1]:
             raise ValueError(f"loss matrix line {lineno}: diagonal entry {parts[0]}")
-        if not db >= 0:
-            raise ValueError(f"loss matrix line {lineno}: loss must be >= 0 dB, got {db}")
         if path in named:
             raise ValueError(f"loss matrix line {lineno}: path {parts[0]} {parts[1]} "
                              f"already given on line {named[path]}")

@@ -109,7 +109,7 @@ class TestRouterTable:
 
     def test_one_port_rejected(self, capsys):
         assert main(["router-table", "--ports", "1"]) == 2
-        assert capsys.readouterr().err == "error: a router needs at least 2 ports, got 1\n"
+        assert capsys.readouterr().err == "error: n_ports must be >= 2, got 1\n"
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         assert main(["router-table", "--ports", "4"]) == 0
@@ -234,8 +234,8 @@ class TestSimulate:
             ("sweep", "sweep: {start_db: .nan, stop_db: 10.0, step_db: 5.0}", "sweep.start_db"),
             ("sweep", "sweep: {start_db: 0.0, stop_db: .inf, step_db: 5.0}", "sweep.stop_db"),
             ("sweep", "sweep: {start_db: 0.0, stop_db: 10.0, step_db: .nan}", "sweep.step_db"),
-            ("simulate", "network: {guard_ns: 0}", "network: guard_ns must be positive, got 0"),
-            ("simulate", "network: {guard_ns: -5}", "network: guard_ns must be positive, got -5"),
+            ("simulate", "network: {guard_ns: 0}", "network: guard_ns must be >= 1, got 0"),
+            ("simulate", "network: {guard_ns: -5}", "network: guard_ns must be >= 1, got -5"),
             ("simulate", "network: {classical_delay_ns: 0}",
              "unknown key(s) in network: classical_delay_ns; allowed: detectors,"),
             ("simulate", "network: {eatt_db: {1: 0.0, 3: 0.0}}",
@@ -248,7 +248,7 @@ class TestSimulate:
             ("simulate", "network: {router: {loss_file: nope.txt}}",
              "network.router.loss_file not found: "),
             ("simulate", "network: {router: {ports: 1}}",
-             "network.router.ports: a router needs at least 2 ports, got 1"),
+             "network.router.ports: n_ports must be >= 2, got 1"),
             ("simulate", "network: {router: {ports: 5}}",
              "network.detectors is required unless the router has exactly 3 clients"),
             ("simulate", "session: {mode: 1}", "session.mode must be a string, got 1"),

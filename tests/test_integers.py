@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from wdmqkd.netsim import Network, assign_time_offsets, default_fourport_network
-from wdmqkd.protocol import SessionConfig
+from wdmqkd.photonics import ClickRecord, sample_clicks
+from wdmqkd.protocol import FlipMask, KeyBlock, SessionConfig
 from wdmqkd.router import ChannelId, PortId, build_assignment, route, wdm_requirements
 
 SPEC = default_fourport_network()
@@ -36,6 +37,14 @@ SITES = {
         "channel", 2, lambda v: next(iter(assign_time_offsets([v], 1000)))),
     "assign_time_offsets.guard_ns": (
         "guard_ns", 100, lambda v: assign_time_offsets([0, 1], 1000, v)[1]),
+    "assign_time_offsets.frame_period_ns": (
+        "frame_period_ns", 1000, lambda v: assign_time_offsets([0, 1], v, 500)[1]),
+    "sample_clicks": (
+        "n_frames", 1000,
+        lambda v: sample_clicks(v, 0.1, 0.0, 0.0, np.random.default_rng(0)).n_frames),
+    "ClickRecord": ("n_frames", 4, lambda v: ClickRecord(v, [1], [0], [1], [0], [1]).n_frames),
+    "FlipMask": ("length", 2, lambda v: FlipMask(v, [0, 1]).length),
+    "KeyBlock.truncate": ("length", 1, lambda v: len(KeyBlock([0, 1], [3, 5]).truncate(v))),
     "PortId": ("port index", 2, lambda v: PortId(v).index),
     "ChannelId": ("channel index", 2, lambda v: ChannelId(v).index),
     "port reference": ("port index", 2, lambda v: ASSIGNMENT.port(v).index),

@@ -453,7 +453,7 @@ class TestEstimateQber:
 
     def test_bad_sample_sizes(self):
         a, b = make_blocks([0, 1], [0, 1])
-        with pytest.raises(ValueError, match=re.escape("sample fraction must be in (0, 1], got 1.5")):
+        with pytest.raises(ValueError, match=re.escape("sample_fraction must be in (0, 1], got 1.5")):
             estimate_qber(a, b, 1.5, np.random.default_rng(0))
         empty = KeyBlock(np.array([], dtype=np.uint8), np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="cannot sample an empty block"):

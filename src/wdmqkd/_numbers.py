@@ -28,12 +28,15 @@ def _real(
 ) -> float:
     """``value`` as a plain float between ``low`` and ``high``, each end
     closed or open as ``bounds`` writes it ("[]", "[)", "(]" or "()").  A
-    bool, a non-number and NaN are refused; ``unit`` follows the bound in
-    the refusal of a value outside the interval."""
+    bool, a non-number, NaN and an int past the float range are refused;
+    ``unit`` follows the bound in the refusal of a value outside the interval."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name} must be a real number, got {value!r}") from None
     above_low = low < value if bounds[0] == "(" else low <= value
     if above_low and (value < high if bounds[1] == ")" else value <= high):
         return value

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -24,6 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 import yaml
 
+from ._numbers import _integer, _real
 from .netsim import (
     NetworkSpec,
     SweepRow,
@@ -59,8 +58,7 @@ EXIT_ABORT = 3
 
 _TOP_KEYS = frozenset({"network", "session", "sweep", "output"})
 _ROUTER_KEYS = frozenset({"ports", "uniform_loss_db", "loss_file"})
-_SWEEP_ORDER = ("start_db", "stop_db", "step_db")
-_SWEEP_KEYS = frozenset(_SWEEP_ORDER)
+_SWEEP_KEYS = frozenset({"start_db", "stop_db", "step_db"})
 _OUTPUT_KEYS = frozenset({"key_dir", "csv"})
 
 
@@ -100,30 +98,31 @@ def _check_keys(data: Mapping, allowed: frozenset, where: str) -> None:
         )
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+def _number(value: Any) -> Any:
+    """A config value as the number it reads as: text that reads as a number
+    (PyYAML reads ``1e6`` as text) becomes that number, an integral float an
+    int, and a list is taken element by element.  Anything else is returned
+    as given, for the rule that judges it to refuse."""
+    if isinstance(value, list):
+        return [_number(v) for v in value]
     if isinstance(value, str):
         try:
-            f = float(value)
+            value = float(value)
         except ValueError:
-            raise ConfigError(f"{where} must be an integer, got {value!r}") from None
-        if f.is_integer():
-            return int(f)
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
+            return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
-def _as_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+def _judge(rule, value: Any, key: str, *interval, **options) -> Any:
+    """The value of config key ``key`` through ``_number``, as ``rule``
+    (``_integer`` or ``_real``) returns it on ``interval``; a refusal is a
+    ConfigError that names ``key``."""
     try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+        return rule(_number(value), key, *interval, **options)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _as_str(value: Any, where: str) -> str:
@@ -138,53 +137,25 @@ def _by_port(data: Mapping, where: str) -> dict[int, Any]:
     """``data`` keyed by port index: two keys naming one port, as 1 and "1" do, are an error."""
     keys: dict[int, Any] = {}
     for key in data:
-        port = _as_int(key, f"{where} port key")
+        port = _judge(_integer, key, f"{where} port key")
         if port in keys:
             raise ConfigError(f"{where} names port {port} twice, as {keys[port]!r} and {key!r}")
         keys[port] = key
     return {port: data[key] for port, key in keys.items()}
 
 
-def _as_ports(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where} must be a list of port indices")
-    return tuple(_as_int(c, f"{where} entry") for c in value)
+def _fields(cls) -> frozenset:
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
-# parsers of the dataclass fields a config sets directly, by annotation
-_PARSERS = {
-    int: _as_int,
-    float: _as_float,
-    str: _as_str,
-    tuple[int, ...]: _as_ports,  # session clients
-}
-
-
-@functools.cache
-def _field_parsers(cls) -> dict[str, Any]:
-    """Each field of dataclass ``cls`` mapped to the parser that
-    ``_PARSERS`` holds for its annotation, or to None when the caller must
-    parse the field."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: _PARSERS.get(hints[f.name]) for f in dataclasses.fields(cls)}
-
-
-def _build(cls, section: Mapping, where: str, fixed: Sequence[str] = (), **given):
-    """Instantiate dataclass ``cls`` from a config section keyed by its field names.
-
-    The section may set every field except those named in ``fixed``.  A
-    field with a parser that is present in the section is parsed and
-    overrides ``given``; any other field comes from ``given`` as the
-    caller parsed it.  Fields in neither keep the dataclass default.
-    """
-    parsers = {k: p for k, p in _field_parsers(cls).items() if k not in fixed}
-    _check_keys(section, frozenset(parsers), where)
-    kwargs = dict(given)
-    for name, parse in parsers.items():
-        if parse is not None and name in section:
-            kwargs[name] = parse(section[name], f"{where}.{name}")
+def _build(cls, section: Mapping, where: str, **given):
+    """Instantiate dataclass ``cls`` from the fields ``given``, which the
+    caller built, and a config section that may set any other field.  Each
+    section value goes through ``_number`` to the field's own rule; fields
+    in neither keep the dataclass default."""
+    _check_keys(section, _fields(cls) - given.keys(), where)
     try:
-        return cls(**kwargs)
+        return cls(**given, **{name: _number(value) for name, value in section.items()})
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -199,16 +170,12 @@ def _build_router(node: Any, base_dir: Path):
         return fourport_router_spec()
     data = _require_mapping(node, "network.router")
     _check_keys(data, _ROUTER_KEYS, "network.router")
-    ports = _as_int(data.get("ports", 4), "network.router.ports")
     try:
-        assignment = build_assignment(ports)
-    except ValueError as err:  # fewer than 2 ports
+        assignment = build_assignment(_number(data.get("ports", 4)))
+    except ValueError as err:  # not an integer >= 2
         raise ConfigError(f"network.router.ports: {err}") from err
-    loss = _as_float(
-        data.get("uniform_loss_db", DEFAULT_UNIFORM_LOSS_DB), "network.router.uniform_loss_db"
-    )
-    if not loss >= 0:
-        raise ConfigError(f"network.router.uniform_loss_db must be >= 0 dB, got {loss}")
+    loss = _judge(_real, data.get("uniform_loss_db", DEFAULT_UNIFORM_LOSS_DB),
+                  "network.router.uniform_loss_db", 0, unit="dB")
     if "loss_file" in data:
         path = base_dir / _as_str(data["loss_file"], "network.router.loss_file")
         if not path.is_file():
@@ -237,43 +204,37 @@ def _build_detectors(node: Any, clients: Sequence[int]) -> dict[int, DetectorMod
     return out
 
 
-def _build_eatt(value: Any, clients: Sequence[int]) -> dict[int, float]:
+def _build_eatt(value: Any, clients: Sequence[int]) -> dict[int, Any]:
     if isinstance(value, Mapping):
-        return {
-            port: _as_float(v, f"network.eatt_db[{port}]")
-            for port, v in _by_port(value, "network.eatt_db").items()
-        }
-    db = _as_float(value, "network.eatt_db")
-    return {c: db for c in clients}
+        return {port: _number(v) for port, v in _by_port(value, "network.eatt_db").items()}
+    return dict.fromkeys(clients, _number(value))
 
 
 def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
     data = _section(node, "network")
-    _check_keys(data, frozenset(_field_parsers(NetworkSpec)), "network")
-    router = _build_router(data.get("router"), base_dir)
-    server = _as_int(data.get("server", 0), "network.server")
+    _check_keys(data, _fields(NetworkSpec), "network")
+    router = _build_router(data.pop("router", None), base_dir)
     n_ports = router.assignment.n_ports
-    if not 0 <= server < n_ports:  # before the detectors, which are built for the other ports
-        raise ConfigError(f"network.server must be a router port, 0..{n_ports - 1}, got {server}")
+    # before the detectors, which are built for the other ports
+    server = _judge(_integer, data.pop("server", 0), "network.server", 0, n_ports - 1)
     source = _build(
-        SourceModel, _section(data.get("source"), "network.source"), "network.source"
+        SourceModel, _section(data.pop("source", None), "network.source"), "network.source"
     )
     clients = tuple(p for p in range(n_ports) if p != server)
+    detectors = _build_detectors(data.pop("detectors", None), clients)
+    eatt_db = _build_eatt(data.pop("eatt_db", 0.0), clients)
     return _build(
         NetworkSpec, data, "network",
-        router=router,
-        server=server,
-        source=source,
-        detectors=_build_detectors(data.get("detectors"), clients),
-        eatt_db=_build_eatt(data.get("eatt_db", 0.0), clients),
+        router=router, server=server, source=source, detectors=detectors, eatt_db=eatt_db,
     )
 
 
 def _build_session(node: Any, spec: NetworkSpec) -> SessionConfig:
-    return _build(
-        SessionConfig, _section(node, "session"), "session", fixed=("server",),
-        server=spec.server, clients=spec.clients,
-    )
+    data = _section(node, "session")
+    clients = data.setdefault("clients", spec.clients)
+    if not isinstance(clients, (list, tuple)):  # SessionConfig would read {1: 0} as (1,)
+        raise ConfigError("session.clients must be a list of port indices")
+    return _build(SessionConfig, data, "session", server=spec.server)
 
 
 def _build_sweep(node: Any) -> tuple[float, float, float] | None:
@@ -284,17 +245,10 @@ def _build_sweep(node: Any) -> tuple[float, float, float] | None:
     missing = sorted(_SWEEP_KEYS - set(data))
     if missing:
         raise ConfigError(f"sweep section is missing {', '.join(missing)}")
-    start, stop, step = (_as_float(data[key], f"sweep.{key}") for key in _SWEEP_ORDER)
-    for key, value in zip(_SWEEP_ORDER, (start, stop, step)):
-        if not math.isfinite(value):
-            raise ConfigError(f"sweep.{key} must be finite, got {value}")
-    if step <= 0:
-        raise ConfigError(f"sweep.step_db must be positive, got {step}")
-    if start < 0 or stop < start:
-        raise ConfigError(
-            f"sweep range must satisfy 0 <= start <= stop, got {start}..{stop}"
-        )
-    if not math.isfinite((stop - start) / step):
+    start = _judge(_real, data["start_db"], "sweep.start_db", 0, bounds="[)", unit="dB")
+    step = _judge(_real, data["step_db"], "sweep.step_db", 0, bounds="()", unit="dB")
+    stop = _judge(_real, data["stop_db"], "sweep.stop_db", start, bounds="[)", unit="dB")
+    if not math.isfinite((stop - start) / step):  # each value is finite, the quotient may not be
         raise ConfigError(f"sweep: (stop_db - start_db) / step_db must be finite, "
                           f"got ({stop} - {start}) / {step}")
     return start, stop, step

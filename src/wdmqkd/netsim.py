@@ -410,8 +410,12 @@ class NetworkSpec:
 def default_client_detectors(clients: Sequence[int]) -> dict[int, DetectorModel]:
     """The shipped detectors: ``DEFAULT_CLIENT_DARK_RATES_HZ`` assigned to
     the client ports in port order, every other figure at its default."""
-    rates = zip(sorted(clients), DEFAULT_CLIENT_DARK_RATES_HZ, strict=True)
-    return {c: DetectorModel(dark_rate_hz=rate) for c, rate in rates}
+    clients = sorted(clients)
+    if len(clients) != len(DEFAULT_CLIENT_DARK_RATES_HZ):
+        raise ValueError(f"the shipped detectors fit {len(DEFAULT_CLIENT_DARK_RATES_HZ)} "
+                         f"clients, got {len(clients)}")
+    return {c: DetectorModel(dark_rate_hz=rate)
+            for c, rate in zip(clients, DEFAULT_CLIENT_DARK_RATES_HZ)}
 
 
 def default_fourport_network() -> NetworkSpec:

@@ -71,6 +71,35 @@ UNKNOWN_KEY_CASES = {
 }
 
 
+# config key -> (config text with {} for the value, the value written as
+# "<m>e<k>", what a loaded config holds there)
+SPELLED_KEYS = {
+    "session.n_frames": ("session: {{n_frames: {}}}", "1e6", lambda c: c.session.n_frames),
+    "session.seed": ("session: {{seed: {}}}", "7e0", lambda c: c.session.seed),
+    "network.guard_ns": ("network: {{guard_ns: {}}}", "1e2", lambda c: c.spec.guard_ns),
+    "network.router.ports": (
+        "network: {{router: {{ports: {}}}, detectors: {{1: {{}}, 2: {{}}, 3: {{}}, 4: {{}}}}}}",
+        "5e0", lambda c: c.spec.router.assignment.n_ports),
+    "network.source.rep_rate_hz": (
+        "network: {{source: {{rep_rate_hz: {}}}}}", "1e6", lambda c: c.spec.source.rep_rate_hz),
+    "network.source.mean_photon_number": (
+        "network: {{source: {{mean_photon_number: {}}}}}", "1e0",
+        lambda c: c.spec.source.mean_photon_number),
+    "network.eatt_db": ("network: {{eatt_db: {}}}", "2e1", lambda c: c.spec.eatt_db[2]),
+    "network.eatt_db port": (
+        "network: {{eatt_db: {{1: 0, 2: {}, 3: 0}}}}", "2e1", lambda c: c.spec.eatt_db[2]),
+    "network.router.uniform_loss_db": (
+        "network: {{router: {{ports: 4, uniform_loss_db: {}}}}}", "3e0",
+        lambda c: c.spec.router.insertion_loss_db[(0, 1)]),
+    "sweep.start_db": (
+        "sweep: {{start_db: {}, stop_db: 30, step_db: 5}}", "1e1", lambda c: c.sweep_db[0]),
+    "sweep.stop_db": (
+        "sweep: {{start_db: 0, stop_db: {}, step_db: 5}}", "2e1", lambda c: c.sweep_db[1]),
+    "sweep.step_db": (
+        "sweep: {{start_db: 0, stop_db: 30, step_db: {}}}", "5e0", lambda c: c.sweep_db[2]),
+}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "net.yaml"
@@ -251,7 +280,19 @@ class TestSimulate:
              "network.router.ports: n_ports must be >= 2, got 1"),
             ("simulate", "network: {router: {ports: 5}}",
              "network.detectors is required unless the router has exactly 3 clients"),
-            ("simulate", "session: {mode: 1}", "session.mode must be a string, got 1"),
+            ("simulate", "session: {mode: 1}", "session: unknown mode 1"),
+            ("simulate", "session: {n_frames: true}", "session: n_frames must be an integer"),
+            # SessionConfig takes any iterable: {1: 0} would be clients (1,)
+            ("simulate", "session: {clients: {1: 0}}", "session.clients must be a list"),
+            ("simulate", "session: {clients: '1,2'}", "session.clients must be a list"),
+            # an int past the float range
+            *(pytest.param("simulate", text.format(10**400), field, id=f"{field}-10**400")
+              for text, field in [
+                  ("network: {{eatt_db: {}}}", "network: eatt_db at port 1"),
+                  ("network: {{eatt_db: {{1: 0, 2: {}, 3: 0}}}}", "network: eatt_db at port 2"),
+                  ("network: {{detectors: {{1: {{}}, 2: {{}}, 3: {{dark_rate_hz: {}}}}}}}",
+                   "network.detectors.3: dark_rate_hz"),
+              ]),
         ],
     )
     def test_non_finite_value_named(self, tmp_path, capsys, command, text, field):
@@ -280,7 +321,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, f"network: {{server: {server}}}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            f"error: network.server must be a router port, 0..3, got {server}\n"
+            f"error: network.server must be in [0, 3], got {server}\n"
         )
 
     @pytest.mark.parametrize("command, output, flags, name", [
@@ -412,9 +453,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "section, message",
         [
-            ("{start_db: 5, stop_db: 0, step_db: 0}", "sweep.step_db must be positive, got 0.0"),
-            ("{start_db: 5, stop_db: 0, step_db: 1}",
-             "sweep range must satisfy 0 <= start <= stop, got 5.0..0.0"),
+            ("{start_db: 5, stop_db: 0, step_db: 0}",
+             "sweep.step_db must be in (0, inf) dB, got 0.0"),
+            ("{start_db: 5, stop_db: 0, step_db: 1}", "sweep.stop_db must be in [5, inf) dB, got 0.0"),
             # each value is finite, but the point count is not
             ("{start_db: 0.0, stop_db: 1.0e300, step_db: 1.0e-300}",
              "sweep: (stop_db - start_db) / step_db must be finite, got (1e+300 - 0.0) / 1e-300"),
@@ -598,14 +639,16 @@ session:
         cfg = load_config(write_config(tmp_path, "network: {router: fourport}\n"))
         assert cfg.spec.router.insertion_loss_db[(0, 1)] == 1.70
 
-    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), ("-1.0", "-1.0")])
+    @pytest.mark.parametrize("value, shown", [
+        (".nan", "a real number, got nan"), ("-1.0", ">= 0 dB, got -1.0")
+    ], ids=[".nan-nan", "-1.0--1.0"])
     def test_bad_uniform_loss_named_next_to_loss_file(self, tmp_path, value, shown):
         (tmp_path / "loss.txt").write_text("A B 9.0\n", encoding="utf-8")
         router = f"{{loss_file: loss.txt, uniform_loss_db: {value}}}"
         with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, f"network: {{router: {router}}}\n"))
         assert str(excinfo.value) == (
-            f"network.router.uniform_loss_db must be >= 0 dB, got {shown}"
+            f"network.router.uniform_loss_db must be {shown}"
         )
 
     @pytest.mark.parametrize("row, reason", [
@@ -649,6 +692,17 @@ session:
         (block,) = re.findall(r"^```yaml\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
         cfg = load_config(write_config(tmp_path, block))
         assert cfg.spec.clients == (1, 2, 3) and cfg.sweep_db == (0.0, 25.0, 5.0)
+
+    @pytest.mark.parametrize("key", list(SPELLED_KEYS))
+    def test_number_spellings_load_alike(self, tmp_path, key):
+        """PyYAML reads ``1e6`` as text; it, the quoted text, the float and
+        the int each load to one value of one type."""
+        text, exponent, loaded = SPELLED_KEYS[key]
+        n = int(float(exponent))
+        got = [loaded(load_config(write_config(tmp_path, text.format(spelling))))
+               for spelling in (exponent, f'"{exponent}"', repr(float(n)), str(n))]
+        assert got[0] == n
+        assert [(value, type(value)) for value in got] == [(got[0], type(got[0]))] * 4
 
     def test_scalar_eatt_broadcasts(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "network: {eatt_db: 4.5}\n"))

@@ -22,6 +22,7 @@ from wdmqkd.netsim import (
     NetworkSpec,
     SWEEP_CSV_HEADER,
     assign_time_offsets,
+    default_client_detectors,
     default_fourport_network,
     run_network,
     sweep_attenuation,
@@ -541,6 +542,12 @@ class TestNetworkSpec:
     def test_uniform_eatt_replacement(self):
         spec = default_fourport_network().with_uniform_eatt(7.5)
         assert spec.eatt_db == {1: 7.5, 2: 7.5, 3: 7.5}
+
+    @pytest.mark.parametrize("clients", [(1, 2), (1, 2, 3, 4)])
+    def test_default_detectors_refuse_another_client_count(self, clients):
+        message = f"the shipped detectors fit 3 clients, got {len(clients)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_client_detectors(clients)
 
 
 class TestNetwork:

@@ -1,7 +1,8 @@
 """The one real-number rule: every physical figure refuses a bool, a
-non-number, NaN and a value outside its interval, and keeps an int or a
-numpy float as the plain float it equals.  Ranges of integer arguments are
-checked by the integer rule too (see ``test_integers.py`` for its types)."""
+non-number, NaN, an int past the float range and a value outside its
+interval, and keeps an int or a numpy float as the plain float it equals.
+Ranges of integer arguments are checked by the integer rule too (see
+``test_integers.py`` for its types)."""
 
 import math
 import re
@@ -103,7 +104,7 @@ SITES = {
 @pytest.mark.parametrize("site, value", [
     (site, value) for site in SITES for value in (True, "x", None, math.nan)
     if (site, value) != ("ChannelId.nm", None)  # None tags no wavelength
-])
+] + [pytest.param(site, 10**400, id=f"{site}-10**400") for site in SITES])  # past float range
 def test_non_real_refused(site, value):
     name, _, _, keep = SITES[site]
     message = f"{name} must be a real number, got {value!r}"

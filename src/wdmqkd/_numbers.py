@@ -1,6 +1,7 @@
 """The two number rules of the library: ``_integer`` for every port, count
 and seed, ``_real`` for every physical figure.  Each returns the plain
-Python value, so a numpy number prints and digests as its plain twin."""
+Python value, so a numpy number prints and digests as its plain twin, and
+shows a refused value through ``_shown``."""
 
 from __future__ import annotations
 
@@ -9,18 +10,33 @@ import numbers
 
 __all__: list[str] = []
 
+# 640 digits is the lowest limit Python lets a program set on int-to-text conversion
+_LONG = 10**640
+
+
+def _shown(value) -> str:
+    """``repr(value)``, but an int of more than 640 digits as its first three and last
+    digits and its length, ``-111…1 (5000 digits)``, so no refusal converts it to text."""
+    if not isinstance(value, int) or -_LONG < value < _LONG:
+        return repr(value)
+    n = abs(value)
+    digits = int(math.log10(n)) + 1  # the float logarithm may miss by one at a power of ten
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    sign = "-" if value < 0 else ""
+    return f"{sign}{n // 10 ** (digits - 3)}…{n % 10} ({digits} digits)"
+
 
 def _integer(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
     """``value`` as a plain int in [low, high]; a bool or a non-integral number is refused."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, got {_shown(value)}")
         value = int(value)
     if low <= value <= high:
         return value
     if high == math.inf:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+        raise ValueError(f"{name} must be >= {low}, got {_shown(value)}")
+    raise ValueError(f"{name} must be in [{low}, {high}], got {_shown(value)}")
 
 
 def _real(
@@ -32,11 +48,11 @@ def _real(
     ``unit`` follows the bound in the refusal of a value outside the interval."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+            raise ValueError(f"{name} must be a real number, got {_shown(value)}")
         try:
             value = float(value)
         except OverflowError:  # an int past the float range
-            raise ValueError(f"{name} must be a real number, got {value!r}") from None
+            raise ValueError(f"{name} must be a real number, got {_shown(value)}") from None
     above_low = low < value if bounds[0] == "(" else low <= value
     if above_low and (value < high if bounds[1] == ")" else value <= high):
         return value

@@ -272,7 +272,7 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with p.open(encoding="utf-8") as f:  # a file, so error marks name it
             raw = yaml.load(f, Loader=_YamlLoader)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"cannot parse {p}: {err}") from err
     data = _require_mapping(raw if raw is not None else {}, "config")
     _check_keys(data, _TOP_KEYS, "config")

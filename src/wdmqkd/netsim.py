@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._numbers import _integer, _real
+from ._numbers import _integer, _real, _shown
 from .photonics import (
     DEFAULT_CLIENT_DARK_RATES_HZ,
     ClickRecord,
@@ -366,24 +366,29 @@ class NetworkSpec:
                 f"frame period of {period} ns"
             )
 
-        if set(self.detectors) != set(clients):
+        detectors = {_integer(p, "detectors port"): d for p, d in self.detectors.items()}
+        if set(detectors) != set(clients):
             raise ValueError(
                 f"detectors must cover exactly the client ports {clients}, "
-                f"got {sorted(self.detectors)}"
+                f"got {sorted(detectors)}"
             )
-        for p, det in self.detectors.items():
+        for p, det in detectors.items():
+            if not isinstance(det, DetectorModel):
+                raise ValueError(
+                    f"detectors at port {p} must be a DetectorModel, got {_shown(det)}"
+                )
             if det.dark_rate_hz >= self.source.rep_rate_hz:
                 raise ValueError(
                     f"dark rate {det.dark_rate_hz} Hz of the detector at port {p} must "
                     f"stay below the source's {self.source.rep_rate_hz} Hz gating rate"
                 )
-        if set(self.eatt_db) != set(clients):
+        object.__setattr__(self, "detectors", detectors)
+        eatt = {_integer(p, "eatt_db port"): db for p, db in self.eatt_db.items()}
+        if set(eatt) != set(clients):
             raise ValueError(
-                f"eatt_db must cover exactly the client ports {clients}, "
-                f"got {sorted(self.eatt_db)}"
+                f"eatt_db must cover exactly the client ports {clients}, got {sorted(eatt)}"
             )
-        eatt = {p: _real(db, f"eatt_db at port {p}", 0, unit="dB")
-                for p, db in self.eatt_db.items()}
+        eatt = {p: _real(db, f"eatt_db at port {p}", 0, unit="dB") for p, db in eatt.items()}
         object.__setattr__(self, "eatt_db", eatt)
         self.offsets_ns  # the channels must fit in the frame
 

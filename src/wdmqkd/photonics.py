@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numbers import _integer, _real
+from ._numbers import _integer, _real, _shown
 
 __all__ = [
     "DetectorModel",
@@ -166,23 +166,43 @@ class ClickRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_frames", _integer(self.n_frames, "n_frames", 1))
-        frames = np.array(self.frames, dtype=np.int64)
-        if frames.ndim != 1 or (
-            frames.size
-            and (frames[0] < 0 or frames[-1] >= self.n_frames or np.any(np.diff(frames) <= 0))
-        ):
-            raise ValueError(f"frames must be distinct, sorted and in [0, {self.n_frames})")
-        frames.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", _indices(self.frames, "frames", self.n_frames))
         for name in ("tx_bases", "tx_bits", "rx_bases", "rx_bits"):
-            arr = np.array(getattr(self, name), dtype=np.uint8)
-            if arr.shape != frames.shape or (arr.size and arr.max() > 1):
-                raise ValueError(f"{name} must hold one bit per clicked frame")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _bits(getattr(self, name), name, len(self)))
 
     def __len__(self) -> int:
         return self.frames.size
+
+
+def _array(values, name: str, rule: str, kinds: str, admits, dtype) -> np.ndarray:
+    """``values`` as a read-only one-dimensional ``dtype`` copy, when it is empty or its
+    dtype's kind is one of ``kinds``, and ``admits`` takes it.  Anything else is refused
+    as not ``rule``, naming the dtype and shape it got but never a value."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):  # numpy reads no array in it: ragged, say
+        raise ValueError(f"{name} must be {rule}, got a {type(values).__name__}") from None
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds) or not admits(arr):
+        raise ValueError(f"{name} must be {rule}, got a {arr.dtype} array of shape {arr.shape}")
+    arr = arr.astype(dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _bits(values, name: str, size: int | None = None) -> np.ndarray:
+    """The array rule for bits: ``values`` as a read-only uint8 copy, if it is empty or of
+    an integer or bool dtype, holds only 0 and 1, and holds ``size`` of them when given."""
+    rule = "an array of 0s and 1s" + ("" if size is None else f" of length {size}")
+    return _array(values, name, rule, "biu", lambda a: (size is None or a.size == size)
+                  and not (a.size and (a.min() < 0 or a.max() > 1)), np.uint8)
+
+
+def _indices(values, name: str, high) -> np.ndarray:
+    """The array rule for index sets: ``values`` as a read-only int64 copy, if it is empty
+    or of an integer dtype, strictly increasing, and in [0, ``high``) and the int64 range."""
+    rule = f"strictly increasing integers in [0, {_shown(high)})"
+    return _array(values, name, rule, "iu", lambda a: not a.size or (
+        a[0] >= 0 and int(a[-1]) < min(high, 2**63) and bool((a[1:] > a[:-1]).all())), np.int64)
 
 
 def _trusted(cls, *values):

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from ._numbers import _integer, _real
-from .photonics import ClickRecord, _trusted
+from .photonics import ClickRecord, _bits, _indices, _trusted
 from .router import ChannelId, port_label
 
 __all__ = [
@@ -85,12 +85,6 @@ class SessionAbortError(SessionError):
     status = "abort"
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Key blocks and sifting
 
@@ -106,18 +100,9 @@ class KeyBlock:
     link: tuple[int, int] | None = None  # (server port, client port)
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        frames = np.asarray(self.frames, dtype=np.int64)
-        if bits.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bits must contain only bits")
-        if bits.shape != frames.shape:
-            raise ValueError("bits and frames must have equal length")
-        if frames.size and (frames.min() < 0 or np.any(np.diff(frames) <= 0)):
-            raise ValueError("frames must be nonnegative and strictly increasing")
-        object.__setattr__(self, "bits", _frozen(bits))
-        object.__setattr__(self, "frames", _frozen(frames))
+        frames = _indices(self.frames, "frames", math.inf)
+        object.__setattr__(self, "bits", _bits(self.bits, "bits", frames.size))
+        object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
         return self.bits.size
@@ -126,9 +111,7 @@ class KeyBlock:
         return self.frames is other.frames or bool(np.array_equal(self.frames, other.frames))
 
     def take(self, idx: np.ndarray) -> "KeyBlock":
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.ndim != 1 or (idx.size and (idx[0] < 0 or np.any(np.diff(idx) <= 0))):
-            raise ValueError("indices must be nonnegative and strictly increasing")
+        idx = _indices(idx, "indices", len(self))
         return _trusted(KeyBlock, self.bits[idx], self.frames[idx], self.link)
 
     def truncate(self, length: int) -> "KeyBlock":
@@ -493,13 +476,7 @@ class FlipMask:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "length", _integer(self.length, "length", 0))
-        pos = np.asarray(self.positions, dtype=np.int64)
-        if pos.size:
-            if pos.min() < 0 or pos.max() >= self.length:
-                raise ValueError("mask positions must lie inside the block")
-            if np.any(np.diff(pos) <= 0):
-                raise ValueError("mask positions must be strictly increasing")
-        object.__setattr__(self, "positions", _frozen(pos))
+        object.__setattr__(self, "positions", _indices(self.positions, "positions", self.length))
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -631,7 +608,7 @@ class SessionResult:
     transcript: Transcript
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "final_key", _frozen(np.asarray(self.final_key, dtype=np.uint8)))
+        object.__setattr__(self, "final_key", _bits(self.final_key, "final_key"))
 
     @property
     def key_length(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from ._numbers import _integer, _real
+from ._numbers import _integer, _real, _shown
 
 __all__ = [
     "ChannelId",
@@ -90,6 +90,13 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _ports(key, name: str) -> tuple[int, int]:
+    """A key of the port-pair mapping ``name`` as a pair of plain ints."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise ValueError(f"{name} keys must be port pairs, got {_shown(key)}")
+    return _integer(key[0], f"{name} port"), _integer(key[1], f"{name} port")
+
+
 # The raw circle method for 4 ports emits round colors (0, 1, 2) on the pair
 # classes ({A,D},{B,C}), ({A,C},{B,D}), ({A,B},{C,D}).  The shipped 4-port
 # hardware fixture wires those classes to channels 1, 3, 2, so this relabeling
@@ -116,9 +123,11 @@ class WavelengthAssignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_ports", wdm_requirements(self.n_ports)[0])  # a plain int >= 2
-        for (i, j) in self.channel_of:
+        channel_of = {_ports(key, "channel_of"): ch for key, ch in self.channel_of.items()}
+        for (i, j) in channel_of:
             if not (0 <= i < j < self.n_ports):
                 raise ValueError(f"invalid pair key ({i}, {j})")
+        object.__setattr__(self, "channel_of", channel_of)
 
     @cached_property
     def channels(self) -> tuple[ChannelId, ...]:
@@ -324,15 +333,17 @@ class RouterSpec:
 
     def __post_init__(self) -> None:
         n = self.assignment.n_ports
+        losses = {_ports(pair, "insertion_loss_db"): db
+                  for pair, db in self.insertion_loss_db.items()}
         want = {(i, j) for i in range(n) for j in range(n) if i != j}
-        have = set(self.insertion_loss_db)
+        have = set(losses)
         if have != want:
             raise ValueError(
                 f"insertion loss must cover exactly the {len(want)} ordered pairs; "
                 f"missing={sorted(want - have)} extra={sorted(have - want)}"
             )
         losses = {pair: _real(db, f"insertion loss at {pair}", 0, unit="dB")
-                  for pair, db in self.insertion_loss_db.items()}
+                  for pair, db in losses.items()}
         object.__setattr__(self, "insertion_loss_db", losses)
 
 

@@ -231,6 +231,12 @@ class TestSimulate:
         assert err.startswith(f"error: cannot parse {cfg}: ")
         assert f'in "{cfg}", line 1, column 10' in err  # the mark names the file
 
+    def test_integer_past_the_digit_limit_cannot_be_parsed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"session: {{n_frames: -{'1' * 5000}}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot parse {cfg}: ")
+        assert not (tmp_path / "k").exists()
+
     def test_bad_physics_value(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "network: {source: {mean_photon_number: -0.5}}\n"

@@ -2,6 +2,7 @@
 or a non-integral number with one message, and keeps a numpy integer as a
 plain int."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,20 @@ import pytest
 from wdmqkd.netsim import Network, assign_time_offsets, default_fourport_network
 from wdmqkd.photonics import ClickRecord, sample_clicks
 from wdmqkd.protocol import FlipMask, KeyBlock, SessionConfig
-from wdmqkd.router import ChannelId, PortId, build_assignment, route, wdm_requirements
+from wdmqkd.router import (
+    ChannelId,
+    PortId,
+    RouterSpec,
+    WavelengthAssignment,
+    build_assignment,
+    route,
+    wdm_requirements,
+)
 
 SPEC = default_fourport_network()
 ASSIGNMENT = build_assignment(4)
+DETECTOR = SPEC.detectors[1]
+LOSSES = SPEC.router.insertion_loss_db
 
 # site -> (the name its message gives, a valid value, value -> the int the site keeps)
 SITES = {
@@ -51,6 +62,21 @@ SITES = {
     "route.channel": ("channel", 0, lambda v: route(ASSIGNMENT, "A", v).index),
     "wdm_requirements": ("n_ports", 4, lambda v: wdm_requirements(v)[0]),
     "build_assignment": ("n_ports", 4, lambda v: build_assignment(v).n_ports),
+    # the keys of port-keyed mappings; the site's key comes first, so a float equal to an
+    # int port is not replaced by that port's key
+    "NetworkSpec.detectors": (
+        "detectors port", 1,
+        lambda v: next(iter(replace(SPEC, detectors={v: DETECTOR, 2: DETECTOR, 3: DETECTOR})
+                            .detectors))),
+    "NetworkSpec.eatt_db": (
+        "eatt_db port", 1,
+        lambda v: next(iter(replace(SPEC, eatt_db={v: 0.0, 2: 0.0, 3: 0.0}).eatt_db))),
+    "RouterSpec.insertion_loss_db": (
+        "insertion_loss_db port", 0,
+        lambda v: next(iter(RouterSpec(ASSIGNMENT, {(v, 1): 1.0} | LOSSES).insertion_loss_db))[0]),
+    "WavelengthAssignment.channel_of": (
+        "channel_of port", 0,
+        lambda v: next(iter(WavelengthAssignment(2, {(v, 1): ChannelId(0)}).channel_of))[0]),
 }
 
 
@@ -68,3 +94,16 @@ def test_numpy_integer_kept_as_plain_int(site):
     kept = keep(np.int64(valid))
     assert kept == keep(valid)
     assert type(kept) is int
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WavelengthAssignment(4, {0: ChannelId(0)}),
+     "channel_of keys must be port pairs, got 0"),
+    (lambda: RouterSpec(ASSIGNMENT, {(0, 1, 2): 1.0} | LOSSES),
+     "insertion_loss_db keys must be port pairs, got (0, 1, 2)"),
+    (lambda: replace(SPEC, detectors={1: "x", 2: DETECTOR, 3: DETECTOR}),
+     "detectors at port 1 must be a DetectorModel, got 'x'"),
+], ids=["channel_of", "insertion_loss_db", "detectors"])
+def test_port_keyed_mapping_refuses_a_bad_entry(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

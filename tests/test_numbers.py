@@ -173,6 +173,17 @@ def test_integer_outside_range_refused(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: replace(SWEEP_CFG, n_frames=-(10**5000 - 1) // 9),
+     "n_frames must be >= 1, got -111…1 (5000 digits)"),
+    (lambda: SourceModel(mean_photon_number=10**5000),
+     "mean_photon_number must be a real number, got 100…0 (5001 digits)"),
+], ids=["integer", "real"])
+def test_integer_past_the_digit_limit_shown_abbreviated(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_clients_not_a_sequence_refused():
     with pytest.raises(ValueError, match="^clients must be a sequence of ports, got 5$"):
         SessionConfig(server=0, clients=5)

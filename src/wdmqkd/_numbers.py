@@ -1,12 +1,13 @@
-"""The two number rules of the library: ``_integer`` for every port, count
-and seed, ``_real`` for every physical figure.  Each returns the plain
-Python value, so a numpy number prints and digests as its plain twin, and
-shows a refused value through ``_shown``."""
+"""The argument rules of the library: ``_integer`` for every port, count and seed,
+``_real`` for every physical figure, ``_instance`` for every record field, ``_keyed``
+for every port-keyed mapping.  Each returns the plain Python value, so a numpy number
+prints and digests as its plain twin, and shows a refused value through ``_shown``."""
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 
 __all__: list[str] = []
 
@@ -16,7 +17,16 @@ _LONG = 10**640
 
 def _shown(value) -> str:
     """``repr(value)``, but an int of more than 640 digits as its first three and last
-    digits and its length, ``-111…1 (5000 digits)``, so no refusal converts it to text."""
+    digits and its length, ``-111…1 (5000 digits)``, a fraction with such a numerator
+    or denominator as ``Fraction(100…0 (5001 digits), 3)`` and a tuple element by
+    element, so no refusal converts a long integer to text."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    if isinstance(value, numbers.Rational) and not isinstance(value, numbers.Integral):
+        n, d = value.numerator, value.denominator
+        if -_LONG < n < _LONG and d < _LONG:
+            return repr(value)
+        return f"{type(value).__name__}({_shown(n)}, {_shown(d)})"
     if not isinstance(value, int) or -_LONG < value < _LONG:
         return repr(value)
     n = abs(value)
@@ -64,3 +74,35 @@ def _real(
     raise ValueError(
         f"{name} must be in {bounds[0]}{low:g}, {high:g}{bounds[1]}{unit}, got {value!r}"
     )
+
+
+def _instance(value, name: str, cls: type):
+    """``value``, which must be an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {_shown(value)}")
+    return value
+
+
+def _at(key) -> str:
+    return f"port {key}" if isinstance(key, int) else str(key)
+
+
+def _keyed(given, name: str, key, value, want=None) -> dict:
+    """The mapping ``given`` as a dict of ``key(k)``, a port (or port pair) rule with the
+    router's range, to ``value(v, key(k))`` or, if ``value`` is a class, to ``v``, an
+    instance of it.  Two keys read as one, or keys other than ``want``, are refused."""
+    if not isinstance(given, Mapping):
+        raise ValueError(f"{name} must be a mapping, got {type(given).__name__}")
+    keys: dict = {}  # each key as read -> the key given
+    for k in given:
+        read = key(k)
+        if read in keys:
+            raise ValueError(f"{name} names {_at(read)} twice, "
+                             f"as {_shown(keys[read])} and {_shown(k)}")
+        keys[read] = k
+    if want is not None and keys.keys() != set(want):
+        odd = min(keys.keys() ^ set(want))
+        raise ValueError(f"{name} {'has' if odd in want else 'takes'} no entry at {_at(odd)}")
+    if isinstance(value, type):
+        cls, value = value, lambda v, k: _instance(v, f"{name} at {_at(k)}", cls)
+    return {read: value(given[k], read) for read, k in keys.items()}

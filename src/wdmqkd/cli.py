@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 import yaml
 
-from ._numbers import _integer, _real
+from ._numbers import _integer, _keyed, _real
 from .netsim import (
     NetworkSpec,
     SweepRow,
@@ -117,8 +117,8 @@ def _number(value: Any) -> Any:
 
 def _judge(rule, value: Any, key: str, *interval, **options) -> Any:
     """The value of config key ``key`` through ``_number``, as ``rule``
-    (``_integer`` or ``_real``) returns it on ``interval``; a refusal is a
-    ConfigError that names ``key``."""
+    (``_integer``, ``_real`` or ``_keyed``) returns it given the rest; a
+    refusal is a ConfigError that names ``key``."""
     try:
         return rule(_number(value), key, *interval, **options)
     except ValueError as err:
@@ -133,15 +133,11 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
-def _by_port(data: Mapping, where: str) -> dict[int, Any]:
-    """``data`` keyed by port index: two keys naming one port, as 1 and "1" do, are an error."""
-    keys: dict[int, Any] = {}
-    for key in data:
-        port = _judge(_integer, key, f"{where} port key")
-        if port in keys:
-            raise ConfigError(f"{where} names port {port} twice, as {keys[port]!r} and {key!r}")
-        keys[port] = key
-    return {port: data[key] for port, key in keys.items()}
+def _by_port(data: Any, where: str, n_ports: int, value) -> dict[int, Any]:
+    """The port-keyed section ``where`` through ``_keyed``: a key is the port its text reads
+    as, so 1 and "1" name one port, and a value what ``value(v, port)`` builds of it."""
+    return _judge(_keyed, data, where,
+                  lambda key: _integer(_number(key), f"{where} port", 0, n_ports - 1), value)
 
 
 def _fields(cls) -> frozenset:
@@ -153,6 +149,7 @@ def _build(cls, section: Mapping, where: str, **given):
     caller built, and a config section that may set any other field.  Each
     section value goes through ``_number`` to the field's own rule; fields
     in neither keep the dataclass default."""
+    section = _require_mapping(section, where)
     _check_keys(section, _fields(cls) - given.keys(), where)
     try:
         return cls(**given, **{name: _number(value) for name, value in section.items()})
@@ -170,10 +167,7 @@ def _build_router(node: Any, base_dir: Path):
         return fourport_router_spec()
     data = _require_mapping(node, "network.router")
     _check_keys(data, _ROUTER_KEYS, "network.router")
-    try:
-        assignment = build_assignment(_number(data.get("ports", 4)))
-    except ValueError as err:  # not an integer >= 2
-        raise ConfigError(f"network.router.ports: {err}") from err
+    assignment = build_assignment(_judge(_integer, data.get("ports", 4), "network.router.ports", 2))
     loss = _judge(_real, data.get("uniform_loss_db", DEFAULT_UNIFORM_LOSS_DB),
                   "network.router.uniform_loss_db", 0, unit="dB")
     if "loss_file" in data:
@@ -188,7 +182,7 @@ def _build_router(node: Any, base_dir: Path):
     return uniform_router_spec(assignment, loss_db=loss)
 
 
-def _build_detectors(node: Any, clients: Sequence[int]) -> dict[int, DetectorModel]:
+def _build_detectors(node: Any, n_ports: int, clients: Sequence[int]) -> dict[int, DetectorModel]:
     if node is None:
         if len(clients) != len(DEFAULT_CLIENT_DARK_RATES_HZ):
             raise ConfigError(
@@ -196,18 +190,8 @@ def _build_detectors(node: Any, clients: Sequence[int]) -> dict[int, DetectorMod
                 f"{len(DEFAULT_CLIENT_DARK_RATES_HZ)} clients"
             )
         return default_client_detectors(clients)
-    data = _by_port(_require_mapping(node, "network.detectors"), "network.detectors")
-    out = {}
-    for port, value in data.items():
-        where = f"network.detectors.{port}"
-        out[port] = _build(DetectorModel, _require_mapping(value, where), where)
-    return out
-
-
-def _build_eatt(value: Any, clients: Sequence[int]) -> dict[int, Any]:
-    if isinstance(value, Mapping):
-        return {port: _number(v) for port, v in _by_port(value, "network.eatt_db").items()}
-    return dict.fromkeys(clients, _number(value))
+    return _by_port(node, "network.detectors", n_ports,
+                    lambda value, port: _build(DetectorModel, value, f"network.detectors.{port}"))
 
 
 def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
@@ -221,8 +205,10 @@ def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
         SourceModel, _section(data.pop("source", None), "network.source"), "network.source"
     )
     clients = tuple(p for p in range(n_ports) if p != server)
-    detectors = _build_detectors(data.pop("detectors", None), clients)
-    eatt_db = _build_eatt(data.pop("eatt_db", 0.0), clients)
+    detectors = _build_detectors(data.pop("detectors", None), n_ports, clients)
+    eatt = data.pop("eatt_db", 0.0)  # a number for every client, or a mapping
+    eatt_db = (_by_port(eatt, "network.eatt_db", n_ports, lambda db, port: _number(db))
+               if isinstance(eatt, Mapping) else dict.fromkeys(clients, _number(eatt)))
     return _build(
         NetworkSpec, data, "network",
         router=router, server=server, source=source, detectors=detectors, eatt_db=eatt_db,
@@ -231,9 +217,7 @@ def _build_network(node: Any, base_dir: Path) -> NetworkSpec:
 
 def _build_session(node: Any, spec: NetworkSpec) -> SessionConfig:
     data = _section(node, "session")
-    clients = data.setdefault("clients", spec.clients)
-    if not isinstance(clients, (list, tuple)):  # SessionConfig would read {1: 0} as (1,)
-        raise ConfigError("session.clients must be a list of port indices")
+    data.setdefault("clients", spec.clients)
     return _build(SessionConfig, data, "session", server=spec.server)
 
 

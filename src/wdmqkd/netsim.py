@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._numbers import _integer, _real, _shown
+from ._numbers import _instance, _integer, _keyed, _real
 from .photonics import (
     DEFAULT_CLIENT_DARK_RATES_HZ,
     ClickRecord,
@@ -354,41 +354,29 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         # plain ints: guard_ns sets the logged offsets
-        n_ports = self.router.assignment.n_ports
-        object.__setattr__(self, "server", _integer(self.server, "server", 0, n_ports - 1))
+        last = _instance(self.router, "router", RouterSpec).assignment.n_ports - 1
+        object.__setattr__(self, "server", _integer(self.server, "server", 0, last))
         object.__setattr__(self, "guard_ns", _integer(self.guard_ns, "guard_ns", 1))
         clients = self.clients
 
-        period = 1e9 / self.source.rep_rate_hz
+        period = 1e9 / _instance(self.source, "source", SourceModel).rep_rate_hz
         if abs(period - round(period)) > 1e-9:
             raise ValueError(
                 f"rep rate {self.source.rep_rate_hz} Hz gives a non-integer "
                 f"frame period of {period} ns"
             )
 
-        detectors = {_integer(p, "detectors port"): d for p, d in self.detectors.items()}
-        if set(detectors) != set(clients):
-            raise ValueError(
-                f"detectors must cover exactly the client ports {clients}, "
-                f"got {sorted(detectors)}"
-            )
+        detectors = _keyed(self.detectors, "detectors",
+                           lambda p: _integer(p, "detectors port", 0, last), DetectorModel, clients)
         for p, det in detectors.items():
-            if not isinstance(det, DetectorModel):
-                raise ValueError(
-                    f"detectors at port {p} must be a DetectorModel, got {_shown(det)}"
-                )
             if det.dark_rate_hz >= self.source.rep_rate_hz:
                 raise ValueError(
                     f"dark rate {det.dark_rate_hz} Hz of the detector at port {p} must "
                     f"stay below the source's {self.source.rep_rate_hz} Hz gating rate"
                 )
         object.__setattr__(self, "detectors", detectors)
-        eatt = {_integer(p, "eatt_db port"): db for p, db in self.eatt_db.items()}
-        if set(eatt) != set(clients):
-            raise ValueError(
-                f"eatt_db must cover exactly the client ports {clients}, got {sorted(eatt)}"
-            )
-        eatt = {p: _real(db, f"eatt_db at port {p}", 0, unit="dB") for p, db in eatt.items()}
+        eatt = _keyed(self.eatt_db, "eatt_db", lambda p: _integer(p, "eatt_db port", 0, last),
+                      lambda db, p: _real(db, f"eatt_db at port {p}", 0, unit="dB"), clients)
         object.__setattr__(self, "eatt_db", eatt)
         self.offsets_ns  # the channels must fit in the frame
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._numbers import _integer, _real
+from ._numbers import _integer, _real, _shown
 from .photonics import ClickRecord, _bits, _indices, _trusted
 from .router import ChannelId, port_label
 
@@ -536,10 +536,10 @@ class SessionConfig:
         for name, high, bounds in (("sample_fraction", 1, "()"),
                                    ("qber_abort_threshold", 0.5, "[]")):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0, high, bounds))
-        try:
-            given = list(self.clients)
-        except TypeError:
-            raise ValueError(f"clients must be a sequence of ports, got {self.clients!r}") from None
+        # a mapping or a string iterates, but names no sequence of ports
+        if isinstance(self.clients, (Mapping, str)) or not isinstance(self.clients, Iterable):
+            raise ValueError(f"clients must be a sequence of ports, got {_shown(self.clients)}")
+        given = list(self.clients)
         clients = tuple(sorted({_integer(c, "client port") for c in given}))
         if len(clients) != len(given):
             raise ValueError("client ports must be distinct")

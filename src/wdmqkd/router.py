@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from ._numbers import _integer, _real, _shown
+from ._numbers import _instance, _integer, _keyed, _real, _shown
 
 __all__ = [
     "ChannelId",
@@ -90,11 +90,13 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _ports(key, name: str) -> tuple[int, int]:
-    """A key of the port-pair mapping ``name`` as a pair of plain ints."""
+def _port_pair(key, name: str, n_ports: int, ordered: bool = False) -> tuple[int, int]:
+    """A key of the port-pair mapping ``name``: two ports of an ``n_ports``-port
+    router as plain ints, the second above the first if ``ordered``."""
     if not (isinstance(key, tuple) and len(key) == 2):
         raise ValueError(f"{name} keys must be port pairs, got {_shown(key)}")
-    return _integer(key[0], f"{name} port"), _integer(key[1], f"{name} port")
+    i = _integer(key[0], f"{name} port", 0, n_ports - 1)
+    return i, _integer(key[1], f"{name} port", i + 1 if ordered else 0, n_ports - 1)
 
 
 # The raw circle method for 4 ports emits round colors (0, 1, 2) on the pair
@@ -113,9 +115,9 @@ class WavelengthAssignment:
 
     ``channel_of`` is keyed by sorted index pairs (i, j) with i < j; the
     accessors take care of argument symmetry.  Construction validates only
-    shape (totality over pairs, valid indices); the design properties are
-    checked separately by :func:`verify_assignment` so that deliberately
-    broken assignments can be built and inspected.
+    shape (valid pair keys, ChannelId values); totality and the design
+    properties are checked separately by :func:`verify_assignment` so that
+    deliberately broken or partial assignments can be built and inspected.
     """
 
     n_ports: int
@@ -123,10 +125,8 @@ class WavelengthAssignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_ports", wdm_requirements(self.n_ports)[0])  # a plain int >= 2
-        channel_of = {_ports(key, "channel_of"): ch for key, ch in self.channel_of.items()}
-        for (i, j) in channel_of:
-            if not (0 <= i < j < self.n_ports):
-                raise ValueError(f"invalid pair key ({i}, {j})")
+        channel_of = _keyed(self.channel_of, "channel_of",
+                            lambda k: _port_pair(k, "channel_of", self.n_ports, True), ChannelId)
         object.__setattr__(self, "channel_of", channel_of)
 
     @cached_property
@@ -158,7 +158,7 @@ class WavelengthAssignment:
             return self._by_label[ref]
         index = ref.index if isinstance(ref, PortId) else _integer(ref, "port index")
         if not 0 <= index < self.n_ports:
-            raise ValueError(f"port index {index} out of range [0, {self.n_ports})")
+            raise ValueError(f"port index {_shown(index)} out of range [0, {self.n_ports})")
         return index
 
     def port(self, ref: int | str | PortId) -> PortId:
@@ -222,7 +222,8 @@ def route(
     ch = channel.index if isinstance(channel, ChannelId) else _integer(channel, "channel")
     dest = assignment._routes.get((pin, ch))
     if dest is None:
-        raise UnroutableWavelengthError(f"channel {ch} is not connected at port {port_label(pin)}")
+        raise UnroutableWavelengthError(
+            f"channel {_shown(ch)} is not connected at port {port_label(pin)}")
     return PortId(dest)
 
 
@@ -332,18 +333,13 @@ class RouterSpec:
     insertion_loss_db: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        n = self.assignment.n_ports
-        losses = {_ports(pair, "insertion_loss_db"): db
-                  for pair, db in self.insertion_loss_db.items()}
-        want = {(i, j) for i in range(n) for j in range(n) if i != j}
-        have = set(losses)
-        if have != want:
-            raise ValueError(
-                f"insertion loss must cover exactly the {len(want)} ordered pairs; "
-                f"missing={sorted(want - have)} extra={sorted(have - want)}"
-            )
-        losses = {pair: _real(db, f"insertion loss at {pair}", 0, unit="dB")
-                  for pair, db in losses.items()}
+        n = _instance(self.assignment, "assignment", WavelengthAssignment).n_ports
+        losses = _keyed(
+            self.insertion_loss_db, "insertion_loss_db",
+            lambda k: _port_pair(k, "insertion_loss_db", n),
+            lambda db, pair: _real(db, f"insertion loss at {pair}", 0, unit="dB"),
+            want=[(i, j) for i in range(n) for j in range(n) if i != j],
+        )
         object.__setattr__(self, "insertion_loss_db", losses)
 
 

@@ -274,7 +274,7 @@ class TestSimulate:
             ("simulate", "network: {classical_delay_ns: 0}",
              "unknown key(s) in network: classical_delay_ns; allowed: detectors,"),
             ("simulate", "network: {eatt_db: {1: 0.0, 3: 0.0}}",
-             "network: eatt_db must cover exactly the client ports (1, 2, 3), got [1, 3]"),
+             "network: eatt_db has no entry at port 2"),
             ("simulate", "output: {key_dir: null}", "output.key_dir must be a string, got None"),
             ("sweep", "output: {csv: [a, b]}", "output.csv must be a string, got ['a', 'b']"),
             ("simulate", "output: 0", "output must be a mapping, got int"),
@@ -283,14 +283,16 @@ class TestSimulate:
             ("simulate", "network: {router: {loss_file: nope.txt}}",
              "network.router.loss_file not found: "),
             ("simulate", "network: {router: {ports: 1}}",
-             "network.router.ports: n_ports must be >= 2, got 1"),
+             "network.router.ports must be >= 2, got 1"),
             ("simulate", "network: {router: {ports: 5}}",
              "network.detectors is required unless the router has exactly 3 clients"),
             ("simulate", "session: {mode: 1}", "session: unknown mode 1"),
             ("simulate", "session: {n_frames: true}", "session: n_frames must be an integer"),
-            # SessionConfig takes any iterable: {1: 0} would be clients (1,)
-            ("simulate", "session: {clients: {1: 0}}", "session.clients must be a list"),
-            ("simulate", "session: {clients: '1,2'}", "session.clients must be a list"),
+            # a mapping or a string iterates, but names no sequence of ports
+            ("simulate", "session: {clients: {1: 0}}",
+             "session: clients must be a sequence of ports, got {1: 0}"),
+            ("simulate", "session: {clients: '1,2'}",
+             "session: clients must be a sequence of ports, got '1,2'"),
             # an int past the float range
             *(pytest.param("simulate", text.format(10**400), field, id=f"{field}-10**400")
               for text, field in [

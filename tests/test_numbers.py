@@ -7,6 +7,7 @@ Ranges of integer arguments are checked by the integer rule too (see
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,8 +35,11 @@ from wdmqkd.protocol import (
 from wdmqkd.router import (
     ChannelId,
     PortId,
+    UnroutableWavelengthError,
     build_assignment,
     import_loss_matrix,
+    path_loss_db,
+    route,
     uniform_router_spec,
 )
 
@@ -181,6 +185,21 @@ def test_integer_outside_range_refused(make, message):
 ], ids=["integer", "real"])
 def test_integer_past_the_digit_limit_shown_abbreviated(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SourceModel(mean_photon_number=Fraction(10**5000, 3)), ValueError,
+     "mean_photon_number must be a real number, got Fraction(100…0 (5001 digits), 3)"),
+    (lambda: path_loss_db(SPEC.router, 10**5000, 1), ValueError,
+     "port index 100…0 (5001 digits) out of range [0, 4)"),
+    (lambda: route(SPEC.router, 0, 10**5000), UnroutableWavelengthError,
+     "channel 100…0 (5001 digits) is not connected at port A"),
+    (lambda: Network(SPEC).link_parameters(0, 10**5000), ValueError,
+     "port index 100…0 (5001 digits) out of range [0, 4)"),
+], ids=["fraction", "path_loss_db", "route", "link_parameters"])
+def test_long_integer_in_a_refusal_names_its_field(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -1,19 +1,28 @@
 """The session contract over the whole config space: on any valid network
 and session, a run ends with every client holding the same key, or with a
 SessionError whose status is a known word.  Any other exception, a bare
-ValueError from deep in the pipeline say, breaks the contract."""
+ValueError from deep in the pipeline say, breaks the contract.  Its CLI
+twin: ``simulate`` on any valid config exits 0 with one key in every key
+file, or 3, never 2."""
 
+import dataclasses
 import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdmqkd.cli import main
 from wdmqkd.netsim import NetworkSpec, run_network
 from wdmqkd.photonics import DetectorModel, SourceModel
 from wdmqkd.protocol import SessionConfig, SessionError
-from wdmqkd.router import build_assignment, uniform_router_spec, wdm_requirements
+from wdmqkd.router import build_assignment, port_label, uniform_router_spec, wdm_requirements
 
 STATUSES = ("abort", "no-detections", "reconcile-failed")
 
@@ -85,3 +94,57 @@ def test_agreed_keys_or_known_session_error(pair):
         assert sorted(result.client_keys) == list(cfg.clients) and result.key_length > 0
         for key in result.client_keys.values():
             assert np.array_equal(key, result.final_key)
+
+
+def as_config(pair):
+    """The YAML config text of a (NetworkSpec, SessionConfig) pair, and its client ports."""
+    spec, cfg = pair
+    session = dataclasses.asdict(cfg)
+    del session["server"]  # the network's
+    session["clients"] = list(cfg.clients)
+    network = {
+        "router": {"ports": spec.router.assignment.n_ports,
+                   "uniform_loss_db": spec.router.insertion_loss_db[(0, 1)]},
+        "server": spec.server,
+        "source": dataclasses.asdict(spec.source),
+        "detectors": {p: dataclasses.asdict(d) for p, d in spec.detectors.items()},
+        "eatt_db": dict(spec.eatt_db),
+        "guard_ns": spec.guard_ns,
+    }
+    return yaml.safe_dump({"network": network, "session": session}), cfg.clients
+
+
+@pytest.mark.filterwarnings("ignore:mean photon number")
+@settings(max_examples=25, deadline=None)
+@given(networks_and_sessions().map(as_config))
+def test_simulate_exits_with_agreed_keys_or_abort(config):
+    text, clients = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "keys"
+        path.write_text(text, encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code == 0:
+            keys = {f.name: f.read_text(encoding="utf-8") for f in out.iterdir()}
+            assert sorted(keys) == sorted(f"key_{port_label(c)}.hex" for c in clients)
+            assert len(set(keys.values())) == 1
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the project's warning filters a failing property prints its
+    falsifying example, not a traceback of hypothesis's pytest plugin."""
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 10\n",
+        encoding="utf-8",
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_prop.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "Falsifying example" in proc.stdout and "INTERNALERROR" not in proc.stdout, proc.stdout

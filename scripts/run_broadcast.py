@@ -36,7 +36,7 @@ def main():
     for link in result.links:
         print(
             f"link {port_label(link.server)}-{port_label(link.client)} "
-            f"ch λ{link.channel_index + 1} ({link.channel_nm} nm): "
+            f"ch {link.channel.label} ({link.channel.nm} nm): "
             f"loss {link.total_loss_db:.2f} dB, "
             f"sifted {link.n_sifted}, "
             f"qber {link.qber_measured:.5f}, "

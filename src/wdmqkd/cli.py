@@ -285,7 +285,7 @@ def _warn_low_frames(n_frames: int) -> None:
         )
 
 
-def _output_path(out: str | None, configured: str, key: str, is_dir: bool) -> Path:
+def _output_path(out: str | None, configured: str = "", key: str = "", *, is_dir: bool) -> Path:
     """``--out``, else ``output.<key>``, refused before any session runs unless it is a
     directory just when ``is_dir`` and its nearest existing ancestor is a directory."""
     where, path = ("--out", Path(out)) if out is not None else (f"output.{key}", Path(configured))
@@ -309,7 +309,9 @@ def cmd_router_table(ports: int, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        path = _output_path(out, is_dir=False)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -325,10 +327,10 @@ def cmd_simulate(run_cfg: RunConfig, out: str | None) -> int:
         f"seed {cfg.seed}  frames {cfg.n_frames}"
     )
     for link in result.links:
-        nm = "" if link.channel_nm is None else f" {link.channel_nm}nm"
+        nm = "" if link.channel.nm is None else f" {link.channel.nm}nm"
         print(
             f"link {port_label(link.server)}-{port_label(link.client)}  "
-            f"ch λ{link.channel_index + 1}{nm}  "
+            f"ch {link.channel.label}{nm}  "
             f"loss_db {link.total_loss_db:.2f}  "
             f"sifted {link.n_sifted}  "
             f"qber {link.qber_measured:.6f}  "

@@ -15,14 +15,16 @@ trains that share the window's period and count and start in its first
 frame, and the transcript's messages, rendered from their fields at 0
 if sent before the first train and at the window's end if not.  The trains
 are stored as arithmetic sequences and expand to lines only when
-rendered.  Rendering walks the window in runs of whole frames, each frame
-the one before plus the period, so one lexsort of the first frame orders
-them all.  One writer turns every run into bytes: it tiles one row's
-bytes, every line's text after room for its time, and writes the decimal
-times into the room with numpy.  Where the period divides a power of ten
-D, a block [H·D, (H+1)·D) with H >= 1 is the one before with the leading
-digits str(H) of its times rewritten.  The guard check reads the pulse
-trains' first lines alone: every frame repeats the first.
+rendered.  Rendering walks the window's frame grid in one loop of blocks
+of whole frames, each frame the one before plus the period, so one
+lexsort of the first frame orders them all.  One writer turns a block
+into bytes: it tiles one row's bytes, every line's text after room for
+its time, and writes the decimal times into the room with numpy.  Where
+the period divides a power of ten D, blocks end at multiples of D, and a
+whole decade [H·D, (H+1)·D) with H >= 1 that follows one whose H has as
+many digits is a copy of it with the changed digits of H rewritten.  The
+guard check reads the pulse trains' first lines alone: every frame
+repeats the first.
 """
 
 from __future__ import annotations
@@ -159,12 +161,10 @@ def _write_block(
     if (digits[0] != digits[1]).any():
         digits = np.searchsorted(_POWERS, times, "right") + 1
     cuts = (np.flatnonzero((digits[1:] != digits[:-1]).any(axis=1)) + 1).tolist()
-    pieces = np.empty(2 * suffixes.size, dtype=object)
-    pieces[1::2] = suffixes
     for r0, r1 in zip([0, *cuts], [*cuts, len(times)]):
         width = digits[r0]
-        pieces[0::2] = [b"0" * n for n in width.tolist()]  # room for each time
-        out = np.tile(np.frombuffer(b"".join(pieces.tolist()), dtype=np.uint8), (r1 - r0, 1))
+        row = b"".join(b"0" * n + s for n, s in zip(width.tolist(), suffixes))  # room for each time
+        out = np.tile(np.frombuffer(row, dtype=np.uint8), (r1 - r0, 1))
         size = width + suffix_len
         lead = np.cumsum(size) - size
         values = times[r0:r1].T
@@ -222,16 +222,17 @@ class EventLog:
         more: the messages before the window, the window, then the messages
         after it.
 
-        Each block of the window is a run of whole frames, each the one
+        One loop walks the window's frame grid [f, grid + span, grid +
+        2·span, ..., end): each block is a run of whole frames, each the one
         above plus the period, so a lexsort of the first frame orders them
         all.  Where the period divides a power of ten, D is the largest
-        such power whose D/period frames fit in the cap, and blocks end at
-        multiples of D.  A time in a whole decade [H·D, (H+1)·D) with H >= 1
-        is str(H), then digits that every decade repeats: the first such
-        decade of each digit count is written in full, and each later one
-        is the decade before with the digits of H that changed rewritten.
-        Elsewhere a block is as many whole frames as fit in the cap, at
-        least one.
+        such power whose D/period frames fit in the cap, and the grid is
+        the multiples of D.  A time in a whole decade [H·D, (H+1)·D) with
+        H >= 1 is str(H), then digits that every decade repeats, so a whole
+        decade that follows one whose H has as many digits is a copy of it
+        with the digits of H that changed rewritten; ``_write_block``
+        writes every other block.  Elsewhere a block is as many whole
+        frames as fit in the cap, at least one.
         """
         cap = _WINDOW_LINES
         f, period, count = self._window
@@ -243,7 +244,7 @@ class EventLog:
                 yield np.frombuffer(text.encode(), dtype=np.uint8)
 
         yield from message_chunks(0, self._messages[:self._n_before])
-        if self._trains:
+        if self._trains and count:
             t0 = np.array([t for t, *_ in self._trains], dtype=np.int64)
             order = np.lexsort(([_TRAIN_KINDS.index(k) for _, k, *_ in self._trains], t0))
             first = t0[order]  # stable: ties keep append order
@@ -262,36 +263,28 @@ class EventLog:
                           if d % period == 0 and d // period * first.size <= cap), default=0)
             span = decade or max(cap // first.size, 1) * period  # blocks end at grid + j·span
             grid = f - f % decade if decade else f
-            # the whole decades [H·D, (H+1)·D) with H >= 1
-            lo, hi = (max(-(-f // decade), 1) * decade, end // decade * decade) if decade else (end, end)
-            if lo >= hi:
-                lo = hi = end
-            edges = [f, *range(grid + span, lo, span), lo, hi, *range(hi + span, end, span), end]
-            for r0, r1 in itertools.pairwise(dict.fromkeys(edges)):  # edges rise
-                if (r0, r1) != (lo, hi):
-                    yield from _write_block(frames(r0, r1), suffixes, suffix_len)
-                    continue
-                times, width = frames(lo, lo + decade), 0
-                for start in range(lo, hi, decade):
-                    stamp = np.frombuffer(str(start // decade).encode(), dtype=np.uint8)
-                    if stamp.size != width:
-                        [block] = _write_block(times + (start - lo), suffixes, suffix_len)
-                        width, size = stamp.size, stamp.size + len(str(decade)) - 1 + suffix_len
-                        leads = np.cumsum(size) - size
-                    else:  # the decade before, with the digits of H that changed rewritten
-                        block = block.copy()
-                        for i in np.flatnonzero(stamp != last):
-                            block.reshape(len(times), -1)[:, leads + i] = stamp[i]
+            stamp = b""  # the digits of H of the block before, if a whole decade [H·D, (H+1)·D)
+            for r0, r1 in itertools.pairwise([f, *range(grid + span, end, span), end]):
+                last = stamp
+                whole = decade and r0 % decade == 0 < r0 and r1 - r0 == decade
+                stamp = str(r0 // decade).encode() if whole else b""
+                if whole and len(stamp) == len(last):
+                    block = block.copy()  # the decade before, its changed digits of H rewritten
+                    for i, digit in enumerate(stamp):
+                        if digit != last[i]:
+                            block.reshape(decade // period, -1)[:, leads + i] = digit
                     yield block
-                    last = stamp
+                    continue
+                for block in _write_block(frames(r0, r1), suffixes, suffix_len):
+                    yield block
+                if whole:  # where the digits of H start in each line
+                    size = len(stamp) + len(str(decade)) - 1 + suffix_len
+                    leads = np.cumsum(size) - size
         yield from message_chunks(end, self._messages[self._n_before:])
 
     def render_lines(self) -> Iterator[str]:
         for chunk in self._chunks():
             yield from chunk.tobytes().decode().split("\n")[:-1]
-
-    def render_text(self) -> str:
-        return b"".join(self._chunks()).decode()
 
     def digest(self) -> str:
         """SHA-256 over the rendered lines; cheap way to compare huge logs."""
@@ -310,6 +303,7 @@ class EventLog:
         frame's violations repeat once a frame, one period apart, less the
         pair that would cross out of the last frame.
         """
+        guard_ns = _integer(guard_ns, "guard_ns", 1)
         f, period, count = self._window
         pulses = sorted(
             ((t, c) for t, kind, _, c, _ in self._trains if kind == "pulse-arrival"),
@@ -436,7 +430,7 @@ class Network:
     were sent before the first train; :attr:`events` shows them."""
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
-        self.spec = spec
+        self.spec = _instance(spec, "spec", NetworkSpec)
         self._assignment = spec.router.assignment
         streams = np.random.SeedSequence(_integer(seed, "seed")).spawn(self._assignment.n_ports + 1)
         *ports, session = map(np.random.default_rng, streams)
@@ -590,6 +584,8 @@ def sweep_attenuation(
     has them (an abort's measured QBER, with zero leaked bits); without
     them, NaN QBER markers.  Rows are ordered by dB, then client port.
     """
+    _instance(spec, "spec", NetworkSpec)
+    _instance(cfg, "cfg", SessionConfig)
     db_list = [_real(db, "attenuation", 0, unit="dB") for db in db_list]
     if not db_list:
         raise ValueError("db_list must be nonempty")

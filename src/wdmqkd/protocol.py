@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._numbers import _integer, _real, _shown
+from ._numbers import _instance, _integer, _real, _shown
 from .photonics import ClickRecord, _bits, _indices, _trusted
 from .router import ChannelId, port_label
 
@@ -575,8 +575,7 @@ class LinkReport:
 
     server: int
     client: int
-    channel_index: int
-    channel_nm: float | None
+    channel: ChannelId
     n_frames: int
     n_clicked: int
     n_sifted: int
@@ -650,6 +649,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
     key.  Each report's ``leaked_bits`` is its link's parity bit count on
     the transcript, so a retried link counts both attempts.
     """
+    _instance(cfg, "cfg", SessionConfig)
     params = {c: network.link_parameters(cfg.server, c) for c in cfg.clients}
     if cfg.mode == "broadcast":
         everyone = tuple(p for p in range(int(network.n_ports)) if p != cfg.server)
@@ -730,8 +730,7 @@ def run_session(cfg: SessionConfig, network) -> SessionResult:
         reports[c] = LinkReport(
             server=cfg.server,
             client=c,
-            channel_index=p.channel.index,
-            channel_nm=p.channel.nm,
+            channel=p.channel,
             n_frames=cfg.n_frames,
             n_clicked=len(clicks),
             n_sifted=len(a),

@@ -147,6 +147,19 @@ class TestRouterTable:
         assert main(["router-table", "--ports", "4", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == stdout
 
+    def test_out_creates_missing_directories(self, tmp_path, capsys):
+        assert main(["router-table", "--ports", "4"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "new" / "dir" / "table.txt"
+        assert main(["router-table", "--ports", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text(encoding="utf-8") == stdout
+
+    def test_out_naming_a_directory_refused(self, tmp_path, capsys):
+        assert main(["router-table", "--ports", "4", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out: {tmp_path} is a directory\n")
+        assert not any(tmp_path.iterdir())
+
 
 class TestSimulate:
     def test_broadcast_writes_identical_key_files(self, config_path, tmp_path, capsys):

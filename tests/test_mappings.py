@@ -11,11 +11,12 @@ import pytest
 import yaml
 
 from wdmqkd.cli import load_config
-from wdmqkd.netsim import default_fourport_network
-from wdmqkd.protocol import SessionConfig
+from wdmqkd.netsim import Network, default_fourport_network, sweep_attenuation
+from wdmqkd.protocol import SessionConfig, run_session
 from wdmqkd.router import ChannelId, RouterSpec, WavelengthAssignment, build_assignment
 
 SPEC = default_fourport_network()
+CFG = SessionConfig(server=0, clients=(1, 2, 3))
 ASSIGNMENT = build_assignment(4)
 LOSSES = SPEC.router.insertion_loss_db
 HUGE = 10**5000
@@ -118,6 +119,11 @@ RECORDS = {
     "NetworkSpec.source": ("source", "SourceModel", lambda v: replace(SPEC, source=v).source),
     "RouterSpec.assignment": (
         "assignment", "WavelengthAssignment", lambda v: RouterSpec(v, LOSSES).assignment),
+    # the record arguments of the network and session entry points
+    "Network.spec": ("spec", "NetworkSpec", lambda v: Network(v).spec),
+    "run_session.cfg": ("cfg", "SessionConfig", lambda v: run_session(v, Network(SPEC))),
+    "sweep_attenuation.spec": ("spec", "NetworkSpec", lambda v: sweep_attenuation(v, CFG, [0])),
+    "sweep_attenuation.cfg": ("cfg", "SessionConfig", lambda v: sweep_attenuation(SPEC, v, [0])),
 }
 
 

@@ -256,7 +256,6 @@ def assert_matches_reference(log, caps, guards):
     for cap in caps:
         with mock.patch.object(netsim, "_WINDOW_LINES", cap):
             assert list(log.render_lines()) == expected
-            assert log.render_text() == text
             assert log.digest() == hashlib.sha256(text.encode()).hexdigest()
             for guard, found in violations.items():
                 assert log.guard_violations(guard) == found
@@ -446,6 +445,20 @@ class TestEventLog:
     def test_guard_violations_match_dense_reference(self, log, guard):
         assert log.guard_violations(guard) == reference_guard_violations(log, guard)
 
+    @pytest.mark.parametrize("guard, message", [
+        (1.5, "guard_ns must be an integer, got 1.5"),
+        (True, "guard_ns must be an integer, got True"),
+        (-5, "guard_ns must be >= 1, got -5"),
+        ("x", "guard_ns must be an integer, got 'x'"),
+        (None, "guard_ns must be an integer, got None"),
+    ], ids=["float", "bool", "negative", "text", "None"])
+    def test_bad_guard_refused(self, guard, message):
+        log = make_log([(1000, 1000, 10, "pulse-arrival", "A", "λ1", ""),
+                        (1050, 1000, 10, "pulse-arrival", "A", "λ2", "")])
+        with pytest.raises(ValueError) as excinfo:
+            log.guard_violations(guard)
+        assert str(excinfo.value) == message
+
     def test_same_channel_not_a_violation(self):
         log = make_log([(0, 10, 4, "pulse-arrival", "A", "λ1", "")])
         assert not log.guard_violations(100)
@@ -567,7 +580,7 @@ class TestNetwork:
         cfg = SessionConfig(server=0, clients=(1, 2, 3), n_frames=3000, seed=21)
         r1 = run_network(spec, cfg)
         r2 = run_network(spec, cfg)
-        assert r1.events.render_text() == r2.events.render_text()
+        assert list(r1.events.render_lines()) == list(r2.events.render_lines())
         assert r1.events.digest() == r2.events.digest()
         assert np.array_equal(r1.result.final_key, r2.result.final_key)
 
